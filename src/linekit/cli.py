@@ -72,6 +72,10 @@ EXIT_INTERNAL = 3
 EXIT_CERTIFICATION = 4
 
 
+#: --group choices and the DisplacementGroup kind each one names.
+GROUP_KINDS = {"cyclic": "cyclic", "binary": "binary-triple"}
+
+
 class UsageError(ValueError):
     """Bad parameters or malformed input: mapped to exit code 2."""
 
@@ -121,14 +125,6 @@ def fmt_rational(x):
         if f.denominator == 1:
             return str(f.numerator)
         return f"{f.numerator}/{f.denominator} (≈ {float(f):.6g})"
-    return f"{float(x):.10g}"
-
-
-def _num_den(x):
-    """Exact rational as num/den for CSV cells; floats fall back to repr."""
-    f = x if isinstance(x, Fraction) else _snap(x)
-    if f is not None:
-        return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
     return f"{float(x):.10g}"
 
 
@@ -402,7 +398,7 @@ def _resolve_fiducial(args):
         if vec.shape[0] != args.dim:
             raise UsageError(f"fiducial has length {vec.shape[0]}, expected {args.dim}")
         return FiducialCandidate(
-            d=args.dim, vector=vec, source=("file", path), group=args.group
+            d=args.dim, vector=vec, source=("file", path), group=GROUP_KINDS[args.group]
         )
     raise UsageError("--fiducial must be builtin, appleby, or file:PATH")
 
@@ -421,6 +417,8 @@ def cmd_verify(args):
     if args.expect == "sic":
         verdict = verify_sic(X)
         report["expect sic"] = {k: str(v) for k, v in verdict.items()}
+        if verdict["alpha"] is not None:
+            report["expect sic"]["alpha"] = fmt_rational(verdict["alpha"])
         if not verdict["is_sic"]:
             failures.append({"check": "expect-sic", "detail": "orbit is not a maximal equiangular set"})
     elif args.expect == "mub":
@@ -719,7 +717,7 @@ def build_parser():
         "--fiducial", default="builtin", help="builtin, appleby, or file:PATH (sic)"
     )
     c.add_argument(
-        "--group", choices=("cyclic", "binary"), default="cyclic",
+        "--group", choices=tuple(GROUP_KINDS), default="cyclic",
         help="displacement group for file fiducials",
     )
     c.add_argument("--singer", type=int, default=None, help="prime power q (lines)")

@@ -4,17 +4,86 @@ Field and ring elements are little-endian coefficient tuples (length m) over
 GF(p) or Z4; all arithmetic is exact integer arithmetic.  Contexts are
 immutable after construction and every operation is a pure function, so they
 can be shared freely across threads.
+
+Constructions that touch every element use integer index tables instead:
+field element n is from_int(n), Teichmuller element k > 0 is xi^(k-1), and
+products come from discrete logs, which add mod q - 1.  Both traces are linear
+(over GF(p), and over Z4 for GR(4^m)), so tr(sum c_i x^i) = sum c_i tr(x^i),
+with tr(x^i) taken once per basis monomial from the Frobenius definition.
+The integer number theory (isprime, factorint, jacobi_symbol) lives here too.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
-from functools import reduce
+from functools import cached_property, reduce
 from math import lcm
 
 import numpy as np
-from sympy import isprime
+
+# ---------------------------------------------------------------------------
+# integer number theory
+# ---------------------------------------------------------------------------
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def isprime(n):
+    """Miller-Rabin to the bases 2..41: exact for n < 3.3e24, and a strong
+    probable-prime test to 13 bases above that."""
+    n = int(n)
+    if n < 2 or any(n % p == 0 for p in _SMALL_PRIMES):
+        return n in _SMALL_PRIMES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def factorint(n):
+    """{prime: exponent} with the product of p**e equal to n, for n >= 1, by
+    trial division that stops once the cofactor is prime."""
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"factorint needs n >= 1, got {n}")
+    out, p = {}, 2
+    while n > 1 and not isprime(n):
+        while n % p:
+            p += 1
+        out[p] = out.get(p, 0) + 1
+        n //= p
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def jacobi_symbol(a, n):
+    """The Jacobi symbol (a|n) for odd n >= 1, by quadratic reciprocity."""
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"the Jacobi symbol needs an odd n >= 1, got {n}")
+    a, result = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
 
 # ---------------------------------------------------------------------------
 # polynomial helpers (little-endian coefficient tuples over Z_modulus)
@@ -69,24 +138,6 @@ def _pmod(a, b, q):
     return _pdivmod(a, b, q)[1]
 
 
-def _pgcd_ext(a, b, p):
-    """Extended Euclid over GF(p): returns (g, u, v) with u*a + v*b = g."""
-    r0, r1 = _ptrim(a), _ptrim(b)
-    u0, u1 = (1,), ()
-    v0, v1 = (), (1,)
-    while r1:
-        # make r1 monic for _pdivmod, then undo the scaling
-        lead = r1[-1]
-        inv = pow(lead, -1, p)
-        r1m = _ptrim(c * inv % p for c in r1)
-        quot, _ = _pdivmod(r0, r1m, p)
-        quot = _ptrim(c * inv % p for c in quot)
-        r0, r1 = r1, _padd(r0, tuple(-c % p for c in _pmul(quot, r1, p)), p)
-        u0, u1 = u1, _padd(u0, tuple(-c % p for c in _pmul(quot, u1, p)), p)
-        v0, v1 = v1, _padd(v0, tuple(-c % p for c in _pmul(quot, v1, p)), p)
-    return r0, u0, v0
-
-
 def _is_irreducible(poly, p):
     """Trial division by monic polynomials of degree <= deg/2 over GF(p)."""
     poly = _ptrim(poly)
@@ -103,84 +154,37 @@ def _is_irreducible(poly, p):
     return True
 
 
-def _prime_factors(n):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Galois fields
 # ---------------------------------------------------------------------------
 
 
-class GaloisField:
-    """GF(p^m) with elements as little-endian coefficient tuples of length m.
-
-    Arithmetic reduces modulo the (monic, irreducible) defining polynomial.
-    The default modulus is primitive, so the coset of x generates the
-    multiplicative group.
-    """
-
-    def __init__(self, p, m, modulus):
-        self.p = p
-        self.m = m
-        self.q = p**m
-        self.modulus = modulus  # length m+1, little-endian, monic
-        self.zero = (0,) * m
-        self.one = self._pad((1,)) if m >= 1 else ()
+class _TupleRing:
+    """Arithmetic shared by GF(p^m) and GR(4^m): little-endian coefficient
+    tuples of length m over Z_char, char = p or 4."""
 
     def _pad(self, c):
         c = _ptrim(c)
         assert len(c) <= self.m
         return tuple(c) + (0,) * (self.m - len(c))
 
-    # -- element encodings ---------------------------------------------------
-
     def element(self, coeffs):
-        c = tuple(int(v) % self.p for v in coeffs)
+        c = tuple(int(v) % self.char for v in coeffs)
         if len(c) != self.m:
             raise ValueError(f"element needs {self.m} coefficients, got {len(c)}")
         return c
 
-    def from_int(self, n):
-        """Base-p digits of n, little-endian."""
-        if not 0 <= n < self.q:
-            raise ValueError(f"integer {n} outside [0, {self.q})")
-        digits = []
-        for _ in range(self.m):
-            digits.append(n % self.p)
-            n //= self.p
-        return tuple(digits)
-
-    def to_int(self, x):
-        return sum(c * self.p**i for i, c in enumerate(x))
-
-    def elements(self):
-        return [self.from_int(n) for n in range(self.q)]
-
-    # -- arithmetic ----------------------------------------------------------
-
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        return tuple((x + y) % self.char for x, y in zip(a, b))
 
     def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        return tuple((x - y) % self.char for x, y in zip(a, b))
 
     def neg(self, a):
-        return tuple(-x % self.p for x in a)
-
-    def mul(self, a, b):
-        return self._pad(_pmod(_pmul(a, b, self.p), self.modulus, self.p))
+        return tuple(-x % self.char for x in a)
 
     def pow(self, a, n):
+        """a^n by repeated squaring; n < 0 needs inv, so fields only."""
         if n < 0:
             return self.pow(self.inv(a), -n)
         out, base = self.one, a
@@ -191,13 +195,52 @@ class GaloisField:
             n >>= 1
         return out
 
+
+def _digits(n, p, m):
+    """The m base-p digits of n, little-endian."""
+    return tuple(n // p**i % p for i in range(m))
+
+
+class GaloisField(_TupleRing):
+    """GF(p^m) with elements as little-endian coefficient tuples of length m.
+
+    Arithmetic reduces modulo the (monic, irreducible) defining polynomial.
+    The default modulus is primitive, so the coset of x generates the
+    multiplicative group.  mul_table and trace_table hold the product and
+    the trace of elements by their index n, the element from_int(n).
+    """
+
+    def __init__(self, p, m, modulus):
+        self.p = self.char = p
+        self.m = m
+        self.q = p**m
+        self.modulus = modulus  # length m+1, little-endian, monic
+        self.zero = (0,) * m
+        self.one = self._pad((1,)) if m >= 1 else ()
+
+    # -- element encodings ---------------------------------------------------
+
+    def from_int(self, n):
+        """Base-p digits of n, little-endian."""
+        if not 0 <= n < self.q:
+            raise ValueError(f"integer {n} outside [0, {self.q})")
+        return _digits(n, self.p, self.m)
+
+    def to_int(self, x):
+        return sum(c * self.p**i for i, c in enumerate(x))
+
+    def elements(self):
+        return [self.from_int(n) for n in range(self.q)]
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def mul(self, a, b):
+        return self._pad(_pmod(_pmul(a, b, self.p), self.modulus, self.p))
+
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("0 has no inverse")
-        g, u, _ = _pgcd_ext(a, self.modulus, self.p)
-        assert len(g) == 1  # gcd is a nonzero constant: modulus irreducible
-        scale = pow(g[0], -1, self.p)
-        return self._pad(tuple(c * scale % self.p for c in u))
+        return self.pow(a, self.q - 2)  # a^(q-1) = 1
 
     def frobenius(self, a):
         return self.pow(a, self.p)
@@ -210,14 +253,42 @@ class GaloisField:
             return ((-self.modulus[0]) % self.p,)
         return self._pad((0, 1))
 
+    @cached_property
+    def trace_basis(self):
+        """tr(x^i) for i < m, each from the definition: the relative trace to
+        GF(p), x^i + (x^i)^p + ... + (x^i)^(p^(m-1))."""
+        traces = [self.relative_trace(self._pad((0,) * i + (1,)), 1) for i in range(self.m)]
+        assert all(not any(t[1:]) for t in traces), "trace landed outside GF(p)"
+        return tuple(t[0] for t in traces)
+
     def trace(self, a):
-        """Absolute trace to GF(p): a + a^p + ... + a^(p^(m-1)), as an int."""
-        acc, cur = self.zero, a
-        for _ in range(self.m):
-            acc = self.add(acc, cur)
-            cur = self.frobenius(cur)
-        assert all(c == 0 for c in acc[1:]), "trace landed outside GF(p)"
-        return acc[0]
+        """Absolute trace to GF(p) as an int; linear, so O(m) from trace_basis."""
+        return sum(c * t for c, t in zip(a, self.trace_basis)) % self.p
+
+    @cached_property
+    def trace_table(self):
+        """tr(from_int(n)) at n, as an int64 array."""
+        digits = np.arange(self.q)[:, None] // self.p ** np.arange(self.m) % self.p
+        return digits @ np.array(self.trace_basis) % self.p
+
+    @cached_property
+    def mul_table(self):
+        """Index of from_int(a) * from_int(b) at [a, b], from discrete logs to
+        the first primitive element in index order (x under the default modulus)."""
+        for n in range(1, self.q):
+            g = cur = self.from_int(n)
+            powers = [1]
+            while cur != self.one:
+                powers.append(self.to_int(cur))
+                cur = self.mul(cur, g)
+            if len(powers) == self.q - 1:
+                break
+        antilog = np.array(powers, dtype=np.int64)
+        log = np.zeros(self.q, dtype=np.int64)
+        log[antilog] = np.arange(self.q - 1)
+        table = antilog[(log[:, None] + log) % (self.q - 1)]
+        table[0, :] = table[:, 0] = 0
+        return table
 
     def relative_trace(self, a, e):
         """Trace to the subfield GF(p^e): sum of a^(p^(e*j)).  e must divide m."""
@@ -242,11 +313,9 @@ def _is_primitive(modulus, p, m):
     order = p**m - 1
     F = GaloisField(p, m, modulus)
     x = F.x()
-    if x == F.zero:
-        return False
     if F.pow(x, order) != F.one:
         return False
-    return all(F.pow(x, order // r) != F.one for r in _prime_factors(order))
+    return all(F.pow(x, order // r) != F.one for r in factorint(order))
 
 
 def gf_create(p, m, modulus=None):
@@ -279,14 +348,8 @@ def gf_create(p, m, modulus=None):
         raise AssertionError(f"no primitive root mod {p}")
 
     for tail in range(p**m):
-        coeffs = []
-        n = tail
-        for _ in range(m):
-            coeffs.append(n % p)
-            n //= p
-        cand = tuple(coeffs) + (1,)
-        if not _is_irreducible(cand, p):
-            continue
+        # x of order p^m - 1 needs a field, so a primitive modulus is irreducible
+        cand = _digits(tail, p, m) + (1,)
         if _is_primitive(cand, p, m):
             return GaloisField(p, m, cand)
     raise AssertionError(f"no primitive polynomial of degree {m} over GF({p})")
@@ -302,16 +365,19 @@ def gf_trace(F, x):
 # ---------------------------------------------------------------------------
 
 
-class GaloisRing:
+class GaloisRing(_TupleRing):
     """GR(4^m) = Z4[x]/(h) for the Hensel lift h of a primitive GF(2^m) modulus.
 
     Elements are little-endian coefficient tuples of length m over Z4.  The
     Teichmuller set T = {0, 1, xi, ..., xi^(2^m - 2)} is the unique system of
     coset representatives mod 2 that is closed under multiplication; every
     element decomposes uniquely as t0 + 2*t1 with t0, t1 in T.
+    teichmuller_table and teichmuller_trace hold products and traces of T by
+    list index.
     """
 
     def __init__(self, m, lift_modulus, base_field):
+        self.char = 4
         self.m = m
         self.size = 4**m
         self.lift_modulus = lift_modulus  # length m+1 over Z4, monic
@@ -323,50 +389,18 @@ class GaloisRing:
         self._teich_by_residue = {tuple(c % 2 for c in t): t for t in self.teichmuller}
         assert len(self._teich_by_residue) == 2**m
 
-    def _pad(self, c):
-        c = _ptrim(c)
-        return tuple(c) + (0,) * (self.m - len(c))
-
     def _build_teichmuller(self):
         xi = self._pad((0, 1)) if self.m > 1 else (1,)
         out = [self.zero, self.one]
-        cur = xi
-        for _ in range(2**self.m - 2):
-            if cur == self.one:
-                break
-            out.append(cur)
-            cur = self.mul(cur, xi)
+        while len(out) < 2**self.m:
+            out.append(self.mul(out[-1], xi))
         return out
-
-    def element(self, coeffs):
-        c = tuple(int(v) % 4 for v in coeffs)
-        if len(c) != self.m:
-            raise ValueError(f"element needs {self.m} coefficients, got {len(c)}")
-        return c
 
     def elements(self):
         return [t for t in itertools.product(range(4), repeat=self.m)]
 
-    def add(self, a, b):
-        return tuple((x + y) % 4 for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % 4 for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x % 4 for x in a)
-
     def mul(self, a, b):
         return self._pad(_pmod(_pmul(a, b, 4), self.lift_modulus, 4))
-
-    def pow(self, a, n):
-        out, base = self.one, a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
 
     def teichmuller_decompose(self, z):
         """z = t0 + 2*t1 with t0, t1 Teichmuller; returns (t0, t1)."""
@@ -376,16 +410,34 @@ class GaloisRing:
         t1 = self._teich_by_residue[tuple((c // 2) % 2 for c in w)]
         return t0, t1
 
+    @cached_property
+    def trace_basis(self):
+        """tr(x^i) for i < m, from the definition: x^i = xi^i is Teichmuller,
+        so its trace is the sum of xi^(i 2^j) over j < m."""
+        T, n = self.teichmuller, 2**self.m - 1
+        out = []
+        for i in range(self.m):
+            acc = reduce(self.add, (T[1 + i * 2**j % n] for j in range(self.m)))
+            assert not any(acc[1:]), "ring trace landed outside Z4"
+            out.append(acc[0])
+        return tuple(out)
+
     def trace(self, z):
-        """Sum of the 2^j-power shifts of both Teichmuller parts, in Z4."""
-        t0, t1 = self.teichmuller_decompose(z)
-        acc = self.zero
-        for j in range(self.m):
-            e = 2**j
-            acc = self.add(acc, self.pow(t0, e))
-            acc = self.add(acc, self.mul((2,) + (0,) * (self.m - 1), self.pow(t1, e)))
-        assert all(c == 0 for c in acc[1:]), "ring trace landed outside Z4"
-        return acc[0]
+        """Galois-ring trace into Z4 as an int; Z4-linear, so O(m) from trace_basis."""
+        return sum(c * t for c, t in zip(z, self.trace_basis)) % 4
+
+    @cached_property
+    def teichmuller_trace(self):
+        """tr(T[k]) at k, as an int64 array."""
+        return np.array(self.teichmuller, dtype=np.int64) @ np.array(self.trace_basis) % 4
+
+    @cached_property
+    def teichmuller_table(self):
+        """Index of T[a] * T[b] at [a, b]: T[k + 1] = xi^k, so logs add mod 2^m - 1."""
+        k = np.arange(2**self.m)
+        table = (k[:, None] + k - 2) % (2**self.m - 1) + 1
+        table[0, :] = table[:, 0] = 0
+        return table
 
     def label(self):
         coeffs = ",".join(str(c) for c in self.lift_modulus)
@@ -398,26 +450,16 @@ class GaloisRing:
 def _hensel_lift(f2, m):
     """Lift a monic degree-m factor f of x^(2^m -1) - 1 from GF(2) to Z4.
 
-    With u = x^(2^m -1) - 1 = f*g over GF(2) and a*f + b*g = 1 over GF(2),
-    the corrected factor is f + 2*(b*c mod f) where c = (u - f*g)/2 taken
-    mod 2.  The result is certified by exact divisibility over Z4.
+    Graeffe's method: with f = e + o split into its even- and odd-degree
+    terms, the lift h satisfies h(x^2) = +-(e^2 - o^2) over Z4, the sign
+    making h monic.  The result is certified by exact divisibility over Z4.
     """
-    n = 2**m - 1
-    u4 = tuple((-1 if i == 0 else 0) % 4 if i != n else 1 for i in range(n + 1))
-    u2 = tuple(c % 2 for c in u4)
-    g2, rem = _pdivmod(u2, f2, 2)
-    assert not rem, "modulus does not divide x^(2^m - 1) - 1 over GF(2)"
-    gcd_poly, a2, b2 = _pgcd_ext(f2, g2, 2)
-    assert gcd_poly == (1,), "factors of a squarefree polynomial must be coprime"
-    # c = (u - f*g)/2 over Z4, halved, then reduced mod 2
-    fg4 = _pmul(f2, g2, 4)
-    diff = _padd(u4, tuple(-c % 4 for c in fg4), 4)
-    assert all(c % 2 == 0 for c in diff)
-    c2 = _ptrim((c // 2) % 2 for c in diff)
-    s2 = _pmod(_pmul(b2, c2, 2), f2, 2)
-    f4 = _padd(tuple(f2), _pmul((2,), s2, 4), 4)
+    e = tuple(c * (1 - i % 2) for i, c in enumerate(f2))
+    o = tuple(c * (i % 2) for i, c in enumerate(f2))
+    h = _padd(_pmul(e, e, 4), tuple(-c % 4 for c in _pmul(o, o, 4)), 4)[::2]
+    f4 = tuple(c * h[-1] % 4 for c in h)  # h[-1] is 1 or 3 = -1
     # certificate: the lift divides x^(2^m - 1) - 1 over Z4
-    _, rem4 = _pdivmod(u4, f4, 4)
+    _, rem4 = _pdivmod((3,) + (0,) * (2**m - 2) + (1,), f4, 4)
     assert not rem4, "Hensel lift failed the divisibility certificate"
     return f4
 
@@ -428,11 +470,7 @@ def gr_create(m):
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     F2 = gf_create(2, m)
-    if m == 1:
-        # the degree-1 case: x - 1 is its own lift (x + 3 over Z4)
-        return GaloisRing(1, (3, 1), F2)
-    lift = _hensel_lift(F2.modulus, m)
-    return GaloisRing(m, lift, F2)
+    return GaloisRing(m, _hensel_lift(F2.modulus, m), F2)
 
 
 def gr_trace(R, z):

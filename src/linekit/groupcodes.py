@@ -19,13 +19,13 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from sympy import isprime
 
-from .finite_algebra import AbelianGroup, GroupAlgebraElement, gf_create, gr_create
+from .finite_algebra import AbelianGroup, GroupAlgebraElement, gf_create, gr_create, isprime
 from .linesets import LineSet
 from .mubs import MubFamily, SemifieldTable, _prime_power
 
@@ -454,14 +454,23 @@ class LinearCode:
         self.n = gen.shape[1]
         self._codewords = None
 
+    def size(self):
+        """|C| = q^n / |dual| without enumerating: p^rank over GF(p); over Z4
+        the dual's independent generators from the Smith diagonal have order 2
+        (every entry even) or 4, which gives 4^k1 2^k2."""
+        if self.kind == "gf":
+            return self.q ** (self.n - len(_gf_nullspace(self.generators, self.q)))
+        kernel = _z4_kernel(self.generators)
+        return 4**self.n // math.prod(2 if not (k % 2).any() else 4 for k in kernel)
+
     def codewords(self):
         if self._codewords is None:
+            if self.size() > _ENUM_CAP:
+                raise ValueError("code too large to enumerate (> 2^20 words)")
             words = np.zeros((1, self.n), dtype=np.int64)
             for g in self.generators:
                 stack = [(words + a * g) % self.q for a in range(self.q)]
                 words = np.unique(np.concatenate(stack), axis=0)
-                if len(words) > _ENUM_CAP:
-                    raise ValueError(f"code too large to enumerate (> 2^20 words)")
             self._codewords = words
         return self._codewords
 

@@ -13,9 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from sympy import factorint
 
-from linekit.finite_algebra import gf_create, gr_create
+from linekit.finite_algebra import factorint, gf_create, gr_create
 from linekit.linesets import LineSet
 
 
@@ -76,57 +75,34 @@ class MubFamily:
 # ---------------------------------------------------------------------------
 
 
-def _wf_odd(p, m):
-    """(W_z)_{x,y} = q^{-1/2} w^{tr(z x^2 + 2 y x)} over GF(p^m), w = e^(2 pi i/p)."""
-    F = gf_create(p, m)
-    q = p**m
-    els = F.elements()
-    two = F.from_int(2 % p)
-    w = np.exp(2j * np.pi / p)
-    bases = [np.eye(q, dtype=complex)]
-    for z in els:
-        W = np.empty((q, q), dtype=complex)
-        for i, x in enumerate(els):
-            zx2 = F.mul(z, F.mul(x, x))
-            tx = F.mul(two, x)
-            for j, y in enumerate(els):
-                e = F.add(zx2, F.mul(y, tx))
-                W[i, j] = w ** F.trace(e)
-        bases.append(W / np.sqrt(q))
-    return bases
-
-
-def _wf_even(m):
-    """(W_z)_{x,y} = q^{-1/2} i^{tr(z x^2 + 2 y x)} with x, y, z ranging over the
-    Teichmuller set of GR(4^m) and tr the Galois-ring trace into Z4."""
-    R = gr_create(m)
-    q = 2**m
-    T = R.teichmuller
-    two = R.element((2,) + (0,) * (m - 1))
-    bases = [np.eye(q, dtype=complex)]
-    for z in T:
-        W = np.empty((q, q), dtype=complex)
-        for i, x in enumerate(T):
-            zx2 = R.mul(z, R.mul(x, x))
-            tx = R.mul(two, x)
-            for j, y in enumerate(T):
-                e = R.add(zx2, R.mul(y, tx))
-                W[i, j] = 1j ** R.trace(e)
-        bases.append(W / np.sqrt(q))
-    return bases
+def _phase_bases(E, N, w):
+    """The identity, then w^E[z] / sqrt(q) for each z, from an integer exponent
+    array E[z, x, y] over Z_N.  The powers come from [w**k for k in range(N)],
+    the same operation as taking them entry by entry."""
+    q = E.shape[-1]
+    powers = np.array([w**k for k in range(N)], dtype=complex)
+    return [np.eye(q, dtype=complex)] + [powers[Ez] / np.sqrt(q) for Ez in E]
 
 
 def wf_mubs(q):
     """The maximal family: q + 1 mutually unbiased bases in C^q.
 
-    Odd prime powers use additive characters of GF(q) twisted by the squaring
-    map; even ones replace the field by the Galois ring GR(4^m), whose
-    Teichmuller set supplies the index alphabet and whose Z4-valued trace
-    supplies fourth roots of unity.
+    (W_z)_{x,y} = q^{-1/2} w^{tr(z x^2 + 2 y x)}.  Odd prime powers use the
+    additive characters of GF(q), w = e^(2 pi i/p); even ones replace the
+    field by the Galois ring GR(4^m), whose Teichmuller set supplies the index
+    alphabet and whose Z4-valued trace supplies w = i.  By linearity the
+    exponent is tr(z x^2) + 2 tr(x y), read from a table of tr(x y).
     """
     p, m = _prime_power(q)
-    bases = _wf_odd(p, m) if p != 2 else _wf_even(m)
-    return MubFamily(q, bases, provenance=("wf", {"q": q}))
+    if p == 2:
+        R = gr_create(m)
+        mul, trace, N, w = R.teichmuller_table, R.teichmuller_trace, 4, 1j
+    else:
+        F = gf_create(p, m)
+        mul, trace, N, w = F.mul_table, F.trace_table, p, np.exp(2j * np.pi / p)
+    tr_xy = trace[mul]
+    E = (tr_xy[:, mul.diagonal()][:, :, None] + 2 * tr_xy) % N
+    return MubFamily(q, _phase_bases(E, N, w), provenance=("wf", {"q": q}))
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +116,12 @@ def alltop_mubs(q):
     if p in (2, 3):
         raise ValueError(f"the cubic construction needs characteristic > 3, got p={p}")
     F = gf_create(p, m)
-    els = F.elements()
-    w = np.exp(2j * np.pi / p)
-    bases = [np.eye(q, dtype=complex)]
-    for z in els:
-        A = np.empty((q, q), dtype=complex)
-        for i, x in enumerate(els):
-            xz = F.add(x, z)
-            cube = F.mul(xz, F.mul(xz, xz))
-            for j, y in enumerate(els):
-                e = F.add(cube, F.mul(y, xz))
-                A[i, j] = w ** F.trace(e)
-        bases.append(A / np.sqrt(q))
-    return MubFamily(q, bases, provenance=("alltop", {"q": q}))
+    M, T = F.mul_table, F.trace_table
+    digits = np.arange(q)[:, None] // p ** np.arange(m) % p
+    u = (digits[:, None] + digits) % p @ p ** np.arange(m)  # index of z + x
+    E = (T[M[u, M[u, u]]][:, :, None] + T[M][u]) % p
+    return MubFamily(q, _phase_bases(E, p, np.exp(2j * np.pi / p)),
+                     provenance=("alltop", {"q": q}))
 
 
 # ---------------------------------------------------------------------------
@@ -253,34 +222,27 @@ class SemifieldTable:
 
     def validate(self):
         """Check all four axioms; raise with a witness on the first failure."""
-        els = self.elements
-        zero = els[0]
-        if not np.array_equal(self.mult, self.mult.T):
-            i, j = np.argwhere(self.mult != self.mult.T)[0]
+        els, P = self.elements, self.mult
+        if not np.array_equal(P, P.T):
+            i, j = np.argwhere(P != P.T)[0]
             raise ValueError(f"not commutative: {els[i]} * {els[j]} != {els[j]} * {els[i]}")
-        # distributivity (one side suffices given commutativity)
-        add = lambda a, b: tuple((x + y) % self.p for x, y in zip(a, b))
-        for a in els:
-            for b in els:
-                ab = self.product(a, b)
-                for c in els:
-                    lhs = self.product(add(a, c), b)
-                    rhs = add(ab, self.product(c, b))
-                    if lhs != rhs:
-                        raise ValueError(
-                            f"not distributive: ({a} + {c}) * {b} = {lhs} "
-                            f"but {a}*{b} + {c}*{b} = {rhs}"
-                        )
-        for a in els:
-            if a == zero:
-                continue
-            for b in els:
-                if b != zero and self.product(a, b) == zero:
-                    raise ValueError(f"zero divisors: {a} * {b} = 0")
-        has_identity = any(
-            all(self.product(e, a) == a for a in els) for e in els
-        )
-        if not has_identity:
+        # distributivity (one side suffices given commutativity), at [a, b, c]
+        vec = np.array(els, dtype=np.int64)
+        add = (vec[:, None] + vec) % self.p @ self.p ** np.arange(self.m)[::-1]
+        lhs = P[add[:, None, :], np.arange(self.q)[:, None]]  # (a + c) * b
+        rhs = add[P[:, :, None], P.T]  # a*b + c*b
+        bad = np.argwhere(lhs != rhs)
+        if len(bad):
+            i, j, k = bad[0]
+            a, b, c = els[i], els[j], els[k]
+            raise ValueError(
+                f"not distributive: ({a} + {c}) * {b} = {els[lhs[i, j, k]]} "
+                f"but {a}*{b} + {c}*{b} = {els[rhs[i, j, k]]}"
+            )
+        bad = np.argwhere(P[1:, 1:] == 0) + 1
+        if len(bad):
+            raise ValueError(f"zero divisors: {els[bad[0][0]]} * {els[bad[0][1]]} = 0")
+        if not (P == np.arange(self.q)).all(axis=1).any():
             raise ValueError("no multiplicative identity element")
 
     def __repr__(self):
@@ -297,20 +259,12 @@ def semifield_mubs(tbl):
     if tbl.p == 2:
         raise ValueError("even characteristic needs the Galois-ring route (wf_mubs)")
     tbl.validate()
-    p, q = tbl.p, tbl.q
-    els = tbl.elements
-    w = np.exp(2j * np.pi / p)
-    dot = lambda u, v: sum(x * y for x, y in zip(u, v)) % p
-    bases = [np.eye(q, dtype=complex)]
-    for z in els:
-        W = np.empty((q, q), dtype=complex)
-        for i, a in enumerate(els):
-            sq = tbl.product(a, a)
-            zsq = dot(z, sq)
-            for j, y in enumerate(els):
-                W[i, j] = w ** ((zsq + 2 * dot(y, a)) % p)
-        bases.append(W / np.sqrt(q))
-    return MubFamily(q, bases, provenance=("semifield", {"p": p, "m": tbl.m}))
+    p = tbl.p
+    els = np.array(tbl.elements, dtype=np.int64)
+    squares = els[np.diagonal(tbl.mult)]
+    E = ((els @ squares.T)[:, :, None] + 2 * (els @ els.T)) % p
+    return MubFamily(tbl.q, _phase_bases(E, p, np.exp(2j * np.pi / p)),
+                     provenance=("semifield", {"p": p, "m": tbl.m}))
 
 
 def semifield_to_csv(tbl, path):

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from sympy import jacobi_symbol
 
+from linekit.finite_algebra import jacobi_symbol
 from linekit.linesets import LineSet, design_strength, gram_degree_set
 
 

@@ -106,6 +106,28 @@ class TestConstructSic:
         assert code == EXIT_USAGE
         assert "length 3" in err
 
+    def test_binary_group_file_fiducial(self, capsys, tmp_path):
+        fid_file = tmp_path / "fid8.json"
+        vec = builtin_fiducial(8).vector
+        fid_file.write_text(json.dumps([[z.real, z.imag] for z in vec]))
+        code, out, _ = run(
+            capsys,
+            ["construct", "sic", "--dim", "8", "--fiducial", f"file:{fid_file}", "--group", "binary"],
+        )
+        assert code == EXIT_OK
+        assert "n: 64" in out
+        assert "sic verified: yes" in out
+
+    def test_binary_group_needs_dim_8(self, capsys, tmp_path):
+        fid_file = tmp_path / "fid7.json"
+        fid_file.write_text(json.dumps([[1.0, 0.0]] * 7))
+        code, _, err = run(
+            capsys,
+            ["construct", "sic", "--dim", "7", "--fiducial", f"file:{fid_file}", "--group", "binary"],
+        )
+        assert code == EXIT_USAGE
+        assert "the binary-triple group lives in dimension 8" in err
+
     def test_appleby_without_solution_is_internal(self, capsys):
         code, _, err = run(capsys, ["construct", "sic", "--dim", "5", "--fiducial", "appleby"])
         assert code == EXIT_INTERNAL
@@ -153,6 +175,14 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", str(path), "--expect", "sic"])
         assert code == EXIT_OK
         assert "result: pass" in out
+
+    def test_expect_sic_prints_rational_alpha(self, capsys, tmp_path):
+        path = tmp_path / "sic8.json"
+        run(capsys, ["construct", "sic", "--dim", "8", "--out", str(path)])
+        code, out, _ = run(capsys, ["verify", str(path), "--expect", "sic"])
+        assert code == EXIT_OK
+        section = out.split("[expect sic]\n")[1].split("\n[")[0]
+        assert section.splitlines() == ["is_sic: True", "alpha: 1/9 (≈ 0.111111)", "strength: 2"]
 
     def test_expect_mub_fails_without_labels(self, capsys, tmp_path):
         path = tmp_path / "singer.json"

@@ -1,6 +1,7 @@
 """Exhaustive small-case tests for fields, rings, groups, and characters."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +9,72 @@ import pytest
 from linekit.finite_algebra import (
     AbelianGroup,
     GroupAlgebraElement,
+    factorint,
     gf_create,
     gf_trace,
     gr_create,
     gr_trace,
     group_characters,
+    isprime,
+    jacobi_symbol,
 )
+
+# ---------------------------------------------------------------------------
+# integer number theory, against brute force
+# ---------------------------------------------------------------------------
+
+
+def _isprime_by_trial_division(n):
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+def test_isprime_matches_trial_division_below_10_000():
+    assert [n for n in range(10**4) if isprime(n)] == [
+        n for n in range(10**4) if _isprime_by_trial_division(n)
+    ]
+
+
+def test_isprime_carmichael_pseudoprimes_and_large_primes():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 23
+    strong = [3215031751, 3825123056546413051]
+    assert not any(isprime(n) for n in carmichael + strong)
+    primes = [10**9 + 7, 2**31 - 1, 2**61 - 1, 2**89 - 1, 2**127 - 1]
+    assert all(isprime(p) for p in primes)
+    assert not isprime((2**31 - 1) * (2**61 - 1))
+    assert not isprime(-7) and not isprime(0) and not isprime(1)
+
+
+def test_factorint_recomposes():
+    cases = list(range(1, 3000)) + [
+        2**64 - 1, 1009**3 * 43**2, 7 * (2**61 - 1), 3825123056546413051,
+    ]
+    for n in cases:
+        fac = factorint(n)
+        assert all(isprime(p) and e >= 1 for p, e in fac.items())
+        assert math.prod(p**e for p, e in fac.items()) == n
+    assert factorint(1) == {}
+    assert factorint(3825123056546413051) == {149491: 1, 747451: 1, 34233211: 1}
+    with pytest.raises(ValueError):
+        factorint(0)
+
+
+def _legendre_by_euler(a, p):
+    r = pow(a % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def test_jacobi_symbol_euler_criterion_extended_multiplicatively():
+    for d in range(1, 100, 2):
+        for a in range(-d, 2 * d + 1):
+            expect = math.prod(
+                _legendre_by_euler(a, p) ** e for p, e in factorint(d).items()
+            )
+            assert jacobi_symbol(a, d) == expect, (a, d)
+    for bad in (0, 2, 10, -3):
+        with pytest.raises(ValueError):
+            jacobi_symbol(1, bad)
+
 
 # ---------------------------------------------------------------------------
 # Galois fields
@@ -129,6 +190,27 @@ def test_relative_trace_three_step():
         assert t == expect
 
 
+def _trace_by_definition(F, a):
+    acc = F.zero
+    for j in range(F.m):
+        acc = F.add(acc, F.pow(a, F.p**j))
+    assert all(c == 0 for c in acc[1:])
+    return acc[0]
+
+
+@pytest.mark.parametrize(
+    "p,m,modulus", [(2, 3, None), (3, 2, None), (5, 1, None), (3, 3, None), (3, 2, (1, 0, 1))]
+)
+def test_index_tables_match_tuple_arithmetic(p, m, modulus):
+    # (3, 2, x^2 + 1): irreducible but imprimitive, so x has order 4 and the
+    # discrete logs must be taken to another element
+    F = gf_create(p, m, modulus)
+    for a, b in itertools.product(range(F.q), repeat=2):
+        assert F.from_int(int(F.mul_table[a, b])) == F.mul(F.from_int(a), F.from_int(b))
+    for n in range(F.q):
+        assert F.trace(F.from_int(n)) == F.trace_table[n] == _trace_by_definition(F, F.from_int(n))
+
+
 def test_labels():
     assert gf_create(2, 3).label() == "GF(2^3)/1,1,0,1"
     assert gr_create(2).label() == "GR(4^2)/1,1,1"
@@ -192,6 +274,24 @@ def test_gr_trace_identity_on_gr4():
     R = gr_create(1)
     for z in range(4):
         assert gr_trace(R, (z,)) == z
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_teichmuller_tables_match_tuple_arithmetic(m):
+    R = gr_create(m)
+    T = R.teichmuller
+    for a, b in itertools.product(range(2**m), repeat=2):
+        assert T[R.teichmuller_table[a, b]] == R.mul(T[a], T[b])
+    two = R.element((2,) + (0,) * (m - 1))
+    for k, t in enumerate(T):
+        # the trace of a Teichmuller element: the sum of its 2^j-th powers
+        acc = R.zero
+        for j in range(m):
+            acc = R.add(acc, R.pow(t, 2**j))
+        assert acc[1:] == (0,) * (m - 1)
+        assert R.teichmuller_trace[k] == R.trace(t) == acc[0]
+    for z in R.elements()[::7]:
+        assert R.trace(R.mul(two, z)) == 2 * R.trace(z) % 4
 
 
 def test_gr_frobenius_preserves_trace():

@@ -332,6 +332,16 @@ def test_enumeration_cap():
         LinearCode(np.eye(21, dtype=int), 2).codewords()
 
 
+@pytest.mark.parametrize("alphabet", [2, 3, "z4"])
+def test_size_formula_matches_enumeration(alphabet):
+    q = 4 if alphabet == "z4" else alphabet
+    rng = np.random.default_rng(2024 + q)
+    for _ in range(25):
+        k, n = rng.integers(1, 5), rng.integers(1, 7)
+        C = LinearCode(rng.integers(0, q, size=(k, n)), alphabet)
+        assert C.size() == len(C.codewords())
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_gf_dual_involution(q):
     rng = np.random.default_rng(101 + q)

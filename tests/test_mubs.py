@@ -5,6 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
+from linekit.finite_algebra import gf_create, gr_create
 from linekit.linesets import gram_degree_set, design_strength, verify_mub
 from linekit.mubs import (
     MubFamily,
@@ -116,6 +117,114 @@ def test_alltop_cubic_bases_are_wf_bases_in_disguise():
     W = wf_mubs(q)
     M = A.bases[1].conj().T @ A.bases[2]
     assert any(_same_lines(M, W.bases[z], tol=1e-8) for z in range(1, q + 1))
+
+
+# ---------------------------------------------------------------- loop oracle
+#
+# Each basis rebuilt entry by entry from the tuple API, with traces taken from
+# their definition (never F.trace or R.trace), and powers of w taken one
+# entry at a time.  The constructions must reproduce these bit for bit.
+
+
+def _field_trace(F):
+    """tr(a) = a + a^p + ... + a^(p^(m-1)), memoized per element."""
+    memo = {}
+
+    def trace(a):
+        if a not in memo:
+            acc = F.zero
+            for j in range(F.m):
+                acc = F.add(acc, F.pow(a, F.p**j))
+            assert all(c == 0 for c in acc[1:])
+            memo[a] = acc[0]
+        return memo[a]
+
+    return trace
+
+
+def _ring_trace(R):
+    """tr(t0 + 2 t1) = sum over j of t0^(2^j) + 2 t1^(2^j), memoized per element."""
+    two = R.element((2,) + (0,) * (R.m - 1))
+    memo = {}
+
+    def trace(z):
+        if z not in memo:
+            t0, t1 = R.teichmuller_decompose(z)
+            acc = R.zero
+            for j in range(R.m):
+                acc = R.add(acc, R.add(R.pow(t0, 2**j), R.mul(two, R.pow(t1, 2**j))))
+            assert all(c == 0 for c in acc[1:])
+            memo[z] = acc[0]
+        return memo[z]
+
+    return trace
+
+
+def _loop_bases(alphabet, exponent, w):
+    q = len(alphabet)
+    bases = [np.eye(q, dtype=complex)]
+    for z in alphabet:
+        W = np.empty((q, q), dtype=complex)
+        for i, x in enumerate(alphabet):
+            for j, y in enumerate(alphabet):
+                W[i, j] = w ** exponent(z, x, y)
+        bases.append(W / np.sqrt(q))
+    return bases
+
+
+def _wf_oracle(q):
+    p = min(k for k in range(2, q + 1) if q % k == 0)
+    m = round(np.log(q) / np.log(p))
+    if p == 2:
+        R = gr_create(m)
+        tr, two = _ring_trace(R), R.element((2,) + (0,) * (m - 1))
+        expo = lambda z, x, y: tr(R.add(R.mul(z, R.mul(x, x)), R.mul(y, R.mul(two, x))))
+        return _loop_bases(R.teichmuller, expo, 1j)
+    F = gf_create(p, m)
+    tr, two = _field_trace(F), F.from_int(2)
+    expo = lambda z, x, y: tr(F.add(F.mul(z, F.mul(x, x)), F.mul(y, F.mul(two, x))))
+    return _loop_bases(F.elements(), expo, np.exp(2j * np.pi / p))
+
+
+def _alltop_oracle(q):
+    F = gf_create(q, 1)
+    tr = _field_trace(F)
+
+    def expo(z, x, y):
+        u = F.add(x, z)
+        return tr(F.add(F.mul(u, F.mul(u, u)), F.mul(y, u)))
+
+    return _loop_bases(F.elements(), expo, np.exp(2j * np.pi / q))
+
+
+def _semifield_oracle(tbl):
+    p = tbl.p
+    dot = lambda u, v: sum(a * b for a, b in zip(u, v))
+    expo = lambda z, a, y: (dot(z, tbl.product(a, a)) + 2 * dot(y, a)) % p
+    return _loop_bases(tbl.elements, expo, np.exp(2j * np.pi / p))
+
+
+def _assert_bit_identical(fam, oracle):
+    assert len(fam.bases) == len(oracle)
+    for B, O in zip(fam.bases, oracle):
+        assert np.array_equal(B, O)
+        assert B.tobytes() == O.tobytes()  # signed zeros too
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_wf_bit_identical_to_loop_oracle(q):
+    _assert_bit_identical(wf_mubs(q), _wf_oracle(q))
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+def test_alltop_bit_identical_to_loop_oracle(q):
+    _assert_bit_identical(alltop_mubs(q), _alltop_oracle(q))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_semifield_bit_identical_to_loop_oracle(q):
+    tbl = SemifieldTable.from_field(q)
+    _assert_bit_identical(semifield_mubs(tbl), _semifield_oracle(tbl))
 
 
 # ---------------------------------------------------------------- spin model
