@@ -8,7 +8,8 @@ finite abelian group:
   relative-difference-set route to mutually unbiased bases;
 * distance-regular antipodal covers of complete bipartite graphs, built
   either from a relative difference set or as the explicit 36-vertex
-  "tank-trap" triple cover, with a definitional distance census;
+  "tank-trap" triple cover, certified through the distance classes'
+  association scheme;
 * linear codes over a prime field or Z4, with coset-graph spectra from dual
   weights and codeword-to-line maps (balanced, near-balanced, and Z4
   variants).
@@ -28,6 +29,7 @@ import numpy as np
 from .finite_algebra import AbelianGroup, GroupAlgebraElement, gf_create, gr_create, isprime
 from .linesets import LineSet
 from .mubs import MubFamily, SemifieldTable, _prime_power
+from .schemes import association_scheme
 
 __all__ = [
     "DifferenceSetReport",
@@ -265,67 +267,22 @@ class GraphWithSpectrum:
         return list(zip(rows.tolist(), cols.tolist()))
 
 
-def _bfs_all_pairs(A):
+def _distance_labels(A):
+    """Distance matrix of a connected graph, one frontier product per level."""
     n = A.shape[0]
-    nbrs = [np.flatnonzero(A[i]) for i in range(n)]
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        dist[s, s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in nbrs[u]:
-                    if dist[s, w] < 0:
-                        dist[s, w] = d
-                        nxt.append(w)
-            frontier = nxt
-    if (dist < 0).any():
+    adj = A.astype(float)
+    seen = np.eye(n, dtype=bool)
+    frontier = seen
+    dist = np.zeros((n, n), dtype=np.int64)
+    level = 0
+    while frontier.any():
+        level += 1
+        frontier = (frontier @ adj > 0) & ~seen
+        dist[frontier] = level
+        seen |= frontier
+    if not seen.all():
         raise ValueError("graph is disconnected")
     return dist
-
-
-def _distance_census(A):
-    """Definitional distance-regularity check: returns (b, c, diameter).
-
-    b[i] and c[i] count neighbours one step further / nearer from every pair
-    at distance i; any pair disagreeing with the first-seen value is raised
-    as a witness.
-    """
-    dist = _bfs_all_pairs(A)
-    n = A.shape[0]
-    diam = int(dist.max())
-    b = [None] * (diam + 1)
-    c = [None] * (diam + 1)
-    a = [None] * (diam + 1)
-    for u in range(n):
-        du = dist[u]
-        for v in range(n):
-            i = du[int(v)]
-            nb = np.flatnonzero(A[v])
-            dn = du[nb]
-            trip = (int((dn == i + 1).sum()), int((dn == i - 1).sum()), int((dn == i).sum()))
-            for store, val in zip((b, c, a), trip):
-                if store[i] is None:
-                    store[i] = val
-                elif store[i] != val:
-                    raise ValueError(
-                        f"not distance-regular: witness pair ({u}, {v}) at distance {i}"
-                    )
-    return b[:-1], c[1:], diam
-
-
-def _cluster_eigenvalues(vals, tol):
-    vals = np.sort(vals)[::-1]
-    out = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[start] - vals[i] > tol:
-            out.append((float(vals[start:i].mean()), i - start))
-            start = i
-    return out
 
 
 def _tank_trap_adjacency():
@@ -365,13 +322,18 @@ def _tank_trap_adjacency():
 
 
 def cover_graph(G=None, D=None, N=None, builtin=None):
-    """Antipodal distance-regular cover of K_{k,k}, certified by census.
+    """Antipodal distance-regular cover of K_{k,k}, certified by its scheme.
 
     Either build the bipartite graph on two copies of G with (0,x) ~ (1,y)
     iff y - x in D, or pass builtin="tank-trap" for the 36-vertex triple
-    cover of K_{6,6}.  The distance census must return diameter 4 and the
-    array {k, k-1, k-lam, 1; 1, lam, k-1, k}; the spectrum is then checked
-    against {+-k, +-sqrt(k), 0} with multiplicities {1, k(n-1), 2(k-1)}.
+    cover of K_{6,6}.  The distance matrix, from one boolean frontier product
+    per level, goes through `association_scheme`: a graph is distance-regular
+    exactly when its distance classes form a scheme, and a pair on which the
+    classes fail to close is raised as a witness.  The intersection array is
+    read off the exact intersection numbers, b_i = p_{1,i+1}^i and
+    c_i = p_{1,i-1}^i, and must be {k, k-1, k-lam, 1; 1, lam, k-1, k} with
+    diameter 4.  The spectrum (P[j, 1], m_j) is then checked against
+    {+-k, +-sqrt(k), 0} with multiplicities {1, k(n-1), 2(k-1)}.
     """
     if builtin is not None:
         if builtin != "tank-trap":
@@ -395,9 +357,16 @@ def cover_graph(G=None, D=None, N=None, builtin=None):
                     A[i, v + j] = A[v + j, i] = 1
         labels = [f"(0,{x})" for x in elems] + [f"(1,{y})" for y in elems]
 
-    b, c, diam = _distance_census(A)
+    rep = association_scheme(_distance_labels(A))
+    if not rep.closed:
+        u, v, i = rep.witness
+        raise ValueError(f"not distance-regular: witness pair ({u}, {v}) at distance {i}")
+    diam = rep.classes
     if diam != 4:
         raise ValueError(f"diameter {diam}, not a 4-diameter cover of K_(k,k)")
+    p = rep.intersection_numbers
+    b = [int(p[1, i + 1, i]) for i in range(diam)]
+    c = [int(p[1, i - 1, i]) for i in range(1, diam + 1)]
     k, lam = b[0], c[1]
     if b != [k, k - 1, k - lam, 1] or c != [1, lam, k - 1, k]:
         raise ValueError(f"intersection array {{{b};{c}}} is not of cover shape")
@@ -405,22 +374,15 @@ def cover_graph(G=None, D=None, N=None, builtin=None):
         raise ValueError(f"fold count (k-lam)/lam = {(k - lam)}/{lam} is not integral")
     n_fold = (k - lam) // lam + 1
 
-    vals = np.linalg.eigvalsh(A.astype(float))
-    expected = np.sort(
-        np.concatenate(
-            [
-                [-k, k],
-                np.full(k * (n_fold - 1), -np.sqrt(k)),
-                np.full(k * (n_fold - 1), np.sqrt(k)),
-                np.zeros(2 * (k - 1)),
-            ]
-        )
+    spectrum = sorted(
+        ((float(t), m) for t, m in zip(rep.P[:, 1], rep.multiplicities)), reverse=True
     )
-    dev = np.abs(np.sort(vals) - expected).max()
-    if dev > 1e-8 * max(1.0, k):
+    r = np.sqrt(k)
+    expected = [(k, 1), (r, k * (n_fold - 1)), (0.0, 2 * (k - 1)), (-r, k * (n_fold - 1)), (-k, 1)]
+    dev = max(abs(t - e) for (t, _), (e, _) in zip(spectrum, expected))
+    if [m for _, m in spectrum] != [m for _, m in expected] or dev > 1e-8 * max(1.0, k):
         raise ValueError(f"spectrum deviates from the cover pattern by {dev:.3g}")
 
-    spectrum = _cluster_eigenvalues(vals, 1e-8 * max(1.0, k))
     return GraphWithSpectrum(A, spectrum, (b, c), diam, labels)
 
 
@@ -613,6 +575,13 @@ def _z4_kernel(M):
     return np.array(basis, dtype=np.int64) if basis else np.zeros((0, n), dtype=np.int64)
 
 
+def _check_character_sums(direct, vals, scale):
+    """Raise unless the literal character sums match the closed-form eigenvalues."""
+    dev = float(np.abs(direct - vals).max())
+    if not dev < 1e-8 * max(1, scale):
+        raise RuntimeError(f"character sums deviate from the closed form by {dev:.3g}")
+
+
 def coset_spectrum(C):
     """Eigenvalues of the coset graph of C, one per dual codeword.
 
@@ -637,7 +606,7 @@ def coset_spectrum(C):
             direct = sum(
                 roots[(a * dual_words) % q].sum(axis=1) for a in range(1, q)
             )
-            assert np.abs(direct - vals).max() < 1e-8 * max(1, (q - 1) * n)
+            _check_character_sums(direct, vals, (q - 1) * n)
     else:
         lee = np.minimum(dual_words % 4, (4 - dual_words) % 4).sum(axis=1)
         vals = 2 * (n - lee)
@@ -646,7 +615,7 @@ def coset_spectrum(C):
                 np.exp(1j * np.pi / 2 * dual_words).sum(axis=1)
                 + np.exp(-1j * np.pi / 2 * dual_words).sum(axis=1)
             )
-            assert np.abs(direct - vals).max() < 1e-8 * max(1, 2 * n)
+            _check_character_sums(direct, vals, 2 * n)
     return sorted((int(v) for v in vals), reverse=True)
 
 

@@ -93,12 +93,19 @@ class DegreeSetReport:
     zero_present: bool
 
 
+def gap_clusters(vals, gap):
+    """Indices of `vals` in runs, ascending: sort, then split wherever two
+    adjacent sorted values differ by more than `gap`."""
+    order = np.argsort(vals, kind="stable")
+    return np.split(order, np.nonzero(np.diff(vals[order]) > gap)[0] + 1)
+
+
 def gram_degree_set(X):
     """Cluster the n(n-1)/2 pairwise angles |<a,b>|^2 into the degree set A.
 
-    Values are sorted and split wherever an adjacent gap exceeds X.tol, which
-    makes the clustering deterministic and phase-invariant.  A pair with
-    angle above 1 - tol means two copies of the same projective line: error.
+    The values go through `gap_clusters` with width X.tol, which makes the
+    clustering deterministic and phase-invariant.  A pair with angle above
+    1 - tol means two copies of the same projective line: error.
     """
     A = X.angle_matrix()
     n = X.n
@@ -110,14 +117,9 @@ def gram_degree_set(X):
         raise ValueError(f"vectors {i} and {j} span the same line (angle {vals[dup[0]]:.12g})")
     if vals.size == 0:
         return DegreeSetReport(angles=[], multiplicities=[], s=0, zero_present=False)
-    order = np.argsort(vals, kind="stable")
-    svals = vals[order]
-    splits = np.nonzero(np.diff(svals) > X.tol)[0]
-    bounds = [0, *(splits + 1), len(svals)]
-    angles, mult = [], []
-    for lo, hi in zip(bounds, bounds[1:]):
-        angles.append(float(svals[lo:hi].mean()))
-        mult.append(hi - lo)
+    groups = gap_clusters(vals, X.tol)
+    angles = [float(vals[g].mean()) for g in groups]
+    mult = [len(g) for g in groups]
     assert sum(mult) == n * (n - 1) // 2
     return DegreeSetReport(
         angles=angles,

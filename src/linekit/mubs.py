@@ -212,10 +212,14 @@ class SemifieldTable:
         """The Galois field itself is the basic (and associative) example.
 
         Accepts either a field object or a prime power to build one from.
+        The table is F.mul_table permuted from F's index order (little-endian
+        digits) into the lexicographic order used here.
         """
         if isinstance(F, int):
             F = gf_create(*_prime_power(F))
-        return cls.from_function(F.p, F.m, F.mul)
+        lex = np.array(list(itertools.product(range(F.p), repeat=F.m)))
+        perm = lex @ F.p ** np.arange(F.m)  # F's index of each lexicographic element
+        return cls(F.p, F.m, np.argsort(perm)[F.mul_table[np.ix_(perm, perm)]])
 
     def product(self, a, b):
         return self.elements[self.mult[self.index[tuple(a)], self.index[tuple(b)]]]

@@ -1,12 +1,28 @@
-"""Association-scheme structure of line systems.
+"""Association-scheme structure of line systems and graphs.
 
-Partitioning the pairs of lines by angle gives a family of 0/1 "class"
-matrices; this module tests whether their span closes under matrix
-multiplication and, when it does, extracts the usual invariants: both
-eigenmatrices, intersection numbers, multiplicities, and Krein parameters.
-It also builds the zonal idempotent candidates coming from the g-basis,
-runs the same closure test on the Gram-weighted classes, and computes
-Seidel spectra of real equiangular sets.
+One kernel, `association_scheme`, serves both.  Its input is an integer
+class-label matrix L: n x n, 0 exactly on the diagonal and classes 1..s
+elsewhere.  A line set labels a pair of lines by its clustered angle, and a
+graph labels a pair of vertices by their distance.
+
+* Exact closure.  A_i is the 0/1 matrix of class i.  Every product A_i A_j is
+  a float64 GEMM whose entries are exact integers (n < 2^53).  The span
+  closes exactly when A_i A_j is constant on each class k, and that constant
+  is the intersection number p_ij^k.  The first pair that breaks constancy
+  is kept as a witness.
+* Spectral data from the small algebra.  Multiplication by A_i acts on the
+  span as the (s+1) x (s+1) matrix B_i with (B_i)_{kj} = p_ij^k, and
+  diag(sqrt k) symmetrises it because k_k p_ij^k = k_j p_ik^j.  Refining the
+  eigenvectors of these small symmetric matrices gives the common
+  eigenvectors u; each yields a row sqrt(k) u of the first eigenmatrix P,
+  normalised to P_l0 = 1.  The multiplicities are m_l = n / sum_i P_li^2/k_i,
+  the second eigenmatrix is Q_il = m_l P_li / k_i, and the Krein parameters
+  are q_ij^k = (1/n) sum_l Q_li Q_lj P_kl (Bannai-Ito 1984;
+  Brouwer-Cohen-Neumaier 1989).
+
+The module also builds the zonal idempotent candidates coming from the
+g-basis, runs a floating-point closure test on the Gram-weighted classes,
+and computes Seidel spectra of real equiangular sets.
 """
 
 from __future__ import annotations
@@ -17,31 +33,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from linekit.jacobi import JacobiFamily, jacobi_poly
-from linekit.linesets import gram_degree_set
+from linekit.linesets import gap_clusters, gram_degree_set
 
-#: Frobenius-residual threshold below which a span counts as multiplicatively closed
+#: Frobenius-residual threshold below which the Gram-weighted span counts as closed
 CLOSURE_TOL = 1e-8
-
-#: seed for the random combination used to separate common eigenspaces
-_MIX_SEED = 58123
 
 
 @dataclass
 class SchemeReport:
-    """Outcome of testing a line system's angle classes for scheme structure.
+    """Outcome of testing a class partition for scheme structure.
 
-    ``classes`` counts the non-identity classes (one per angle); ``angles``
-    lists them in ascending order, indexing A_1..A_s.  The spectral data is
-    populated only when ``closed`` is true.  Rows of P are indexed by common
-    eigenspace — the one containing the all-ones vector first — and columns
-    by class, so row 0 holds the valencies and row 0 of Q the multiplicities.
+    ``classes`` counts the non-identity classes; for a line set ``angles``
+    lists them in ascending order, indexing A_1..A_s.  ``witness`` is the
+    first pair (x, y) and its class k on which some A_i A_j is not constant,
+    or None.  The spectral data is populated only when ``closed`` is true.
+    Rows of P are indexed by common eigenspace — the one containing the
+    all-ones vector first — and columns by class, so row 0 holds the
+    valencies and row 0 of Q the multiplicities.  ``intersection_numbers``
+    holds p_ij^k at [i, j, k] as exact integers.
     """
 
     n: int
     classes: int
-    angles: list
+    angles: list | None
     closed: bool
     closure_residual: float
+    witness: tuple | None = None
     valencies: list | None = None
     multiplicities: list | None = None
     P: np.ndarray | None = None
@@ -73,22 +90,27 @@ class SeidelReport:
     tight_spectrum_residual: float | None = None
 
 
+def _angle_labels(X):
+    """Degree set of X and its class-label matrix.
+
+    Off-diagonal pairs get 1 + the index of the nearest clustered angle, so
+    the labels reproduce the clustering of the degree set.
+    """
+    report = gram_degree_set(X)
+    centres = np.asarray(report.angles, dtype=float)
+    sq = X.angle_matrix()
+    L = np.argmin(np.abs(sq[:, :, None] - centres[None, None, :]), axis=2) + 1
+    np.fill_diagonal(L, 0)
+    return report, L
+
+
 def _angle_masks(X):
     """Class indicators for X: the identity first, then one 0/1 matrix per angle.
 
-    Off-diagonal pairs are assigned to the nearest clustered angle, so the
-    masks reproduce the clustering of the degree set and always sum to J.
+    The masks are the classes of `_angle_labels`, so they always sum to J.
     """
-    report = gram_degree_set(X)
-    sq = X.angle_matrix()
-    n = X.n
-    centres = np.asarray(report.angles, dtype=float)
-    nearest = np.argmin(np.abs(sq[:, :, None] - centres[None, None, :]), axis=2)
-    off = ~np.eye(n, dtype=bool)
-    masks = [np.eye(n)]
-    for i in range(centres.size):
-        masks.append(np.where(off & (nearest == i), 1.0, 0.0))
-    return report, masks
+    report, L = _angle_labels(X)
+    return report, [np.where(L == k, 1.0, 0.0) for k in range(len(report.angles) + 1)]
 
 
 def _span_residual(product, basis):
@@ -110,140 +132,102 @@ def _span_residual(product, basis):
     return float(np.linalg.norm(residual) / norm), coeffs
 
 
-def _eig_clusters(vals, scale):
-    """Indices of `vals` grouped into near-equal runs, ascending."""
-    order = np.argsort(vals)
-    gap = 1e-7 * max(1.0, scale)
-    groups = [[order[0]]]
-    for idx in order[1:]:
-        if vals[idx] - vals[groups[-1][-1]] <= gap:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    return groups
+def association_scheme(L):
+    """Test whether the classes of a label matrix L form an association scheme.
 
+    L is an n x n integer array, 0 exactly on the diagonal and symmetric
+    classes 1..s elsewhere.  Closure is decided exactly: every A_i A_j must
+    be constant on every class (see the module docstring).  The reported
+    ``closure_residual`` is the largest relative Frobenius distance from a
+    product A_i A_j to the span of the classes; it is 0 when the span closes.
+    Non-closure is an outcome, not an error.
 
-def _joint_eigenspaces(masks, scale):
-    """Common eigenspaces of a commuting family of symmetric matrices.
-
-    Diagonalizes a fixed-seed random combination first, then refines every
-    eigenspace against each matrix in turn, so an accidental eigenvalue
-    collision in the combination cannot merge two genuinely distinct spaces.
+    When the span closes, P, Q, the multiplicities and the Krein parameters
+    come from the (s+1) x (s+1) intersection matrices.  ``pq_residual`` is
+    max |PQ - nI| and ``reconstruction_residual`` compares the exact p_ij^k
+    with (1/n) sum_l P_li P_lj Q_kl; both check the eigen-step.  A closed
+    span with a number of common eigenspaces other than s + 1 raises
+    RuntimeError.
     """
-    rng = np.random.default_rng(_MIX_SEED)
-    weights = rng.uniform(1.0, 2.0, size=len(masks))
-    mix = sum(w * A for w, A in zip(weights, masks))
-    vals, vecs = np.linalg.eigh(mix)
-    spaces = [vecs[:, grp] for grp in _eig_clusters(vals, float(np.abs(vals).max()))]
-    for A in masks:
+    L = np.asarray(L)
+    n = L.shape[0]
+    m = int(L.max()) + 1
+    flat = L.ravel()
+    reps = np.array([np.argmax(flat == k) for k in range(m)])
+    A = [np.where(L == i, 1.0, 0.0) for i in range(m)]
+    p = np.zeros((m, m, m), dtype=np.int64)
+    p[0] = p[:, 0] = np.eye(m, dtype=np.int64)
+    closure, witness = 0.0, None
+    for i in range(1, m):
+        for j in range(i, m):
+            prod = A[i] @ A[j]
+            p[i, j] = p[j, i] = prod.ravel()[reps]
+            bad = prod != p[i, j][L]
+            if bad.any():
+                if witness is None:
+                    x, y = np.unravel_index(np.argmax(bad), bad.shape)
+                    witness = (int(x), int(y), int(L[x, y]))
+                closure = max(closure, _span_residual(prod, A)[0])
+    out = SchemeReport(
+        n=n, classes=m - 1, angles=None, closed=witness is None,
+        closure_residual=float(closure), witness=witness,
+    )
+    if not out.closed:
+        return out
+
+    k = p[np.arange(m), np.arange(m), 0]
+    root = np.sqrt(k)
+    S = p.transpose(0, 2, 1) * root[:, None] / root[None, :]
+    spaces = [np.eye(m)]
+    for Si in S[1:]:
         refined = []
         for U in spaces:
             if U.shape[1] == 1:
                 refined.append(U)
                 continue
-            W = U.T @ A @ U
-            wvals, wvecs = np.linalg.eigh((W + W.T) / 2)
-            for grp in _eig_clusters(wvals, scale):
-                refined.append(U @ wvecs[:, grp])
+            vals, vecs = np.linalg.eigh(U.T @ Si @ U)
+            refined += [U @ vecs[:, g] for g in gap_clusters(vals, 1e-7 * max(1.0, n))]
         spaces = refined
-    return spaces
-
-
-def scheme_from_lineset(X, fam=None, tol=CLOSURE_TOL):
-    """Test whether the angle classes of X close into an association scheme.
-
-    The classes are A_0 = I plus one symmetric 0/1 matrix per angle; they sum
-    to J by construction.  Their span is multiplicatively closed exactly when
-    every product A_i A_j projects back onto the span with no remainder, and
-    the largest relative remainder over all pairs is reported.  Non-closure
-    is an outcome, not an error.
-
-    When the span closes, the common eigenspaces E_0..E_s (the all-ones space
-    first, the rest in a fixed order by eigenvalue rows) yield
-
-    * P[j, i]: eigenvalue of A_i on E_j, so row 0 holds the valencies;
-    * Q[i, j]: n times the coefficient of A_i in E_j, so row 0 holds the
-      multiplicities; P Q = n I is verified and the residual reported;
-    * intersection numbers p_ij(k), counted directly from the products and
-      cross-checked against the eigenmatrix formula (1/n) sum_l P_li P_lj Q_kl;
-    * Krein parameters q_ij(k) from the Schur products E_i o E_j, whose
-      minimum is reported (theory puts them at >= 0).
-
-    ``fam`` is accepted for parity with the other scheme operations; the
-    closure test needs no polynomial data.
-    """
-    report, masks = _angle_masks(X)
-    v = X.n
-    m = len(masks)
-    closure = 0.0
-    for i in range(m):
-        for j in range(i, m):
-            res, _ = _span_residual(masks[i] @ masks[j], masks)
-            closure = max(closure, res)
-    out = SchemeReport(
-        n=v,
-        classes=m - 1,
-        angles=[float(a) for a in report.angles],
-        closed=closure <= tol,
-        closure_residual=float(closure),
-    )
-    if not out.closed:
-        return out
-
-    spaces = _joint_eigenspaces(masks, float(v))
     if len(spaces) != m:
         raise RuntimeError(
             f"span closed but {len(spaces)} common eigenspaces found for {m} classes"
         )
-    ones = np.ones(v)
-    first = int(np.argmax([np.linalg.norm(U.T @ ones) for U in spaces]))
-    spaces[0], spaces[first] = spaces[first], spaces[0]
-
-    def eigrow(U):
-        k = U.shape[1]
-        return [float(np.trace(U.T @ A @ U) / k) for A in masks]
-
-    rows = [eigrow(U) for U in spaces]
+    rows = [root * U[:, 0] / U[0, 0] for U in spaces]
+    first = int(np.argmin([np.abs(r - k).max() for r in rows]))
     rest = sorted(
-        range(1, m), key=lambda r: [round(x, 6) for x in rows[r]], reverse=True
+        (r for r in range(m) if r != first),
+        key=lambda r: [round(x, 6) for x in rows[r]],
+        reverse=True,
     )
-    spaces = [spaces[r] for r in [0] + rest]
-    rows = [rows[r] for r in [0] + rest]
+    P = np.array([rows[r] for r in [first] + rest])
+    mults = [int(round(n / x)) for x in (P**2 / k).sum(axis=1)]
+    Q = P.T * np.array(mults) / k[:, None]
+    krein = np.einsum("li,lj,kl->ijk", Q, Q, P) / n
+    p_eig = np.einsum("li,lj,kl->ijk", P, P, Q) / n
 
-    P = np.array(rows)
-    E = [U @ U.T for U in spaces]
-    mults = [int(round(np.trace(Ej))) for Ej in E]
-    sizes = np.array([np.vdot(A, A).real for A in masks])
-
-    Q = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            Q[i, j] = v * np.vdot(masks[i], E[j]).real / sizes[i]
-
-    p_direct = np.empty((m, m, m))
-    for i in range(m):
-        for j in range(m):
-            prod = masks[i] @ masks[j]
-            for k in range(m):
-                p_direct[i, j, k] = np.vdot(masks[k], prod).real / sizes[k]
-    p_eig = np.einsum("li,lj,kl->ijk", P, P, Q) / v
-
-    krein = np.empty((m, m, m))
-    for i in range(m):
-        for j in range(m):
-            had = E[i] * E[j]
-            for k in range(m):
-                krein[i, j, k] = v * np.vdot(E[k], had).real / mults[k]
-
-    out.valencies = [float(x) for x in P[0]]
+    out.valencies = [int(x) for x in k]
     out.multiplicities = mults
     out.P = P
     out.Q = Q
-    out.intersection_numbers = p_direct
+    out.intersection_numbers = p
     out.krein = krein
-    out.pq_residual = float(np.abs(P @ Q - v * np.eye(m)).max())
+    out.pq_residual = float(np.abs(P @ Q - n * np.eye(m)).max())
     out.krein_min = float(krein.min())
-    out.reconstruction_residual = float(np.abs(p_direct - p_eig).max())
+    out.reconstruction_residual = float(np.abs(p - p_eig).max())
+    return out
+
+
+def scheme_from_lineset(X):
+    """Test whether the angle classes of X close into an association scheme.
+
+    The classes are A_0 = I plus one symmetric 0/1 matrix per angle, as
+    `_angle_labels` assigns them; they sum to J by construction.  The
+    labels go through `association_scheme`, and the report gains the
+    angles in ascending order.
+    """
+    report, L = _angle_labels(X)
+    out = association_scheme(L)
+    out.angles = [float(a) for a in report.angles]
     return out
 
 
@@ -283,7 +267,7 @@ def jacobi_idempotents(X, fam=None, e=1):
     }
 
 
-def gram_algebra_check(X, fam=None, tol=CLOSURE_TOL):
+def gram_algebra_check(X, tol=CLOSURE_TOL):
     """Closure test for the Gram-weighted classes A'_i = G o A_i.
 
     The weighted classes keep the raw inner products instead of flattening
@@ -295,8 +279,7 @@ def gram_algebra_check(X, fam=None, tol=CLOSURE_TOL):
     from span{I, G} (zero for the lines of unbiased bases and for
     equiangular sets meeting the relative bound, where {I, G} spans an
     algebra), and, when the angle set is the {0, 1/d} of unbiased bases, the
-    residual of the identity G^2 = (n/d) G.  ``fam`` is accepted for parity
-    and unused.
+    residual of the identity G^2 = (n/d) G.
     """
     report, masks = _angle_masks(X)
     G = X.gram()
@@ -368,7 +351,7 @@ def seidel_analysis(X):
         raise ValueError(f"off-diagonal entries miss +-1 by {dev:.3g}")
     S = np.where(off, np.sign(S), 0.0)
     vals = np.linalg.eigvalsh(S)
-    groups = _eig_clusters(vals, float(np.abs(vals).max()))
+    groups = gap_clusters(vals, 1e-7 * max(1.0, float(np.abs(vals).max())))
     spectrum = [(float(np.mean(vals[g])), len(g)) for g in reversed(groups)]
 
     denom = 1.0 - d * angle

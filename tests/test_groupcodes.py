@@ -1,6 +1,11 @@
 """Difference sets, covers, and code routes: oracle values and failure paths."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,7 +255,13 @@ def test_tank_trap_cover():
 
 @pytest.mark.parametrize(
     "q,array",
-    [(3, ([3, 2, 2, 1], [1, 1, 2, 3])), (4, ([4, 3, 3, 1], [1, 1, 3, 4]))],
+    [
+        (3, ([3, 2, 2, 1], [1, 1, 2, 3])),
+        (4, ([4, 3, 3, 1], [1, 1, 3, 4])),
+        (8, ([8, 7, 7, 1], [1, 1, 7, 8])),
+        (9, ([9, 8, 8, 1], [1, 1, 8, 9])),
+        (16, ([16, 15, 15, 1], [1, 1, 15, 16])),
+    ],
 )
 def test_rds_cover_arrays(q, array):
     G, D, N = field_rds(q)
@@ -404,6 +415,28 @@ def test_hamming_code_spectrum():
 def test_trivial_eigenvalue_from_zero_dual_word():
     C = LinearCode([[1, 2, 0], [0, 1, 1]], 3)
     assert max(coset_spectrum(C)) == (3 - 1) * C.n
+
+
+@pytest.mark.parametrize("alphabet", [2, 3, "z4"])
+def test_character_sum_mismatch_raises_under_optimize(alphabet):
+    # the cross-check must survive python -O, which strips assert statements
+    import linekit
+
+    child = textwrap.dedent(
+        f"""
+        import numpy as np
+        real_exp = np.exp
+        np.exp = lambda z: real_exp(z) + 1e-3  # literal sums now miss the closed form
+        from linekit.groupcodes import LinearCode, coset_spectrum
+        coset_spectrum(LinearCode([[1, 1, 0], [0, 1, 1]], {alphabet!r}))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(linekit.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 1
+    assert "RuntimeError: character sums deviate from the closed form by" in proc.stderr
 
 
 @pytest.mark.parametrize("q", [2, 3])

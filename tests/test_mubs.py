@@ -291,6 +291,14 @@ def test_semifield_table_from_field_gf3():
     assert verify_mub(fam.to_lineset())["unbiased"]
 
 
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_semifield_table_from_field_matches_tuple_products(p, m):
+    F = gf_create(p, m)
+    expected = SemifieldTable.from_function(p, m, F.mul).mult
+    assert np.array_equal(SemifieldTable.from_field(F).mult, expected)
+    assert np.array_equal(SemifieldTable.from_field(p**m).mult, expected)
+
+
 def test_semifield_gf9_matches_wf_spectrum():
     tab = SemifieldTable.from_field(9)
     fam = semifield_mubs(tab)

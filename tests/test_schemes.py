@@ -120,6 +120,82 @@ class TestSchemeFromLineset:
         assert payload["closed"] is False and payload["P"] is None
 
 
+def dense_scheme_oracle(X):
+    """P, Q and Krein parameters from dense n x n eigenprojectors.
+
+    The projectors come from one eigh of the fixed combination
+    A_1 + sqrt(2) A_2 + sqrt(3) A_3 + ... of the angle masks; the rows of P
+    are ordered like the kernel's: the all-ones space first, then the rest
+    by descending rows rounded to 6 places.
+    """
+    _, masks = _angle_masks(X)
+    n, m = X.n, len(masks)
+    vals, vecs = np.linalg.eigh(sum(np.sqrt(i) * A for i, A in enumerate(masks)))
+    spaces = []
+    for v, col in zip(vals, vecs.T):
+        if spaces and abs(v - spaces[-1][0]) <= 1e-7 * n:
+            spaces[-1][1].append(col)
+        else:
+            spaces.append((v, [col]))
+    E = [np.array(cols).T @ np.array(cols) for _, cols in spaces]
+    assert len(E) == m
+    rows = [[np.trace(A @ Ej) / np.trace(Ej) for A in masks] for Ej in E]
+    first = int(np.argmax([np.sum(Ej) for Ej in E]))  # 1^T E 1 = n only on J/n
+    rest = sorted(
+        (r for r in range(m) if r != first),
+        key=lambda r: [round(x, 6) for x in rows[r]],
+        reverse=True,
+    )
+    E = [E[r] for r in [first] + rest]
+    P = np.array([rows[r] for r in [first] + rest])
+    Q = np.array([[n * np.sum(A * Ej) / np.sum(A) for Ej in E] for A in masks])
+    mults = [np.trace(Ej) for Ej in E]
+    krein = np.array(
+        [[[n * np.sum(Ek * Ei * Ej) / mk for Ek, mk in zip(E, mults)] for Ej in E] for Ei in E]
+    )
+    return masks, P, Q, krein
+
+
+def exact_intersection_numbers(masks):
+    """p_ij^k as exact integer counts, asserting each is constant on its class."""
+    A = [M.astype(np.int64) for M in masks]
+    m = len(A)
+    p = np.zeros((m, m, m), dtype=np.int64)
+    for i in range(m):
+        for j in range(m):
+            prod = A[i] @ A[j]
+            for k in range(m):
+                values = np.unique(prod[A[k] == 1])
+                assert values.size == 1, (i, j, k, values)
+                p[i, j, k] = values[0]
+    return p
+
+
+ORACLE_CASES = {
+    "wf2": lambda: wf_mubs(2).to_lineset(),
+    "wf3": lambda: wf_mubs(3).to_lineset(),
+    "wf4": lambda: wf_mubs(4).to_lineset(),
+    "sic2": sic_lines,
+    "singer2": lambda: diffset_lines(*singer_difference_set(2)),
+    "eye3": lambda: LineSet(3, np.eye(3), field="real"),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_kernel_matches_dense_eigenprojectors(name):
+    X = ORACLE_CASES[name]()
+    rep = scheme_from_lineset(X)
+    masks, P, Q, krein = dense_scheme_oracle(X)
+    assert rep.closed
+    assert np.abs(rep.P - P).max() <= 1e-8
+    assert np.abs(rep.Q - Q).max() <= 1e-8
+    assert np.abs(rep.krein - krein).max() <= 1e-8
+    assert np.issubdtype(rep.intersection_numbers.dtype, np.integer)
+    assert np.array_equal(rep.intersection_numbers, exact_intersection_numbers(masks))
+    assert rep.valencies == [int(np.sum(A[0])) for A in masks]
+    assert all(type(k) is int for k in rep.valencies)
+
+
 class TestJacobiIdempotents:
     def test_mub_design_gives_orthogonal_idempotents(self):
         X = wf_mubs(3).to_lineset()
