@@ -165,16 +165,14 @@ def singer_difference_set(q):
     p, m = _prime_power(q)
     F = gf_create(p, 3 * m)
     v = q * q + q + 1
-    zero = F.from_int(0)
-    theta = F.x()
-    cur = F.from_int(1)
-    D = []
-    for i in range(v):
-        if F.relative_trace(cur, m) == zero:
+    # the relative trace is GF(p)-linear: row i of R is the trace of x^i
+    R = np.array([F.relative_trace(F.from_int(p**i), m) for i in range(3 * m)])
+    cur, low, D = np.eye(3 * m, dtype=np.int64)[0], np.array(F.modulus[:-1]), []
+    for i in range(v):  # cur = theta^i, theta = x: shift, then reduce x^(3m)
+        if not (cur @ R % p).any():
             D.append((i,))
-        cur = F.mul(cur, theta)
-    G = AbelianGroup([v])
-    return G, D
+        cur = (np.r_[0, cur[:-1]] - cur[-1] * low) % p
+    return AbelianGroup([v]), D
 
 
 def field_rds(q):
@@ -346,15 +344,13 @@ def cover_graph(G=None, D=None, N=None, builtin=None):
             report = classify_difference_set(G, D, N)
             if report.kind != "relative":
                 raise ValueError(f"classification gave {report.kind!r}, not relative")
-        Dset = {tuple(g) for g in D}
         elems = G.elements()
-        v = len(elems)
-        A = np.zeros((2 * v, 2 * v), dtype=np.int64)
-        for i, x in enumerate(elems):
-            xinv = G.inverse(x)
-            for j, y in enumerate(elems):
-                if G.op(y, xinv) in Dset:
-                    A[i, v + j] = A[v + j, i] = 1
+        inD = np.zeros(len(elems), dtype=np.int64)
+        inD[[G.index_of(g) for g in D]] = 1
+        C = np.array(elems).T
+        diff = tuple(C[:, None] - C[:, :, None])  # [c, i, j]: coordinate c of y_j - x_i
+        B = inD[np.ravel_multi_index(diff, G.cyclic_orders, mode="wrap")]  # wrap: mod order
+        A = np.block([[np.zeros_like(B), B], [B.T, np.zeros_like(B)]])
         labels = [f"(0,{x})" for x in elems] + [f"(1,{y})" for y in elems]
 
     rep = association_scheme(_distance_labels(A))

@@ -30,7 +30,8 @@ class LineSet:
 
     vectors: (n, dim) complex array (real sets keep zero imaginary parts);
     basis_labels: length-n list partitioning the set into cells of size dim.
-    Immutable by convention after construction.
+    The vectors are a read-only copy of the input and tol is fixed here, so
+    the degree set that `gram_degree_set` stores on the line set stays valid.
     """
 
     def __init__(self, dim, vectors, field="complex", basis_labels=None, tol=1e-9):
@@ -39,7 +40,7 @@ class LineSet:
         self.tol = float(tol)
         if field not in ("complex", "real"):
             raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
-        V = np.asarray(vectors, dtype=complex)
+        V = np.array(vectors, dtype=complex)
         if V.ndim != 2 or V.shape[1] != self.dim:
             raise ValueError(f"vectors must be n x {self.dim}, got shape {V.shape}")
         if V.shape[0] < 1:
@@ -52,7 +53,9 @@ class LineSet:
             )
         if field == "real" and np.abs(V.imag).max() > self.tol * 10:
             raise ValueError("field='real' but vectors have imaginary parts")
+        V.flags.writeable = False
         self.vectors = V
+        self._degree_set = None
         if basis_labels is not None:
             basis_labels = list(basis_labels)
             if len(basis_labels) != V.shape[0]:
@@ -91,6 +94,7 @@ class DegreeSetReport:
     multiplicities: list
     s: int
     zero_present: bool
+    spans: list | None = None  # (min, max) of each cluster, aligned with angles
 
 
 def gap_clusters(vals, gap):
@@ -105,8 +109,11 @@ def gram_degree_set(X):
 
     The values go through `gap_clusters` with width X.tol, which makes the
     clustering deterministic and phase-invariant.  A pair with angle above
-    1 - tol means two copies of the same projective line: error.
+    1 - tol means two copies of the same projective line: error.  The report
+    is computed once and stored on X; later calls return it.
     """
+    if X._degree_set is not None:
+        return X._degree_set
     A = X.angle_matrix()
     n = X.n
     iu, ju = np.triu_indices(n, k=1)
@@ -115,18 +122,18 @@ def gram_degree_set(X):
     if dup.size:
         i, j = int(iu[dup[0]]), int(ju[dup[0]])
         raise ValueError(f"vectors {i} and {j} span the same line (angle {vals[dup[0]]:.12g})")
-    if vals.size == 0:
-        return DegreeSetReport(angles=[], multiplicities=[], s=0, zero_present=False)
-    groups = gap_clusters(vals, X.tol)
+    groups = gap_clusters(vals, X.tol) if vals.size else []
     angles = [float(vals[g].mean()) for g in groups]
     mult = [len(g) for g in groups]
     assert sum(mult) == n * (n - 1) // 2
-    return DegreeSetReport(
+    X._degree_set = DegreeSetReport(
         angles=angles,
         multiplicities=mult,
         s=len(angles),
         zero_present=bool(angles and angles[0] <= X.tol),
+        spans=[(float(vals[g].min()), float(vals[g].max())) for g in groups],
     )
+    return X._degree_set
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +319,7 @@ def phase_align_for_doubling(X):
     vectors has it there.  A family whose triple products sit at 0 modulo
     pi/2, such as wf_mubs(4), raises.
     """
-    G = X.vectors.conj() @ X.vectors.T
+    G = X.gram()
     n = X.n
     halfpi = pi / 2
     adj = [[] for _ in range(n)]

@@ -140,19 +140,23 @@ def spin_model_mubs(n):
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    theta = np.exp(1j * np.pi * (n + 1) / n)
+    theta, W = _spin_matrix(n)
     idx = np.arange(n)
-    W = theta ** ((idx[:, None] - idx[None, :]) ** 2)
     D0 = np.diag(np.sqrt(n) * theta ** (-(idx**2)))
     bases = [np.eye(n, dtype=complex), W / np.sqrt(n), D0 @ W / n]
     return MubFamily(n, bases, provenance=("spin", {"n": n}))
 
 
-def type_ii_check(n):
-    """The defining identity W W^(-T) = nI for the spin-model matrix."""
+def _spin_matrix(n):
+    """theta = e^(i pi (n+1)/n) and the spin-model matrix W_ij = theta^((i-j)^2)."""
     theta = np.exp(1j * np.pi * (n + 1) / n)
     idx = np.arange(n)
-    W = theta ** ((idx[:, None] - idx[None, :]) ** 2)
+    return theta, theta ** ((idx[:, None] - idx[None, :]) ** 2)
+
+
+def type_ii_check(n):
+    """The defining identity W W^(-T) = nI for the spin-model matrix."""
+    _, W = _spin_matrix(n)
     Winv = (1 / W).T
     return float(np.abs(W @ Winv - n * np.eye(n)).max())
 

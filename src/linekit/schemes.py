@@ -93,24 +93,15 @@ class SeidelReport:
 def _angle_labels(X):
     """Degree set of X and its class-label matrix.
 
-    Off-diagonal pairs get 1 + the index of the nearest clustered angle, so
-    the labels reproduce the clustering of the degree set.
+    Off-diagonal pairs get 1 + the index of their degree-set cluster: the cuts
+    sit midway between the spans of consecutive clusters, so each pair falls
+    in exactly the cluster `gram_degree_set` put it in.
     """
     report = gram_degree_set(X)
-    centres = np.asarray(report.angles, dtype=float)
-    sq = X.angle_matrix()
-    L = np.argmin(np.abs(sq[:, :, None] - centres[None, None, :]), axis=2) + 1
+    cuts = [(hi + lo) / 2 for (_, hi), (lo, _) in zip(report.spans, report.spans[1:])]
+    L = np.searchsorted(cuts, X.angle_matrix()) + 1
     np.fill_diagonal(L, 0)
     return report, L
-
-
-def _angle_masks(X):
-    """Class indicators for X: the identity first, then one 0/1 matrix per angle.
-
-    The masks are the classes of `_angle_labels`, so they always sum to J.
-    """
-    report, L = _angle_labels(X)
-    return report, [np.where(L == k, 1.0, 0.0) for k in range(len(report.angles) + 1)]
 
 
 def _span_residual(product, basis):
@@ -118,18 +109,15 @@ def _span_residual(product, basis):
 
     The basis matrices are assumed to have pairwise disjoint supports, hence
     orthogonal under the Frobenius inner product, so the least-squares
-    projection is one coefficient per matrix.  Returns (residual, coeffs).
+    projection is one coefficient per matrix.
     """
     norm = np.linalg.norm(product)
     if norm == 0:
-        return 0.0, [0.0] * len(basis)
+        return 0.0
     residual = product.astype(complex)
-    coeffs = []
     for B in basis:
-        w = np.vdot(B, product) / np.vdot(B, B)
-        coeffs.append(w)
-        residual = residual - w * B
-    return float(np.linalg.norm(residual) / norm), coeffs
+        residual = residual - np.vdot(B, product) / np.vdot(B, B) * B
+    return float(np.linalg.norm(residual) / norm)
 
 
 def association_scheme(L):
@@ -167,7 +155,7 @@ def association_scheme(L):
                 if witness is None:
                     x, y = np.unravel_index(np.argmax(bad), bad.shape)
                     witness = (int(x), int(y), int(L[x, y]))
-                closure = max(closure, _span_residual(prod, A)[0])
+                closure = max(closure, _span_residual(prod, A))
     out = SchemeReport(
         n=n, classes=m - 1, angles=None, closed=witness is None,
         closure_residual=float(closure), witness=witness,
@@ -254,11 +242,12 @@ def jacobi_idempotents(X, fam=None, e=1):
         for c in reversed(coeffs):
             val = val * sq + c
         mats.append(val / n)
+    # E_j E_i = (E_i E_j)^T, with the same Frobenius norm
     res = np.zeros((e + 1, e + 1))
     for i in range(e + 1):
-        for j in range(e + 1):
+        for j in range(i, e + 1):
             target = mats[i] if i == j else 0.0
-            res[i, j] = np.linalg.norm(mats[i] @ mats[j] - target)
+            res[i, j] = res[j, i] = np.linalg.norm(mats[i] @ mats[j] - target)
     return {
         "idempotents": mats,
         "residuals": res,
@@ -281,15 +270,17 @@ def gram_algebra_check(X, tol=CLOSURE_TOL):
     algebra), and, when the angle set is the {0, 1/d} of unbiased bases, the
     residual of the identity G^2 = (n/d) G.
     """
-    report, masks = _angle_masks(X)
+    report, L = _angle_labels(X)
     G = X.gram()
-    weighted = [G * A for A in masks]
+    weighted = [np.where(L == k, G, 0) for k in range(report.s + 1)]
     keep = [W for W in weighted if np.linalg.norm(W) > 1e-12 * X.n]
+    # keep[0] = diag(G) = I within the unit-norm check, so its products lie in
+    # the span; every A'_i is Hermitian and A'_j A'_i = (A'_i A'_j)^H has the
+    # same residual, so the unordered pairs of the other classes decide it.
     closure = 0.0
-    for A in keep:
-        for B in keep:
-            res, _ = _span_residual(A @ B, keep)
-            closure = max(closure, res)
+    for i in range(1, len(keep)):
+        for j in range(i, len(keep)):
+            closure = max(closure, _span_residual(keep[i] @ keep[j], keep))
 
     Gsq = G @ G
     pair = [np.eye(X.n, dtype=complex), G]

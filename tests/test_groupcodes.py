@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linekit.finite_algebra import AbelianGroup, GroupAlgebraElement
+from linekit import groupcodes
+from linekit.finite_algebra import AbelianGroup, GroupAlgebraElement, gf_create
 from linekit.groupcodes import (
     LinearCode,
     classify_difference_set,
@@ -134,6 +135,27 @@ def test_singer_q2_is_a_fano_shift():
     _, D = singer_difference_set(2)
     ds = {g[0] for g in D}
     assert any({(d + t) % 7 for d in ds} == {1, 2, 4} for t in range(7))
+
+
+def loop_singer_set(p, m):
+    """Walk the powers of x in GF(p^(3m)) and keep those of relative trace 0."""
+    F = gf_create(p, 3 * m)
+    q = p**m
+    cur, D = F.one, []
+    for i in range(q * q + q + 1):
+        if F.relative_trace(cur, m) == F.zero:
+            D.append((i,))
+        cur = F.mul(cur, F.x())
+    return D
+
+
+@pytest.mark.parametrize(
+    "p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
+)
+def test_singer_set_matches_loop_oracle(p, m):
+    G, D = singer_difference_set(p**m)
+    assert D == loop_singer_set(p, m)
+    assert G.cyclic_orders == (p ** (2 * m) + p**m + 1,)
 
 
 def test_full_group_gives_character_basis():
@@ -274,6 +296,43 @@ def test_rds_cover_arrays(q, array):
     assert spec[round(np.sqrt(k), 6)] == k * (n_fold - 1)
     assert spec[0.0] == 2 * (k - 1)
     assert sum(m for _, m in g.eigenvalues) == g.adjacency.shape[0]
+
+
+def loop_cover_adjacency(G, D):
+    """(0,x) ~ (1,y) iff y - x in D, pair by pair."""
+    Dset = {tuple(g) for g in D}
+    elems = G.elements()
+    v = len(elems)
+    A = np.zeros((2 * v, 2 * v), dtype=np.int64)
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            if G.op(y, G.inverse(x)) in Dset:
+                A[i, v + j] = A[v + j, i] = 1
+    return A
+
+
+class _Adjacency(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "G,D",
+    [field_rds(q)[:2] for q in (3, 4, 5, 7, 8, 9)]
+    + [
+        (AbelianGroup([2, 3]), [(0, 0), (1, 1), (0, 2)]),
+        (AbelianGroup([3, 4, 2]), [(0, 0, 0), (1, 3, 1), (2, 1, 0), (0, 2, 1)]),
+        (AbelianGroup([8]), [(0,), (1,), (3,)]),
+    ],
+)
+def test_cover_adjacency_matches_loop_oracle(monkeypatch, G, D):
+    # stop cover_graph at the adjacency, before any cover check can reject it
+    def capture(A):
+        raise _Adjacency(A)
+
+    monkeypatch.setattr(groupcodes, "_distance_labels", capture)
+    with pytest.raises(_Adjacency) as info:
+        cover_graph(G, D)
+    assert np.array_equal(info.value.args[0], loop_cover_adjacency(G, D))
 
 
 def test_octagon_is_double_cover_of_k22():

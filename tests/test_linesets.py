@@ -126,6 +126,41 @@ def test_degree_set_phase_invariant():
     assert a.multiplicities == b.multiplicities
 
 
+def noisy_mub_triple():
+    """mub_triple_c2 moved by 1e-11 noise: clusters of nonzero width below tol."""
+    rng = np.random.default_rng(5)
+    V = mub_triple_c2().vectors + 1e-11 * rng.normal(size=(6, 2))
+    return LineSet(2, V / np.linalg.norm(V, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: standard_basis(3), mub_triple_c2, singer_7_lines, noisy_mub_triple]
+)
+def test_each_span_contains_its_angle(make):
+    X = make()
+    rep = gram_degree_set(X)
+    assert len(rep.spans) == rep.s
+    for (lo, hi), a in zip(rep.spans, rep.angles):
+        # the angle is a mean, so it may sit an ulp or so outside its extremes
+        assert lo - 1e-15 <= a <= hi + 1e-15
+    assert all(nxt[0] - prev[1] > X.tol for prev, nxt in zip(rep.spans, rep.spans[1:]))
+    if make is noisy_mub_triple:
+        assert all(hi > lo for lo, hi in rep.spans)
+
+
+def test_vectors_are_a_read_only_copy():
+    V = np.array(mub_triple_c2().vectors)
+    X = LineSet(2, V)
+    rep = gram_degree_set(X)
+    with pytest.raises(ValueError, match="read-only"):
+        X.vectors[0, 0] = 0
+    V[1] = V[0]  # the caller's array now holds a repeated line; X does not
+    assert np.array_equal(X.vectors, mub_triple_c2().vectors)
+    assert gram_degree_set(X) is rep and rep.multiplicities == [3, 12]
+    with pytest.raises(ValueError, match="span the same line"):
+        gram_degree_set(LineSet(2, V))
+
+
 # ---------------------------------------------------------------------------
 # design strength
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ from linekit.jacobi import JacobiFamily, dim_harm
 from linekit.linesets import LineSet, design_strength
 from linekit.mubs import wf_mubs
 from linekit.schemes import (
-    _angle_masks,
+    CLOSURE_TOL,
+    _angle_labels,
+    _span_residual,
     gram_algebra_check,
     jacobi_idempotents,
     scheme_from_lineset,
@@ -128,7 +130,8 @@ def dense_scheme_oracle(X):
     are ordered like the kernel's: the all-ones space first, then the rest
     by descending rows rounded to 6 places.
     """
-    _, masks = _angle_masks(X)
+    report, L = _angle_labels(X)
+    masks = [np.where(L == k, 1.0, 0.0) for k in range(report.s + 1)]
     n, m = X.n, len(masks)
     vals, vecs = np.linalg.eigh(sum(np.sqrt(i) * A for i, A in enumerate(masks)))
     spaces = []
@@ -196,6 +199,61 @@ def test_kernel_matches_dense_eigenprojectors(name):
     assert all(type(k) is int for k in rep.valencies)
 
 
+def scrambled_wf3():
+    """wf_mubs(3) with its lines permuted, rephased and rotated by a unitary."""
+    rng = np.random.default_rng(11)
+    V = wf_mubs(3).to_lineset().vectors
+    U, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    phases = np.exp(2j * np.pi * rng.random(len(V)))[:, None]
+    return LineSet(3, (V * phases)[rng.permutation(len(V))] @ U.T)
+
+
+LABEL_CASES = {
+    **{f"wf{q}": (lambda q=q: wf_mubs(q).to_lineset()) for q in (2, 3, 4, 5)},
+    "sic2": sic_lines,
+    "sic2-three-lines": lambda: LineSet(2, sic_lines().vectors[:3]),  # one class, not closed
+    "singer2": lambda: diffset_lines(*singer_difference_set(2)),
+    "singer3": lambda: diffset_lines(*singer_difference_set(3)),
+    "scrambled-wf3": scrambled_wf3,
+    "random": random_lines,
+    "random-6x4": lambda: random_lines(n=6, d=4, seed=3),
+    "random-3x2": lambda: random_lines(n=3, d=2, seed=1),  # worst residual off the diagonal
+}
+
+
+@pytest.mark.parametrize("name", list(LABEL_CASES))
+def test_labels_are_the_degree_set_clusters(name):
+    X = LABEL_CASES[name]()
+    report, L = _angle_labels(X)
+    iu = np.triu_indices(X.n, k=1)
+    counts = np.bincount(L[iu], minlength=report.s + 1)
+    assert counts[0] == 0 and list(counts[1:]) == report.multiplicities
+    assert np.array_equal(np.diag(L), np.zeros(X.n)) and np.array_equal(L, L.T)
+    # the nearest-centre rule the labels used to follow
+    sq = X.angle_matrix()
+    nearest = np.argmin(np.abs(sq[:, :, None] - np.array(report.angles)), axis=2) + 1
+    np.fill_diagonal(nearest, 0)
+    assert np.array_equal(L, nearest)
+
+
+def ordered_pair_closure(X):
+    """Gram-algebra residual over every ordered pair of weighted classes, A'_0 included."""
+    report, L = _angle_labels(X)
+    G = X.gram()
+    weighted = [G * np.where(L == k, 1.0, 0.0) for k in range(report.s + 1)]
+    keep = [W for W in weighted if np.linalg.norm(W) > 1e-12 * X.n]
+    return max(_span_residual(A @ B, keep) for A in keep for B in keep)
+
+
+@pytest.mark.parametrize("name", list(LABEL_CASES))
+def test_gram_algebra_unordered_pairs_match_all_ordered_pairs(name):
+    X = LABEL_CASES[name]()
+    out = gram_algebra_check(X)
+    full = ordered_pair_closure(X)
+    assert out["closed"] == (full <= CLOSURE_TOL)
+    assert abs(out["closure_residual"] - full) <= 1e-12
+
+
 class TestJacobiIdempotents:
     def test_mub_design_gives_orthogonal_idempotents(self):
         X = wf_mubs(3).to_lineset()
@@ -242,7 +300,8 @@ class TestJacobiIdempotents:
         # eigenprojections of the scheme; reconstruct those from Q
         X = wf_mubs(3).to_lineset()
         rep = scheme_from_lineset(X)
-        _, masks = _angle_masks(X)
+        _, L = _angle_labels(X)
+        masks = [np.where(L == k, 1.0, 0.0) for k in range(3)]
         zonal = jacobi_idempotents(X, e=1)["idempotents"][1]  # trace 8
         spectral = sum(rep.Q[i, 2] * masks[i] for i in range(3)) / rep.n
         assert np.allclose(zonal, spectral, atol=1e-9)
