@@ -15,7 +15,6 @@ The integer number theory (isprime, factorint, jacobi_symbol) lives here too.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from functools import cached_property, reduce
 from math import lcm
@@ -120,7 +119,8 @@ def _pmul(a, b, q):
 def _pdivmod(a, b, q):
     """Divide a by b over Z_q. b must be monic (works for q = 4 as well)."""
     b = _ptrim(b)
-    assert b and b[-1] == 1, "divisor must be monic"
+    if not b or b[-1] != 1:
+        raise ValueError("divisor must be monic")
     rem = list(a)
     quot = [0] * max(len(a) - len(b) + 1, 1)
     db = len(b) - 1
@@ -165,7 +165,8 @@ class _TupleRing:
 
     def _pad(self, c):
         c = _ptrim(c)
-        assert len(c) <= self.m
+        if len(c) > self.m:
+            raise ValueError(f"{len(c)} coefficients do not fit in length {self.m}")
         return tuple(c) + (0,) * (self.m - len(c))
 
     def element(self, coeffs):
@@ -258,7 +259,8 @@ class GaloisField(_TupleRing):
         """tr(x^i) for i < m, each from the definition: the relative trace to
         GF(p), x^i + (x^i)^p + ... + (x^i)^(p^(m-1))."""
         traces = [self.relative_trace(self._pad((0,) * i + (1,)), 1) for i in range(self.m)]
-        assert all(not any(t[1:]) for t in traces), "trace landed outside GF(p)"
+        if any(any(t[1:]) for t in traces):
+            raise RuntimeError("trace landed outside GF(p)")
         return tuple(t[0] for t in traces)
 
     def trace(self, a):
@@ -387,7 +389,8 @@ class GaloisRing(_TupleRing):
         self.teichmuller = self._build_teichmuller()
         # residue-mod-2 tuple -> Teichmuller representative
         self._teich_by_residue = {tuple(c % 2 for c in t): t for t in self.teichmuller}
-        assert len(self._teich_by_residue) == 2**m
+        if len(self._teich_by_residue) != 2**m:
+            raise RuntimeError("Teichmuller set is not a system of residues mod 2")
 
     def _build_teichmuller(self):
         xi = self._pad((0, 1)) if self.m > 1 else (1,)
@@ -406,7 +409,8 @@ class GaloisRing(_TupleRing):
         """z = t0 + 2*t1 with t0, t1 Teichmuller; returns (t0, t1)."""
         t0 = self._teich_by_residue[tuple(c % 2 for c in z)]
         w = self.sub(z, t0)
-        assert all(c % 2 == 0 for c in w)
+        if any(c % 2 for c in w):
+            raise RuntimeError(f"{z} minus its Teichmuller residue is not divisible by 2")
         t1 = self._teich_by_residue[tuple((c // 2) % 2 for c in w)]
         return t0, t1
 
@@ -418,7 +422,8 @@ class GaloisRing(_TupleRing):
         out = []
         for i in range(self.m):
             acc = reduce(self.add, (T[1 + i * 2**j % n] for j in range(self.m)))
-            assert not any(acc[1:]), "ring trace landed outside Z4"
+            if any(acc[1:]):
+                raise RuntimeError("ring trace landed outside Z4")
             out.append(acc[0])
         return tuple(out)
 
@@ -460,7 +465,8 @@ def _hensel_lift(f2, m):
     f4 = tuple(c * h[-1] % 4 for c in h)  # h[-1] is 1 or 3 = -1
     # certificate: the lift divides x^(2^m - 1) - 1 over Z4
     _, rem4 = _pdivmod((3,) + (0,) * (2**m - 2) + (1,), f4, 4)
-    assert not rem4, "Hensel lift failed the divisibility certificate"
+    if rem4:
+        raise RuntimeError("Hensel lift failed the divisibility certificate")
     return f4
 
 
@@ -483,11 +489,23 @@ def gr_trace(R, z):
 # ---------------------------------------------------------------------------
 
 
+def root_table(N, w=None):
+    """The N-th roots of unity by exponent: k -> e^(2 pi i k / N), from one
+    np.exp call.  With a primitive root w, k -> w**k instead, each power taken
+    on its own (the phase bases of mubs are pinned to that operation)."""
+    if w is None:
+        return np.exp(2j * np.pi * np.arange(N) / N)
+    return np.array([w**k for k in range(N)], dtype=complex)
+
+
 class AbelianGroup:
     """Product of cyclic groups Z_{n_1} x ... x Z_{n_r}, elements as tuples.
 
     Element order is lexicographic in the cyclic coordinates; characters and
-    any derived line sets share this order.
+    any derived line sets share this order.  Characters are labelled by the
+    elements too: chi_a(g) = roots[E] with E = pairing(a, g), an integer mod
+    the exponent L = lcm(n_1, ..., n_r) and roots = root_table(L), so every
+    character value is an index into one table.
     """
 
     def __init__(self, cyclic_orders):
@@ -496,6 +514,7 @@ class AbelianGroup:
             raise ValueError(f"invalid cyclic orders {cyclic_orders}")
         self.cyclic_orders = orders
         self.order = reduce(lambda a, b: a * b, orders, 1)
+        self.exponent = lcm(*orders)
         self.identity = (0,) * len(orders)
 
     def elements(self):
@@ -513,19 +532,22 @@ class AbelianGroup:
     def inverse(self, a):
         return tuple(-x % n for x, n in zip(a, self.cyclic_orders))
 
-    def character_value(self, a, g):
-        """chi_a(g) = prod exp(2 pi i a_i g_i / n_i)."""
-        phase = sum(ai * gi / ni for ai, gi, ni in zip(a, g, self.cyclic_orders))
-        return cmath.exp(2j * cmath.pi * phase)
+    def pairing(self, A, B):
+        """E[i, j] = sum_c A[i, c] B[j, c] (L / n_c) mod L for rows of labels A
+        and of elements B: chi_A[i](B[j]) = roots[E[i, j]], exactly."""
+        n = np.array(self.cyclic_orders, dtype=np.int64)
+        A = np.asarray(A, dtype=np.int64).reshape(-1, len(n)) % n
+        B = np.asarray(B, dtype=np.int64).reshape(-1, len(n)) % n
+        return A * (self.exponent // n) @ B.T % self.exponent
+
+    @cached_property
+    def roots(self):
+        """root_table(L) for the exponent L: the value of every character."""
+        return root_table(self.exponent)
 
     def character_trivial_on(self, a, subset):
         """Exact test: chi_a(g) = 1 for all g in subset (integer arithmetic)."""
-        L = lcm(*self.cyclic_orders)
-        for g in subset:
-            tot = sum(ai * gi * (L // ni) for ai, gi, ni in zip(a, g, self.cyclic_orders))
-            if tot % L:
-                return False
-        return True
+        return not self.pairing(a, list(subset)).any()
 
     def subgroup_generated_by(self, gens):
         seen = {self.identity}
@@ -549,13 +571,8 @@ def group_characters(G):
     Row a, column g holds chi_a(g); rows are pairwise orthogonal and the row
     of the identity label is all-ones.
     """
-    elems = G.elements()
-    n = len(elems)
-    table = np.empty((n, n), dtype=complex)
-    for i, a in enumerate(elems):
-        for j, g in enumerate(elems):
-            table[i, j] = G.character_value(a, g)
-    return table
+    X = G.elements()
+    return G.roots[G.pairing(X, X)]
 
 
 class GroupAlgebraElement:
@@ -600,9 +617,9 @@ class GroupAlgebraElement:
 
     def character_sum(self, a):
         """chi_a evaluated on this element (complex)."""
-        return sum(
-            c * self.G.character_value(a, g) for g, c in self.coefficients.items()
-        )
+        support = list(self.coefficients)
+        coeffs = np.array([self.coefficients[g] for g in support])
+        return complex(coeffs @ self.G.roots[self.G.pairing(a, support)[0]])
 
     def __eq__(self, other):
         return (

@@ -1,7 +1,11 @@
 """Difference sets, bipartite covers, and linear-code routes to line sets.
 
 Three families of constructions live here, all powered by characters of a
-finite abelian group:
+finite abelian group.  Every character value is an index into one root table:
+chi_a(g) = G.roots[G.pairing(a, g)], the integer pairing taken mod the exponent
+L of G, and code alphabets read root_table(q) at the codeword letters.  The
+same pairing decides generation exactly: D generates G when exactly one
+character, the trivial one, has a zero pairing row on D.
 
 * difference sets and relative difference sets — classification by direct
   convolution, character-row line sets, Singer sets from planes, and the
@@ -26,9 +30,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .finite_algebra import AbelianGroup, GroupAlgebraElement, gf_create, gr_create, isprime
+from .finite_algebra import (
+    AbelianGroup,
+    GroupAlgebraElement,
+    gf_create,
+    gr_create,
+    isprime,
+    root_table,
+)
 from .linesets import LineSet
-from .mubs import MubFamily, SemifieldTable, _prime_power
+from .mubs import MubFamily, SemifieldTable, _phase_bases, _prime_power
 from .schemes import association_scheme
 
 __all__ = [
@@ -142,17 +153,17 @@ def classify_difference_set(G, D, N=None):
 def diffset_lines(G, D):
     """Character rows restricted to D, scaled by 1/sqrt(|D|): |G| lines in C^|D|.
 
+    Row a is G.roots[E[a]] / sqrt(|D|) for the pairing E of all labels with D.
     D must generate G, otherwise distinct characters collapse to identical
-    restrictions.  Angles are |chi(D D^-1)| / |D|^2 over nontrivial chi.
+    restrictions.  By duality |G / <D>| characters are trivial on D (rows of E
+    that are 0 mod L), so D generates G exactly when one row is.  Angles are
+    |chi(D D^-1)| / |D|^2 over nontrivial chi.
     """
     Dt = sorted(set(tuple(g) for g in D))
-    if G.subgroup_generated_by(Dt) != sorted(G.elements()):
+    E = G.pairing(G.elements(), Dt)
+    if (~E.any(axis=1)).sum() != 1:
         raise ValueError("D does not generate G")
-    k = len(Dt)
-    rows = np.array(
-        [[G.character_value(a, d) for d in Dt] for a in G.elements()], dtype=complex
-    ) / np.sqrt(k)
-    return LineSet(k, rows, field="complex")
+    return LineSet(len(Dt), G.roots[E] / np.sqrt(len(Dt)), field="complex")
 
 
 def singer_difference_set(q):
@@ -218,8 +229,9 @@ def rds_to_mubs(G, D, N=None):
 
     Characters trivial on N form a subgroup H of order k; each of the n
     cosets of H, restricted to D and scaled by 1/sqrt(k), is an orthonormal
-    basis, and distinct cosets are mutually unbiased.  The standard basis is
-    prepended.  Certification happens inside MubFamily.
+    basis, and distinct cosets are mutually unbiased.  The bases come from the
+    exponent array E[coset, d, c] = G.pairing(D, coset) through _phase_bases,
+    which prepends the standard basis.  Certification happens inside MubFamily.
     """
     report = classify_difference_set(G, D, N)
     if report.kind != "relative":
@@ -231,18 +243,15 @@ def rds_to_mubs(G, D, N=None):
     Dt = sorted(tuple(g) for g in D)
 
     H = [a for a in G.elements() if G.character_trivial_on(a, Nt)]
-    seen = set()
-    bases = [np.eye(k, dtype=complex)]
+    seen, E = set(), []
     for a in G.elements():
         if a in seen:
             continue
         coset = sorted(G.op(a, h) for h in H)
         seen.update(coset)
-        B = np.array(
-            [[G.character_value(c, d) for c in coset] for d in Dt], dtype=complex
-        ) / np.sqrt(k)
-        bases.append(B)
-    return MubFamily(k, bases, provenance=("rds", f"k={k},n={n_}"))
+        E.append(G.pairing(Dt, coset))
+    return MubFamily(k, _phase_bases(np.array(E), G.exponent),
+                     provenance=("rds", f"k={k},n={n_}"))
 
 
 # ---------------------------------------------------------------------------
@@ -439,21 +448,17 @@ class LinearCode:
         word = tuple(int(x) % self.q for x in word)
         return word in {tuple(w) for w in self.codewords()}
 
+    def _weights(self, words):
+        """Hamming (GF) or Lee (Z4) weight of each row of words."""
+        w = np.atleast_2d(words) % self.q
+        return (w != 0).sum(axis=1) if self.kind == "gf" else np.minimum(w, 4 - w).sum(axis=1)
+
     def word_weight(self, word):
-        w = np.asarray(word) % self.q
-        if self.kind == "gf":
-            return int((w != 0).sum())
-        return int(np.minimum(w, 4 - w).sum())
+        return int(self._weights(word)[0])
 
     def min_distance(self):
-        words = self.codewords()
-        if len(words) == 1:
-            return None
-        if self.kind == "gf":
-            wts = (words != 0).sum(axis=1)
-        else:
-            wts = np.minimum(words % 4, (4 - words) % 4).sum(axis=1)
-        return int(wts[wts > 0].min())
+        wts = self._weights(self.codewords())
+        return int(wts[wts > 0].min()) if len(wts) > 1 else None
 
     def dual(self):
         if self.kind == "gf":
@@ -476,12 +481,7 @@ def dual_code(C):
 
 def code_weights(C):
     """Exact weight distribution {weight: count} (Hamming for GF, Lee for Z4)."""
-    words = C.codewords()
-    if C.kind == "gf":
-        wts = (words != 0).sum(axis=1)
-    else:
-        wts = np.minimum(words % 4, (4 - words) % 4).sum(axis=1)
-    return dict(sorted(Counter(int(w) for w in wts).items()))
+    return dict(sorted(Counter(int(w) for w in C._weights(C.codewords())).items()))
 
 
 def _gf_nullspace(M, p):
@@ -571,13 +571,6 @@ def _z4_kernel(M):
     return np.array(basis, dtype=np.int64) if basis else np.zeros((0, n), dtype=np.int64)
 
 
-def _check_character_sums(direct, vals, scale):
-    """Raise unless the literal character sums match the closed-form eigenvalues."""
-    dev = float(np.abs(direct - vals).max())
-    if not dev < 1e-8 * max(1, scale):
-        raise RuntimeError(f"character sums deviate from the closed form by {dev:.3g}")
-
-
 def coset_spectrum(C):
     """Eigenvalues of the coset graph of C, one per dual codeword.
 
@@ -592,26 +585,18 @@ def coset_spectrum(C):
     on the cosets) rather than of a simple graph.
     """
     dual_words = C.dual().codewords()
-    n = C.n
+    n, q = C.n, C.q
+    wts = C._weights(dual_words)
     if C.kind == "gf":
-        q = C.q
-        wts = (dual_words != 0).sum(axis=1)
-        vals = (q - 1) * n - q * wts
-        if len(dual_words) <= 4096:
-            roots = np.exp(2j * np.pi * np.arange(q) / q)
-            direct = sum(
-                roots[(a * dual_words) % q].sum(axis=1) for a in range(1, q)
-            )
-            _check_character_sums(direct, vals, (q - 1) * n)
+        units, vals = range(1, q), (q - 1) * n - q * wts
     else:
-        lee = np.minimum(dual_words % 4, (4 - dual_words) % 4).sum(axis=1)
-        vals = 2 * (n - lee)
-        if len(dual_words) <= 4096:
-            direct = (
-                np.exp(1j * np.pi / 2 * dual_words).sum(axis=1)
-                + np.exp(-1j * np.pi / 2 * dual_words).sum(axis=1)
-            )
-            _check_character_sums(direct, vals, 2 * n)
+        units, vals = (1, 3), 2 * (n - wts)
+    if len(dual_words) <= 4096:
+        roots = root_table(q)
+        direct = sum(roots[a * dual_words % q].sum(axis=1) for a in units)
+        dev = float(np.abs(direct - vals).max())
+        if not dev < 1e-8 * len(units) * n:
+            raise RuntimeError(f"character sums deviate from the closed form by {dev:.3g}")
     return sorted((int(v) for v in vals), reverse=True)
 
 
@@ -646,15 +631,14 @@ def code_to_lines(C, variant):
                 raise ValueError(f"codeword {w.tolist()} is not near-balanced")
         if variant == "gf-near-balanced" and not C.contains([1] * n):
             raise ValueError("the all-ones word is not in the code")
-        vecs = np.exp(2j * np.pi * words / q) / np.sqrt(n)
     elif variant == "z4":
         if C.kind != "z4":
             raise ValueError("variant 'z4' needs a Z4 code")
         if not C.contains([1] * n):
             raise ValueError("the all-ones word is not in the code")
-        vecs = np.exp(1j * np.pi / 2 * words) / np.sqrt(n)
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    vecs = root_table(C.q)[words] / np.sqrt(n)
 
     overlap = np.abs(vecs @ vecs.conj().T)
     keep = []

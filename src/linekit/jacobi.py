@@ -198,9 +198,6 @@ class JacobiFamily:
     def lam(self, k):
         return _lam(self.d, k)
 
-    def mu(self, k):
-        return _mu(self.d, k)
-
     def p(self, k):
         """p_k = g_0 + ... + g_k; p_k(1) = dim Hom(k,k)."""
         acc = [Fraction(0)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from linekit.finite_algebra import factorint, gf_create, gr_create
+from linekit.finite_algebra import factorint, gf_create, gr_create, root_table
 from linekit.linesets import LineSet
 
 
@@ -75,12 +75,12 @@ class MubFamily:
 # ---------------------------------------------------------------------------
 
 
-def _phase_bases(E, N, w):
-    """The identity, then w^E[z] / sqrt(q) for each z, from an integer exponent
-    array E[z, x, y] over Z_N.  The powers come from [w**k for k in range(N)],
-    the same operation as taking them entry by entry."""
+def _phase_bases(E, N, w=None):
+    """The identity, then root_table(N, w)[E[z]] / sqrt(q) for each z, from an
+    integer exponent array E[z, x, y] over Z_N.  Given w, the powers are
+    [w**k for k in range(N)], the same operation as taking them entry by entry."""
     q = E.shape[-1]
-    powers = np.array([w**k for k in range(N)], dtype=complex)
+    powers = root_table(N, w)
     return [np.eye(q, dtype=complex)] + [powers[Ez] / np.sqrt(q) for Ez in E]
 
 

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,3 +385,57 @@ def test_group_algebra_add_and_eq():
     B = GroupAlgebraElement(G, {(1,): -1, (2,): 2})
     assert (A + B) == GroupAlgebraElement(G, {(2,): 2})
     assert A[(0,)] == 0
+
+
+# ---------------------------------------------------------------------------
+# input checks and certificates survive python -O
+# ---------------------------------------------------------------------------
+
+OPTIMIZE_CASES = {
+    "pdivmod-not-monic": (
+        "fa._pdivmod((1, 1), (1, 2), 5)",
+        "ValueError: divisor must be monic",
+    ),
+    "pad-too-long": (
+        "fa.gf_create(2, 3)._pad((0, 0, 0, 1))",
+        "ValueError: 4 coefficients do not fit in length 3",
+    ),
+    "gf-trace-basis": (
+        "fa.GaloisField.relative_trace = lambda self, a, e: self.one[::-1]\n"
+        "fa.gf_create(2, 3).trace_basis",
+        "RuntimeError: trace landed outside GF(p)",
+    ),
+    "gr-trace-basis": (
+        "R = fa.gr_create(3)\nR.teichmuller[1] = (1, 1, 0)\nR.trace_basis",
+        "RuntimeError: ring trace landed outside Z4",
+    ),
+    "teichmuller-count": (
+        "fa.GaloisRing._build_teichmuller = lambda self: [self.zero] * 2**self.m\n"
+        "fa.gr_create(2)",
+        "RuntimeError: Teichmuller set is not a system of residues mod 2",
+    ),
+    "teichmuller-decompose": (
+        "R = fa.gr_create(2)\nR._teich_by_residue[(1, 0)] = (1, 1)\n"
+        "R.teichmuller_decompose((1, 0))",
+        "RuntimeError: (1, 0) minus its Teichmuller residue is not divisible by 2",
+    ),
+    "hensel-lift": (
+        "fa._hensel_lift((1, 0, 1), 2)",  # x^2 + 1 = (x + 1)^2 does not divide x^3 - 1
+        "RuntimeError: Hensel lift failed the divisibility certificate",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OPTIMIZE_CASES)
+def test_algebra_checks_raise_under_optimize(case):
+    # python -O strips assert statements; these checks must raise regardless
+    import linekit
+
+    body, message = OPTIMIZE_CASES[case]
+    child = "import linekit.finite_algebra as fa\n" + body
+    env = dict(os.environ, PYTHONPATH=str(Path(linekit.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.returncode == 1
+    assert message in proc.stderr

@@ -1,5 +1,6 @@
 """Difference sets, covers, and code routes: oracle values and failure paths."""
 
+import cmath
 import itertools
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from linekit import groupcodes
-from linekit.finite_algebra import AbelianGroup, GroupAlgebraElement, gf_create
+from linekit.finite_algebra import AbelianGroup, GroupAlgebraElement, gf_create, group_characters
 from linekit.groupcodes import (
     LinearCode,
     classify_difference_set,
@@ -167,10 +168,25 @@ def test_full_group_gives_character_basis():
     assert rep.angles[0] == pytest.approx(0, abs=1e-12)
 
 
-def test_lines_require_generating_set():
-    G = AbelianGroup([6])
-    with pytest.raises(ValueError, match="generate"):
-        diffset_lines(G, [(0,), (2,), (4,)])
+def _small_subsets():
+    """Every subset of size <= 3 of four small groups, the Z6 {0, 2, 4} case among them."""
+    for orders in [(6,), (2, 4), (3, 3), (2, 2, 2)]:
+        tag = "Z" + "xZ".join(map(str, orders))
+        for size in range(4):
+            for D in itertools.combinations(AbelianGroup(orders).elements(), size):
+                label = ",".join("".join(map(str, g)) for g in D) or "empty"
+                yield pytest.param(orders, list(D), id=f"{tag}:{label}")
+
+
+@pytest.mark.parametrize("orders,D", list(_small_subsets()))
+def test_lines_require_generating_set(orders, D):
+    # the duality test (one character trivial on D) agrees with the generated subgroup
+    G = AbelianGroup(orders)
+    if G.subgroup_generated_by(D) != G.elements():
+        with pytest.raises(ValueError, match="generate"):
+            diffset_lines(G, D)
+    else:
+        assert diffset_lines(G, D).n == G.order
 
 
 @pytest.mark.parametrize(
@@ -189,6 +205,64 @@ def test_degree_set_size_counts_character_values(orders, D):
         vals.add(round(abs(diffs.character_sum(a)) / k**2, 9))
     X = diffset_lines(G, D)
     assert gram_degree_set(X).s == len(vals)
+
+
+# ---------------------------------------------------------------------------
+# character oracle: one cmath.exp of a float phase per entry
+# ---------------------------------------------------------------------------
+
+
+def _cmath_character(G, a, g):
+    """chi_a(g) = prod exp(2 pi i a_i g_i / n_i) from a float phase."""
+    phase = sum(ai * gi / ni for ai, gi, ni in zip(a, g, G.cyclic_orders))
+    return cmath.exp(2j * cmath.pi * phase)
+
+
+DIFFSET_CASES = [
+    pytest.param(Z7, FANO, id="Z7-fano"),
+    pytest.param(AbelianGroup([12]), [(0,), (1,), (3,), (7,)], id="Z12"),
+    pytest.param(AbelianGroup([2, 4]), [(0, 0), (1, 1), (0, 3)], id="Z2xZ4"),
+] + [
+    pytest.param(*singer_difference_set(q), id=f"singer{q}") for q in [2, 3, 4, 5, 7, 8, 9, 16]
+]
+RDS_CASES = [pytest.param(*field_rds(q), id=f"field{q}") for q in [2, 3, 4, 5, 8, 9]] + [
+    pytest.param(AbelianGroup([4]), [(0,), (1,)], [(0,), (2,)], id="Z4-hand")
+]
+
+
+@pytest.mark.parametrize("G,D", DIFFSET_CASES)
+def test_diffset_lines_match_cmath_oracle(G, D):
+    Dt = sorted(set(tuple(g) for g in D))
+    want = np.array([[_cmath_character(G, a, d) for d in Dt] for a in G.elements()])
+    got = diffset_lines(G, D).vectors
+    assert np.abs(got - want / np.sqrt(len(Dt))).max() < 1e-12
+
+
+@pytest.mark.parametrize("G,D,N", RDS_CASES)
+def test_rds_bases_match_cmath_oracle(G, D, N):
+    k = len(D)
+    H = [a for a in G.elements() if all(abs(_cmath_character(G, a, g) - 1) < 1e-9 for g in N)]
+    want, seen = [np.eye(k)], set()
+    for a in G.elements():
+        if a in seen:
+            continue
+        coset = sorted(G.op(a, h) for h in H)
+        seen.update(coset)
+        B = [[_cmath_character(G, c, d) for c in coset] for d in sorted(D)]
+        want.append(np.array(B) / np.sqrt(k))
+    fam = rds_to_mubs(G, D, N)
+    assert len(fam.bases) == len(want)
+    for B, W in zip(fam.bases, want):
+        assert np.abs(B - W).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "G", [pytest.param(p.values[0], id=p.id) for p in DIFFSET_CASES + RDS_CASES]
+)
+def test_group_characters_match_cmath_oracle(G):
+    X = G.elements()
+    want = np.array([[_cmath_character(G, a, g) for g in X] for a in X])
+    assert np.abs(group_characters(G) - want).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
