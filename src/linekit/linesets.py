@@ -2,7 +2,10 @@
 
 A LineSet is n unit vectors regarded projectively (each spans a line).  All
 statistics below depend only on the squared inner-product moduli |<a,b>|^2,
-so they are invariant under per-vector phases and global unitaries.
+so they are invariant under per-vector phases and global unitaries.  The
+degree set is one sorted pass over the n(n-1)/2 pair values, gathered by
+row blocks of the Gram matrix; it keeps the power sums of the angles, from
+which the Jacobi pair sums of the design test follow with no n x n array.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from fractions import Fraction
 from math import pi
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from linekit.jacobi import JacobiFamily, dim_harm, jacobi_poly
 
@@ -31,7 +33,8 @@ class LineSet:
     vectors: (n, dim) complex array (real sets keep zero imaginary parts);
     basis_labels: length-n list partitioning the set into cells of size dim.
     The vectors are a read-only copy of the input and tol is fixed here, so
-    the degree set that `gram_degree_set` stores on the line set stays valid.
+    the degree set that `gram_degree_set` stores on the line set, and the
+    class labels that `schemes` cuts from it, stay valid.
     """
 
     def __init__(self, dim, vectors, field="complex", basis_labels=None, tol=1e-9):
@@ -56,6 +59,7 @@ class LineSet:
         V.flags.writeable = False
         self.vectors = V
         self._degree_set = None
+        self._labels = None
         if basis_labels is not None:
             basis_labels = list(basis_labels)
             if len(basis_labels) != V.shape[0]:
@@ -95,43 +99,86 @@ class DegreeSetReport:
     s: int
     zero_present: bool
     spans: list | None = None  # (min, max) of each cluster, aligned with angles
+    power_sums: list | None = None  # P_j = sum over all n^2 (a, b) of |<a,b>|^(2j), j = 0..4
+
+
+#: entries per row block of the angle matrix (4 MB of complex128)
+BLOCK_ENTRIES = 1 << 18
+
+
+def _angle_blocks(X):
+    """Yield (first row, |G[rows]|^2) over row blocks of the angle matrix.
+
+    The blocks split the rows evenly into runs of at least two rows (unless
+    n is 1), so each is a GEMM call like the whole product in
+    `angle_matrix`.  A line set of up to 512 lines is one block.
+    """
+    n = X.n
+    count = max(1, n // max(2, BLOCK_ENTRIES // n))
+    edges = [n * k // count for k in range(count + 1)]
+    V = X.vectors
+    for r0, r1 in zip(edges, edges[1:]):
+        yield r0, np.abs(V[r0:r1].conj() @ V.T) ** 2
+
+
+def _gap_breaks(ordered, gap):
+    """Positions where adjacent values of the ascending array differ by more than gap."""
+    return np.nonzero(np.diff(ordered) > gap)[0] + 1
 
 
 def gap_clusters(vals, gap):
     """Indices of `vals` in runs, ascending: sort, then split wherever two
     adjacent sorted values differ by more than `gap`."""
     order = np.argsort(vals, kind="stable")
-    return np.split(order, np.nonzero(np.diff(vals[order]) > gap)[0] + 1)
+    return np.split(order, _gap_breaks(vals[order], gap))
+
+
+def _power_sums(x):
+    """[sum x^j for j = 0..4] with one scratch array."""
+    sq = x * x
+    return [x.size, x.sum(), sq.sum(), sq @ x, sq @ sq]
 
 
 def gram_degree_set(X):
     """Cluster the n(n-1)/2 pairwise angles |<a,b>|^2 into the degree set A.
 
-    The values go through `gap_clusters` with width X.tol, which makes the
-    clustering deterministic and phase-invariant.  A pair with angle above
-    1 - tol means two copies of the same projective line: error.  The report
-    is computed once and stored on X; later calls return it.
+    The pair values are gathered row block by row block and sorted in
+    place; each cluster is a run of the sorted values split by the
+    `gap_clusters` rule with width X.tol, which makes the clustering
+    deterministic and phase-invariant.  A pair with angle above 1 - tol
+    means two copies of the same projective line: error.  The report also
+    holds the power sums P_j of all n^2 angles, the diagonal included, for
+    the Jacobi pair sums of `design_strength`.  It is computed once and
+    stored on X; later calls return it.
     """
     if X._degree_set is not None:
         return X._degree_set
-    A = X.angle_matrix()
     n = X.n
-    iu, ju = np.triu_indices(n, k=1)
-    vals = A[iu, ju]
-    dup = np.nonzero(vals > 1 - X.tol)[0]
-    if dup.size:
-        i, j = int(iu[dup[0]]), int(ju[dup[0]])
-        raise ValueError(f"vectors {i} and {j} span the same line (angle {vals[dup[0]]:.12g})")
-    groups = gap_clusters(vals, X.tol) if vals.size else []
-    angles = [float(vals[g].mean()) for g in groups]
-    mult = [len(g) for g in groups]
-    assert sum(mult) == n * (n - 1) // 2
+    vals = np.empty(n * (n - 1) // 2)
+    diag = np.empty(n)
+    pos = 0
+    for r0, A in _angle_blocks(X):
+        for i, row in enumerate(A, start=r0):
+            diag[i] = row[i]
+            vals[pos:pos + n - 1 - i] = row[i + 1:]
+            pos += n - 1 - i
+    if vals.size and vals.max() > 1 - X.tol:
+        k = int(np.argmax(vals > 1 - X.tol))
+        iu, ju = np.triu_indices(n, k=1)
+        raise ValueError(
+            f"vectors {iu[k]} and {ju[k]} span the same line (angle {vals[k]:.12g})"
+        )
+    vals.sort()
+    edges = [0, *_gap_breaks(vals, X.tol), vals.size] if vals.size else [0]
+    runs = [vals[a:b] for a, b in zip(edges, edges[1:])]
+    angles = [float(run.mean()) for run in runs]
     X._degree_set = DegreeSetReport(
         angles=angles,
-        multiplicities=mult,
+        multiplicities=[run.size for run in runs],
         s=len(angles),
         zero_present=bool(angles and angles[0] <= X.tol),
-        spans=[(float(vals[g].min()), float(vals[g].max())) for g in groups],
+        spans=[(float(run[0]), float(run[-1])) for run in runs],
+        power_sums=[float(d + 2 * p) for d, p in zip(_power_sums(diag), _power_sums(vals))],
     )
     return X._degree_set
 
@@ -153,19 +200,23 @@ def design_strength(X, fam=None, t_max=4, epsilon=EPS_DESIGN):
     """Pair-sum design test: X is a t-design when T_r vanishes for r = 1..t.
 
     Each T_r is nonnegative up to roundoff; "vanishes" means
-    T_r <= epsilon * g_r(1) / n.  Sums run in the stored row-major order so
-    results are reproducible.
+    T_r <= epsilon * g_r(1) / n.  With g_r = sum_j c_rj x^j, T_r is
+    (1/n^2) sum_j c_rj P_j over the power sums P_j that `gram_degree_set`
+    stores (Delsarte-Goethals-Seidel 1977), so no n x n array is formed.
+    Those sums stop at j = 4, so t_max above 4 raises ValueError.
     """
+    if t_max > 4:
+        raise ValueError(f"t_max must be at most 4, got {t_max}")
     if fam is None:
-        fam = JacobiFamily(X.dim, max_k=max(t_max, 4))
+        fam = JacobiFamily(X.dim, max_k=4)
     if fam.d != X.dim:
         raise ValueError(f"family dimension {fam.d} != line set dimension {X.dim}")
-    A = X.angle_matrix()
+    sums = gram_degree_set(X).power_sums
     n = X.n
     T = []
     for r in range(1, t_max + 1):
         coeffs = [float(c) for c in jacobi_poly(fam, r, "g")]
-        T.append(float(npoly.polyval(A, coeffs).sum()) / (n * n))
+        T.append(sum(c * p for c, p in zip(coeffs, sums)) / (n * n))
     strength = 0
     for r in range(1, t_max + 1):
         if T[r - 1] <= epsilon * dim_harm(X.dim, r, r) / n:
@@ -365,12 +416,17 @@ def phase_align_for_doubling(X):
 
 
 def lineset_to_json(X, path=None):
-    """Write the interchange format; returns the JSON string."""
+    """Write the interchange format; returns the JSON string.
+
+    Each vector entry is written as its [re, im] pair of floats, read off a
+    float64 (n, dim, 2) view of the vectors.
+    """
     doc = {
         "dim": X.dim,
         "field": X.field,
         "tol": X.tol,
-        "vectors": [[[float(z.real), float(z.imag)] for z in row] for row in X.vectors],
+        "vectors": np.ascontiguousarray(X.vectors).view(np.float64)
+        .reshape(X.n, X.dim, 2).tolist(),
     }
     if X.basis_labels is not None:
         doc["labels"] = list(X.basis_labels)
@@ -382,7 +438,12 @@ def lineset_to_json(X, path=None):
 
 
 def lineset_from_json(source):
-    """Accepts a JSON string, a parsed dict, or a file path."""
+    """Accepts a JSON string, a parsed dict, or a file path.
+
+    The vectors must form an n x dim array of [re, im] pairs of numbers;
+    they are read as float64 and viewed as complex, so every bit (-0.0
+    too) survives a round trip.
+    """
     if isinstance(source, dict):
         doc = source
     elif isinstance(source, str) and source.lstrip().startswith("{"):
@@ -390,9 +451,13 @@ def lineset_from_json(source):
     else:
         with open(source) as fh:
             doc = json.load(fh)
-    vectors = np.array(
-        [[complex(re, im) for re, im in row] for row in doc["vectors"]], dtype=complex
-    )
+    pairs = np.array(doc["vectors"])
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ValueError(
+            "vectors must be an n x dim array of [re, im] pairs of numbers, "
+            f"got shape {pairs.shape} of {pairs.dtype}"
+        )
+    vectors = pairs.astype(np.float64).view(complex)[..., 0]
     return LineSet(
         doc["dim"],
         vectors,

@@ -5,11 +5,21 @@ class-label matrix L: n x n, 0 exactly on the diagonal and classes 1..s
 elsewhere.  A line set labels a pair of lines by its clustered angle, and a
 graph labels a pair of vertices by their distance.
 
-* Exact closure.  A_i is the 0/1 matrix of class i.  Every product A_i A_j is
-  a float64 GEMM whose entries are exact integers (n < 2^53).  The span
-  closes exactly when A_i A_j is constant on each class k, and that constant
-  is the intersection number p_ij^k.  The first pair that breaks constancy
-  is kept as a witness.
+* Exact closure.  A_i is the 0/1 matrix of class i, held as float32: every
+  partial sum of a product A_i A_j is an integer of size at most n, and
+  single precision holds every integer below 2^24 exactly, so an sgemm
+  gives exact counts in any summation order.  The span closes exactly when
+  A_i A_j is constant on each class k, and that constant is the
+  intersection number p_ij^k.  The first pair that breaks constancy is kept
+  as a witness.
+* The largest class is eliminated.  Let s be the class with the most pairs.
+  Since A_0 + ... + A_s = J and A_0 = I, for any label matrix
+  A_i A_s = r_i 1^T - A_i - sum_{l != 0, s} A_i A_l, with r_i the row sums
+  of A_i, and A_s A_s follows from the A_l A_s the same way.  Only the
+  products A_i A_j with i, j != s are GEMMs: one for unbiased bases, none
+  for a one-class set.  The derived products are the same integer matrices,
+  so p, the witness and the closure residual do not depend on the
+  elimination (Bannai-Ito 1984).
 * Spectral data from the small algebra.  Multiplication by A_i acts on the
   span as the (s+1) x (s+1) matrix B_i with (B_i)_{kj} = p_ij^k, and
   diag(sqrt k) symmetrises it because k_k p_ij^k = k_j p_ik^j.  Refining the
@@ -22,7 +32,10 @@ graph labels a pair of vertices by their distance.
 
 The module also builds the zonal idempotent candidates coming from the
 g-basis, runs a floating-point closure test on the Gram-weighted classes,
-and computes Seidel spectra of real equiangular sets.
+and computes Seidel spectra of real equiangular sets.  The Gram-weighted
+test takes G^2 = conj(V) (V^T conj(V)) V^T from the n x d vectors V in
+O(n^2 d) rather than as an n x n GEMM.  The products that matter at size
+go through `np.matmul`, where a test can count them.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from linekit.jacobi import JacobiFamily, jacobi_poly
-from linekit.linesets import gap_clusters, gram_degree_set
+from linekit.linesets import _angle_blocks, gap_clusters, gram_degree_set
 
 #: Frobenius-residual threshold below which the Gram-weighted span counts as closed
 CLOSURE_TOL = 1e-8
@@ -95,13 +108,20 @@ def _angle_labels(X):
 
     Off-diagonal pairs get 1 + the index of their degree-set cluster: the cuts
     sit midway between the spans of consecutive clusters, so each pair falls
-    in exactly the cluster `gram_degree_set` put it in.
+    in exactly the cluster `gram_degree_set` put it in.  The labels are cut
+    row block by row block, held in the smallest unsigned integer type
+    (uint8 below 256 classes) and stored on X, so every check on X shares
+    one copy.
     """
     report = gram_degree_set(X)
-    cuts = [(hi + lo) / 2 for (_, hi), (lo, _) in zip(report.spans, report.spans[1:])]
-    L = np.searchsorted(cuts, X.angle_matrix()) + 1
-    np.fill_diagonal(L, 0)
-    return report, L
+    if X._labels is None:
+        cuts = [(hi + lo) / 2 for (_, hi), (lo, _) in zip(report.spans, report.spans[1:])]
+        L = np.empty((X.n, X.n), dtype=np.min_scalar_type(report.s))
+        for r0, A in _angle_blocks(X):
+            L[r0:r0 + len(A)] = np.searchsorted(cuts, A) + 1
+        np.fill_diagonal(L, 0)
+        X._labels = L
+    return report, X._labels
 
 
 def _span_residual(product, basis):
@@ -109,26 +129,34 @@ def _span_residual(product, basis):
 
     The basis matrices are assumed to have pairwise disjoint supports, hence
     orthogonal under the Frobenius inner product, so the least-squares
-    projection is one coefficient per matrix.
+    projection is one coefficient per matrix, and taking one matrix's part
+    out leaves the other coefficients alone.  A 1-D entry stands for the
+    diagonal matrix holding it.  `product` must be complex and C-contiguous;
+    it is overwritten with the residual.
     """
     norm = np.linalg.norm(product)
     if norm == 0:
         return 0.0
-    residual = product.astype(complex)
     for B in basis:
-        residual = residual - np.vdot(B, product) / np.vdot(B, B) * B
-    return float(np.linalg.norm(residual) / norm)
+        if B.ndim == 1:
+            c = np.vdot(B, np.diagonal(product)) / np.vdot(B, B)
+            product.reshape(-1)[:: len(B) + 1] -= c * B
+        else:
+            product -= np.vdot(B, product) / np.vdot(B, B) * B
+    return float(np.linalg.norm(product) / norm)
 
 
 def association_scheme(L):
     """Test whether the classes of a label matrix L form an association scheme.
 
     L is an n x n integer array, 0 exactly on the diagonal and symmetric
-    classes 1..s elsewhere.  Closure is decided exactly: every A_i A_j must
-    be constant on every class (see the module docstring).  The reported
-    ``closure_residual`` is the largest relative Frobenius distance from a
-    product A_i A_j to the span of the classes; it is 0 when the span closes.
-    Non-closure is an outcome, not an error.
+    classes 1..s elsewhere, each with at least one pair (ValueError
+    otherwise).  Closure is decided
+    exactly: every A_i A_j must be constant on every class (see the module
+    docstring for the float32 counts and the eliminated class).  The
+    reported ``closure_residual`` is the largest relative Frobenius distance
+    from a product A_i A_j to the span of the classes; it is 0 when the span
+    closes.  Non-closure is an outcome, not an error.
 
     When the span closes, P, Q, the multiplicities and the Krein parameters
     come from the (s+1) x (s+1) intersection matrices.  ``pq_residual`` is
@@ -141,28 +169,78 @@ def association_scheme(L):
     n = L.shape[0]
     m = int(L.max()) + 1
     flat = L.ravel()
-    reps = np.array([np.argmax(flat == k) for k in range(m)])
-    A = [np.where(L == i, 1.0, 0.0) for i in range(m)]
+    sizes = np.bincount(flat, minlength=m)
+    if sizes[0] != n or np.diagonal(L).any() or not sizes.all():
+        raise ValueError("the label matrix must be 0 exactly on the diagonal "
+                         "and hold every class 1..s")
+    rows, cols = np.divmod([np.argmax(flat == k) for k in range(m)], n)
     p = np.zeros((m, m, m), dtype=np.int64)
     p[0] = p[:, 0] = np.eye(m, dtype=np.int64)
-    closure, witness = 0.0, None
-    for i in range(1, m):
-        for j in range(i, m):
-            prod = A[i] @ A[j]
-            p[i, j] = p[j, i] = prod.ravel()[reps]
-            bad = prod != p[i, j][L]
-            if bad.any():
-                if witness is None:
-                    x, y = np.unravel_index(np.argmax(bad), bad.shape)
-                    witness = (int(x), int(y), int(L[x, y]))
-                closure = max(closure, _span_residual(prod, A))
+    broken = []  # (i, j, witness, residual) of each product that breaks constancy
+
+    def check(i, j, prod):
+        """Read p_ij off the representative pairs and test A_i A_j = prod.
+
+        A broken product's distance to the span of the 0/1 classes is each
+        entry minus its class mean; the means are exact integer sums over
+        counts, and the norm runs over a complex copy like every residual
+        of this module.
+        """
+        p[i, j] = p[j, i] = prod[rows, cols]
+        expect = p[i, j].astype(np.float32)[L]
+        expect -= prod
+        if expect.any():
+            x, y = np.unravel_index(np.argmax(expect != 0), expect.shape)
+            exact = np.asarray(prod, dtype=np.float64, order="C")
+            means = np.bincount(flat, weights=exact.ravel(), minlength=m) / sizes
+            residual = (exact - means[L]).astype(complex)
+            broken.append((i, j, (int(x), int(y), int(L[x, y])),
+                           float(np.linalg.norm(residual) / np.linalg.norm(exact))))
+
+    big = int(np.argmax(sizes[1:])) + 1 if m > 1 else 0
+    small = [i for i in range(1, m) if i != big]
+    A = {i: (L == i).astype(np.float32) for i in small}
+    rowsum = {i: A[i].sum(axis=1) for i in small}
+    derived = {}  # -sum_l A_i A_l over small l, then A_i A_big
+
+    def take_away(i, term):
+        if i in derived:
+            derived[i] -= term
+        else:
+            derived[i] = -term
+
+    for a, i in enumerate(small):
+        for j in small[a:]:
+            prod = np.matmul(A[i], A[j])
+            check(i, j, prod)
+            take_away(i, prod)
+            if j != i:
+                take_away(j, prod.T)
+            del prod  # before the next product is allocated
+    for i in small:
+        derived[i] += rowsum[i][:, None]
+        derived[i] -= A.pop(i)
+    if m > 1:
+        rowsum_big = n - 1 - sum(rowsum.values(), np.zeros(n, dtype=np.float32))
+        last = np.subtract(rowsum_big[:, None], L == big, dtype=np.float32)
+        for i in small:
+            D = derived.pop(i)
+            if i < big:
+                check(i, big, D)
+            else:
+                check(big, i, D.T)
+            last -= D.T
+            del D
+        check(big, big, last)
+
+    closure = max((b[3] for b in broken), default=0.0)
+    witness = min(broken)[2] if broken else None
     out = SchemeReport(
         n=n, classes=m - 1, angles=None, closed=witness is None,
         closure_residual=float(closure), witness=witness,
     )
     if not out.closed:
         return out
-
     k = p[np.arange(m), np.arange(m), 0]
     root = np.sqrt(k)
     S = p.transpose(0, 2, 1) * root[:, None] / root[None, :]
@@ -242,12 +320,19 @@ def jacobi_idempotents(X, fam=None, e=1):
         for c in reversed(coeffs):
             val = val * sq + c
         mats.append(val / n)
-    # E_j E_i = (E_i E_j)^T, with the same Frobenius norm
+    # E_0 = J/n has n equal rows, so E_0 E_j is n copies of one row, the
+    # column sums of E_j over n; E_j E_i = (E_i E_j)^T has the same norm
     res = np.zeros((e + 1, e + 1))
-    for i in range(e + 1):
+    for j in range(e + 1):
+        row = mats[0][0] @ mats[j] - (mats[0][0] if j == 0 else 0.0)
+        res[0, j] = res[j, 0] = np.sqrt(n) * np.linalg.norm(row)
+    for i in range(1, e + 1):
         for j in range(i, e + 1):
-            target = mats[i] if i == j else 0.0
-            res[i, j] = res[j, i] = np.linalg.norm(mats[i] @ mats[j] - target)
+            product = np.matmul(mats[i], mats[j])
+            if i == j:
+                product -= mats[i]
+            res[i, j] = res[j, i] = np.linalg.norm(product)
+            del product  # before the next product is allocated
     return {
         "idempotents": mats,
         "residuals": res,
@@ -261,34 +346,35 @@ def gram_algebra_check(X, tol=CLOSURE_TOL):
 
     The weighted classes keep the raw inner products instead of flattening
     them to 0/1, so their span can close even when the 0/1 span does not.
-    A'_0 = I since the lines are unit vectors; a zero angle contributes the
-    zero matrix and is dropped from the spanning set.
+    A'_0 = diag(G) = I up to the unit-norm check, held as the vector diag(G);
+    a zero angle contributes the zero matrix and is dropped from the
+    spanning set.  Its products lie in the span, and every A'_i is Hermitian
+    with A'_j A'_i = (A'_i A'_j)^H of the same residual, so the unordered
+    pairs of the other classes decide closure, each as a dense product.
 
     The report also carries two Gram-square diagnostics: the distance of G^2
     from span{I, G} (zero for the lines of unbiased bases and for
     equiangular sets meeting the relative bound, where {I, G} spans an
     algebra), and, when the angle set is the {0, 1/d} of unbiased bases, the
-    residual of the identity G^2 = (n/d) G.
+    residual of the identity G^2 = (n/d) G.  G^2 comes from the rank-d
+    factor, conj(V) (V^T conj(V)) V^T.
     """
     report, L = _angle_labels(X)
+    n = X.n
+    V = X.vectors
     G = X.gram()
-    weighted = [np.where(L == k, G, 0) for k in range(report.s + 1)]
-    keep = [W for W in weighted if np.linalg.norm(W) > 1e-12 * X.n]
-    # keep[0] = diag(G) = I within the unit-norm check, so its products lie in
-    # the span; every A'_i is Hermitian and A'_j A'_i = (A'_i A'_j)^H has the
-    # same residual, so the unordered pairs of the other classes decide it.
-    closure = 0.0
-    for i in range(1, len(keep)):
-        for j in range(i, len(keep)):
-            closure = max(closure, _span_residual(keep[i] @ keep[j], keep))
+    diag = np.diagonal(G).copy()
 
-    Gsq = G @ G
-    pair = [np.eye(X.n, dtype=complex), G]
-    gramian = np.array([[np.vdot(a, b) for b in pair] for a in pair])
-    rhs = np.array([np.vdot(a, Gsq) for a in pair])
+    core = np.matmul(V.T, V.conj())  # d x d
+    Gsq = np.matmul(np.matmul(V.conj(), core), V.T)
+    gsq_norm = np.linalg.norm(Gsq)
+    gramian = np.array([[n, diag.sum()], [diag.sum().conjugate(), np.vdot(G, G)]])
+    rhs = np.array([np.trace(Gsq), np.vdot(G, Gsq)])
     sol = np.linalg.solve(gramian, rhs)
-    fit = sol[0] * pair[0] + sol[1] * pair[1]
-    square_residual = float(np.linalg.norm(Gsq - fit) / np.linalg.norm(Gsq))
+    residual = np.multiply(G, -sol[1])
+    residual += Gsq
+    residual.reshape(-1)[:: n + 1] -= sol[0]  # the multiple of I
+    square_residual = float(np.linalg.norm(residual) / gsq_norm)
 
     nonzero = [a for a in report.angles if a > 1e-9]
     mub_residual = None
@@ -298,13 +384,28 @@ def gram_algebra_check(X, tol=CLOSURE_TOL):
         and abs(nonzero[0] - 1.0 / X.dim) <= 1e-9
         and X.n % X.dim == 0
     ):
-        m1 = X.n // X.dim
-        mub_residual = float(np.linalg.norm(Gsq - m1 * G) / np.linalg.norm(Gsq))
+        np.multiply(G, -(X.n // X.dim), out=residual)
+        residual += Gsq
+        mub_residual = float(np.linalg.norm(residual) / gsq_norm)
+    del Gsq, residual
+
+    keep = []
+    for k in range(1, report.s + 1):
+        W = np.where(L == k, G, 0)
+        if np.linalg.norm(W) > 1e-12 * n:
+            keep.append(W)
+    del G  # diag and the weighted classes hold all of it
+    closure = 0.0
+    for i in range(len(keep)):
+        for j in range(i, len(keep)):
+            product = np.matmul(keep[i], keep[j])
+            closure = max(closure, _span_residual(product, [diag, *keep]))
+            del product  # before the next product is allocated
 
     return {
         "closed": closure <= tol,
         "closure_residual": float(closure),
-        "span_dimension": len(keep),
+        "span_dimension": len(keep) + 1,
         "zero_class_dropped": bool(report.zero_present),
         "gram_square_residual": square_residual,
         "mub_identity_residual": mub_residual,

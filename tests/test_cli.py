@@ -169,6 +169,21 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "vector 4" in err
 
+    @pytest.mark.parametrize("entry", [lambda re, im: [re, im, 0.5], lambda re, im: [re]],
+                             ids=["re-im-x", "re"])
+    @pytest.mark.parametrize("where", ["one-entry", "every-entry"])
+    def test_malformed_entries_rejected(self, capsys, tmp_path, mub_file, entry, where):
+        data = json.loads(open(mub_file).read())
+        if where == "one-entry":
+            data["vectors"][4][2] = entry(*data["vectors"][4][2])
+        else:
+            data["vectors"] = [[entry(re, im) for re, im in row] for row in data["vectors"]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = run(capsys, ["verify", str(bad)])
+        assert code == EXIT_USAGE
+        assert "malformed line set" in err
+
     def test_expect_sic_on_d3_orbit(self, capsys, tmp_path):
         path = tmp_path / "sic3.json"
         run(capsys, ["construct", "sic", "--dim", "3", "--out", str(path)])

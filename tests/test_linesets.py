@@ -1,14 +1,20 @@
 """Line-set model: degree sets, design strength, certification, doubling."""
 
+import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from linekit.jacobi import JacobiFamily
+from linekit import linesets
+from linekit.groupcodes import diffset_lines, singer_difference_set
+from linekit.jacobi import JacobiFamily, dim_harm, jacobi_poly
 from linekit.linesets import (
     LineSet,
     canonical_dephase,
+    gap_clusters,
     design_strength,
     gram_degree_set,
     lineset_from_json,
@@ -18,6 +24,8 @@ from linekit.linesets import (
     verify_equiangular,
     verify_mub,
 )
+from linekit.mubs import wf_mubs
+from linekit.sics import appleby_candidates, builtin_fiducial, wh_orbit
 
 ISQ2 = 1 / np.sqrt(2)
 
@@ -84,9 +92,101 @@ def test_json_file_roundtrip(tmp_path):
     assert np.allclose(Y.vectors, X.vectors)
 
 
+def per_entry_json(X):
+    """The interchange writer as one Python complex per entry (reference)."""
+    doc = {
+        "dim": X.dim,
+        "field": X.field,
+        "tol": X.tol,
+        "vectors": [[[float(z.real), float(z.imag)] for z in row] for row in X.vectors],
+    }
+    if X.basis_labels is not None:
+        doc["labels"] = list(X.basis_labels)
+    return json.dumps(doc)
+
+
+def signed_zero_lines():
+    """Two lines whose entries carry -0.0 in both parts."""
+    V = np.array([[complex(-0.0, 1.0), complex(0.0, -0.0)],
+                  [complex(1.0, -0.0), complex(-0.0, -0.0)]])
+    return LineSet(2, V)
+
+
+@pytest.mark.parametrize("make", [mub_triple_c2, singer_7_lines, signed_zero_lines,
+                                  lambda: LineSet(4, np.asfortranarray(np.eye(4))),
+                                  lambda: lineset_from_json({"dim": 1, "vectors": [[[1, 0]]]})],
+                         ids=["mub-triple", "singer7", "signed-zeros", "fortran-order",
+                              "integers"])
+def test_json_matches_per_entry_writer_and_keeps_every_bit(make):
+    X = make()
+    text = lineset_to_json(X)
+    assert text == per_entry_json(X)
+    Y = lineset_from_json(text)
+    assert Y.vectors.tobytes() == np.ascontiguousarray(X.vectors).tobytes()
+    assert lineset_to_json(Y) == text
+
+
+@pytest.mark.parametrize("vectors", [[[[1.0, 0.0, 0.5], [0.0, 0.0, 0.5]]], [[[1.0], [0.0]]],
+                                     [[[1.0, 0.0], [0.0]]], [], [[["1", "0"], ["0", "0"]]],
+                                     [[[True, False], [False, False]]],
+                                     [[[1.0, None], [0.0, 0.0]]]],
+                         ids=["re-im-x", "re", "ragged", "empty", "strings", "booleans", "null"])
+def test_json_rejects_entries_that_are_not_pairs(vectors):
+    with pytest.raises(ValueError):
+        lineset_from_json({"dim": 2, "vectors": vectors})
+
+
 # ---------------------------------------------------------------------------
 # degree sets
 # ---------------------------------------------------------------------------
+
+
+def random_lines(n, d, seed):
+    rng = np.random.default_rng(seed)
+    V = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    return LineSet(d, V / np.linalg.norm(V, axis=1, keepdims=True))
+
+
+def sic(d):
+    return wh_orbit(builtin_fiducial(d))
+
+
+#: wf_mubs(q) for q <= 9, Singer q <= 9, SICs with d <= 8, and random sets
+ORACLE_SETS = {
+    **{f"wf{q}": (lambda q=q: wf_mubs(q).to_lineset()) for q in (2, 3, 4, 5, 7, 8, 9)},
+    **{f"singer{q}": (lambda q=q: diffset_lines(*singer_difference_set(q)))
+       for q in (2, 3, 4, 5, 7, 8, 9)},
+    **{f"sic{d}": (lambda d=d: sic(d)) for d in (2, 3, 8)},
+    "sic7-appleby": lambda: next(wh_orbit(c["candidate"]) for c in appleby_candidates(7)
+                                 if c["verdict"]["is_sic"]),
+    "random-9x3": lambda: random_lines(9, 3, 11),
+    "random-40x5": lambda: random_lines(40, 5, 2),
+    "random-6x4": lambda: random_lines(6, 4, 3),
+    "mub-triple": mub_triple_c2,
+    "one-line": lambda: LineSet(2, [[1, 0]]),
+}
+
+
+def sorted_route_reference(X):
+    """The degree set by a stable argsort of the full angle matrix (reference)."""
+    A = X.angle_matrix()
+    vals = A[np.triu_indices(X.n, k=1)]
+    groups = gap_clusters(vals, X.tol) if vals.size else []
+    return ([float(vals[g].mean()) for g in groups], [len(g) for g in groups],
+            [(float(vals[g].min()), float(vals[g].max())) for g in groups],
+            [float((A ** j).sum()) for j in range(5)])
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SETS) + ["wf27"])
+@pytest.mark.parametrize("block", [linesets.BLOCK_ENTRIES, 64])
+def test_degree_set_matches_sorted_route(name, block, monkeypatch):
+    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", block)
+    X = wf_mubs(27).to_lineset() if name == "wf27" else ORACLE_SETS[name]()
+    rep = gram_degree_set(X)
+    angles, mult, spans, sums = sorted_route_reference(X)
+    assert rep.angles == angles and rep.multiplicities == mult and rep.spans == spans
+    assert sum(mult) == X.n * (X.n - 1) // 2
+    assert np.allclose(rep.power_sums, sums, rtol=1e-12, atol=0)
 
 
 def test_degree_set_standard_basis():
@@ -208,6 +308,51 @@ def test_unitary_invariance():
 def test_family_dimension_mismatch():
     with pytest.raises(ValueError):
         design_strength(standard_basis(3), JacobiFamily(4))
+
+
+def polyval_design_strength(X, t_max=4, epsilon=linesets.EPS_DESIGN):
+    """T_r as one n x n polyval per r, summed over the angle matrix (reference)."""
+    fam = JacobiFamily(X.dim, max_k=4)
+    A = X.angle_matrix()
+    n = X.n
+    T = [float(npoly.polyval(A, [float(c) for c in jacobi_poly(fam, r, "g")]).sum()) / (n * n)
+         for r in range(1, t_max + 1)]
+    strength = 0
+    for r in range(1, t_max + 1):
+        if T[r - 1] > epsilon * dim_harm(X.dim, r, r) / n:
+            break
+        strength = r
+    return T, strength
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SETS))
+def test_design_strength_matches_polyval_route(name):
+    X = ORACLE_SETS[name]()
+    rep = design_strength(X)
+    T, strength = polyval_design_strength(X)
+    assert rep.strength == strength
+    fam = JacobiFamily(X.dim, max_k=4)
+    sums = gram_degree_set(X).power_sums
+    for r in range(1, 5):
+        scale = sum(abs(float(c)) * p for c, p in zip(jacobi_poly(fam, r, "g"), sums))
+        assert abs(rep.T[r - 1] - T[r - 1]) <= 1e-9 * scale / X.n**2
+
+
+def test_design_strength_stops_at_the_stored_power_sums():
+    with pytest.raises(ValueError, match="t_max"):
+        design_strength(mub_triple_c2(), t_max=5)
+
+
+def test_design_strength_forms_no_n_by_n_array():
+    X = wf_mubs(27).to_lineset()
+    gram_degree_set(X)
+    tracemalloc.start()
+    try:
+        design_strength(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.n ** 2  # not even one byte per entry
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,22 @@ import json
 import numpy as np
 import pytest
 
-from linekit.groupcodes import diffset_lines, singer_difference_set
-from linekit.jacobi import JacobiFamily, dim_harm
-from linekit.linesets import LineSet, design_strength
+from linekit import linesets, schemes
+from linekit.groupcodes import (
+    _distance_labels,
+    cover_graph,
+    diffset_lines,
+    field_rds,
+    singer_difference_set,
+)
+from linekit.jacobi import JacobiFamily, dim_harm, jacobi_poly
+from linekit.linesets import LineSet, design_strength, gap_clusters
 from linekit.mubs import wf_mubs
 from linekit.schemes import (
     CLOSURE_TOL,
     _angle_labels,
     _span_residual,
+    association_scheme,
     gram_algebra_check,
     jacobi_idempotents,
     scheme_from_lineset,
@@ -252,6 +260,239 @@ def test_gram_algebra_unordered_pairs_match_all_ordered_pairs(name):
     full = ordered_pair_closure(X)
     assert out["closed"] == (full <= CLOSURE_TOL)
     assert abs(out["closure_residual"] - full) <= 1e-12
+
+
+def test_labels_are_shared_uint8_and_independent_of_the_row_blocks(monkeypatch):
+    X = wf_mubs(4).to_lineset()
+    report, L = _angle_labels(X)
+    assert L.dtype == np.uint8 and _angle_labels(X)[1] is L
+    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", 64)  # 3-row blocks at n = 20
+    Y = wf_mubs(4).to_lineset()
+    assert np.array_equal(_angle_labels(Y)[1], L)
+
+
+def test_many_classes_widen_the_label_type():
+    X = random_lines(n=24, d=3, seed=5)  # 276 distinct angles
+    report, L = _angle_labels(X)
+    assert report.s == 276 and L.dtype == np.uint16 and L.max() == 276
+
+
+def old_span_residual(product, basis):
+    """The span residual on a fresh complex copy (reference)."""
+    norm = np.linalg.norm(product)
+    if norm == 0:
+        return 0.0
+    residual = product.astype(complex)
+    for B in basis:
+        residual = residual - np.vdot(B, product) / np.vdot(B, B) * B
+    return float(np.linalg.norm(residual) / norm)
+
+
+def dense_association_scheme(L):
+    """The scheme kernel with one float64 GEMM per class pair (reference).
+
+    Returns p, witness, closure residual and, when closed, P, Q and Krein.
+    """
+    L = np.asarray(L)
+    n = L.shape[0]
+    m = int(L.max()) + 1
+    flat = L.ravel()
+    reps = np.array([np.argmax(flat == k) for k in range(m)])
+    A = [np.where(L == i, 1.0, 0.0) for i in range(m)]
+    p = np.zeros((m, m, m), dtype=np.int64)
+    p[0] = p[:, 0] = np.eye(m, dtype=np.int64)
+    closure, witness = 0.0, None
+    for i in range(1, m):
+        for j in range(i, m):
+            prod = A[i] @ A[j]
+            p[i, j] = p[j, i] = prod.ravel()[reps]
+            bad = prod != p[i, j][L]
+            if bad.any():
+                if witness is None:
+                    x, y = np.unravel_index(np.argmax(bad), bad.shape)
+                    witness = (int(x), int(y), int(L[x, y]))
+                closure = max(closure, old_span_residual(prod, A))
+    if witness is not None:
+        return p, witness, float(closure), None, None, None
+    k = p[np.arange(m), np.arange(m), 0]
+    root = np.sqrt(k)
+    S = p.transpose(0, 2, 1) * root[:, None] / root[None, :]
+    spaces = [np.eye(m)]
+    for Si in S[1:]:
+        refined = []
+        for U in spaces:
+            if U.shape[1] == 1:
+                refined.append(U)
+                continue
+            vals, vecs = np.linalg.eigh(U.T @ Si @ U)
+            refined += [U @ vecs[:, g] for g in gap_clusters(vals, 1e-7 * max(1.0, n))]
+        spaces = refined
+    rows = [root * U[:, 0] / U[0, 0] for U in spaces]
+    first = int(np.argmin([np.abs(r - k).max() for r in rows]))
+    rest = sorted((r for r in range(m) if r != first),
+                  key=lambda r: [round(x, 6) for x in rows[r]], reverse=True)
+    P = np.array([rows[r] for r in [first] + rest])
+    mults = [int(round(n / x)) for x in (P**2 / k).sum(axis=1)]
+    Q = P.T * np.array(mults) / k[:, None]
+    krein = np.einsum("li,lj,kl->ijk", Q, Q, P) / n
+    return p, None, 0.0, P, Q, krein
+
+
+def random_labels(seed):
+    """A symmetric label matrix, 0 on the diagonal, every class 1..s present."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 31))
+    s = int(rng.integers(1, 6))
+    L = np.triu(rng.integers(1, s + 1, size=(n, n)), 1)
+    L = L + L.T
+    _, L = np.unique(L, return_inverse=True)  # classes 0..s' without gaps
+    return L.reshape(n, n)
+
+
+SCHEME_LABELS = {
+    **{f"lines-{name}": (lambda make=make: _angle_labels(make())[1])
+       for name, make in LABEL_CASES.items()},
+    **{f"cover-rds{q}": (lambda q=q: _distance_labels(cover_graph(*field_rds(q)).adjacency))
+       for q in (3, 4, 5, 7)},
+    **{f"random{seed}": (lambda seed=seed: random_labels(seed)) for seed in range(60)},
+}
+
+
+@pytest.mark.parametrize("name", list(SCHEME_LABELS))
+def test_kernel_matches_dense_float64_kernel_bit_for_bit(name):
+    L = SCHEME_LABELS[name]()
+    rep = association_scheme(L)
+    p, witness, closure, P, Q, krein = dense_association_scheme(L)
+    assert rep.witness == witness and rep.closed == (witness is None)
+    assert rep.closure_residual == closure  # bit-identical, also when the span is open
+    if rep.closed:
+        assert np.array_equal(rep.intersection_numbers, p)
+        assert rep.P.tobytes() == P.tobytes() and rep.Q.tobytes() == Q.tobytes()
+        assert rep.krein.tobytes() == krein.tobytes()
+
+
+def test_random_labels_cover_open_irregular_spans():
+    reps = [association_scheme(random_labels(seed)) for seed in range(60)]
+    assert sum(not r.closed for r in reps) >= 50
+    irregular = [L for L in map(random_labels, range(60))
+                 if any(np.ptp((L == k).sum(axis=1)) for k in range(1, L.max() + 1))]
+    assert len(irregular) >= 50
+
+
+class CountingNumpy:
+    """numpy, with every np.matmul call recorded as (dtype, shape, shape)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b):
+        self.calls.append((np.result_type(a, b), a.shape, b.shape))
+        return np.matmul(a, b)
+
+
+@pytest.mark.parametrize("make, gemms", [
+    (lambda: wf_mubs(5).to_lineset(), 1),       # complete MUBs: 2 classes
+    (lambda: diffset_lines(*singer_difference_set(4)), 0),  # one class
+    (sic_lines, 0),
+    (lambda: _distance_labels(cover_graph(*field_rds(5)).adjacency), 6),  # 4 classes
+])
+def test_kernel_multiplies_only_the_classes_left_after_the_largest(make, gemms, monkeypatch):
+    made = make()
+    L = _angle_labels(made)[1] if isinstance(made, LineSet) else made
+    counting = CountingNumpy()
+    monkeypatch.setattr(schemes, "np", counting)
+    rep = association_scheme(L)
+    assert rep.closed
+    n = L.shape[0]
+    assert len(counting.calls) == gemms
+    assert all(dt == np.float32 and a == b == (n, n) for dt, a, b in counting.calls)
+
+
+def test_kernel_rejects_labels_off_the_diagonal_convention():
+    L = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    with pytest.raises(ValueError, match="diagonal"):
+        association_scheme(L + np.eye(3, dtype=int))
+    L[0, 1] = L[1, 0] = 0
+    with pytest.raises(ValueError, match="diagonal"):
+        association_scheme(L)
+    with pytest.raises(ValueError, match="every class"):
+        association_scheme(np.array([[0, 2], [2, 0]]))  # class 1 has no pair
+
+
+GRAM_SETS = {
+    **{f"wf{q}": (lambda q=q: wf_mubs(q).to_lineset()) for q in (2, 3, 4, 5, 7, 8, 9)},
+    **{f"singer{q}": (lambda q=q: diffset_lines(*singer_difference_set(q)))
+       for q in (2, 3, 4, 5, 7, 8, 9)},
+    **{f"sic{d}": (lambda d=d: wh_orbit(builtin_fiducial(d))) for d in (2, 3, 8)},
+    "partial-wf3": lambda: LineSet(3, wf_mubs(3).to_lineset().vectors[:9]),
+    "random": random_lines,
+    "random-6x4": lambda: random_lines(n=6, d=4, seed=3),
+    "random-9x3": lambda: random_lines(n=9, d=3, seed=11),
+}
+
+
+def dense_gram_square(X):
+    """The Gram-square residuals with G @ G and a complex identity (reference)."""
+    report = _angle_labels(X)[0]
+    G = X.gram()
+    Gsq = G @ G
+    pair = [np.eye(X.n, dtype=complex), G]
+    gramian = np.array([[np.vdot(a, b) for b in pair] for a in pair])
+    sol = np.linalg.solve(gramian, np.array([np.vdot(a, Gsq) for a in pair]))
+    square = np.linalg.norm(Gsq - sol[0] * pair[0] - sol[1] * G) / np.linalg.norm(Gsq)
+    nonzero = [a for a in report.angles if a > 1e-9]
+    mub = None
+    if report.zero_present and len(nonzero) == 1 and abs(nonzero[0] - 1 / X.dim) <= 1e-9:
+        mub = np.linalg.norm(Gsq - X.n // X.dim * G) / np.linalg.norm(Gsq)
+    return square, mub
+
+
+@pytest.mark.parametrize("name", list(GRAM_SETS))
+def test_gram_square_matches_dense_product(name):
+    X = GRAM_SETS[name]()
+    out = gram_algebra_check(X)
+    square, mub = dense_gram_square(X)
+    assert abs(out["gram_square_residual"] - square) <= 1e-12
+    assert (out["mub_identity_residual"] is None) == (mub is None)
+    if mub is not None:
+        assert abs(out["mub_identity_residual"] - mub) <= 1e-12
+
+
+@pytest.mark.parametrize("make, products", [
+    (lambda: wf_mubs(5).to_lineset(), 1),  # the zero class drops out
+    (lambda: diffset_lines(*singer_difference_set(4)), 1),
+    (lambda: random_lines(n=6, d=4, seed=3), 15 * 16 // 2),
+])
+def test_gram_square_needs_no_n_by_n_product(make, products, monkeypatch):
+    X = make()
+    counting = CountingNumpy()
+    monkeypatch.setattr(schemes, "np", counting)
+    gram_algebra_check(X)
+    square = [(a, b) for _, a, b in counting.calls if a == b == (X.n, X.n)]
+    assert len(square) == products  # the weighted-class products, nothing for G^2
+    assert all(dt == complex for dt, *_ in counting.calls)
+
+
+def dense_idempotent_residuals(X, e):
+    """||E_i E_j - [i == j] E_i|| from every pair of dense products (reference)."""
+    fam = JacobiFamily(X.dim, max_k=max(e, 2))
+    sq = X.angle_matrix()
+    mats = [np.polynomial.polynomial.polyval(sq, [float(c) for c in jacobi_poly(fam, r, "g")])
+            / X.n for r in range(e + 1)]
+    return np.array([[np.linalg.norm(a @ b - (a if i == j else 0.0))
+                      for j, b in enumerate(mats)] for i, a in enumerate(mats)])
+
+
+@pytest.mark.parametrize("make", [lambda: wf_mubs(5).to_lineset(), sic_lines, random_lines,
+                                  lambda: diffset_lines(*singer_difference_set(4))])
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_idempotent_residuals_match_dense_products(make, e):
+    X = make()
+    out = jacobi_idempotents(X, e=e)
+    assert np.abs(out["residuals"] - dense_idempotent_residuals(X, e)).max() <= 1e-12
 
 
 class TestJacobiIdempotents:
