@@ -42,6 +42,7 @@ from linekit.jacobi import (
 )
 from linekit.linesets import (
     LineSet,
+    _angle_blocks,
     design_strength,
     gram_degree_set,
     lineset_from_json,
@@ -175,22 +176,28 @@ def _emit(report, fmt):
 # ---------------------------------------------------------------------------
 
 
-def _annihilator_poly(angles):
-    """Ascending monomial coefficients of prod_i (x - alpha_i), exact."""
-    poly = [Fraction(1)]
+def _annihilator_relative_bound(d, angles):
+    """`relative_bound` of F(x) = prod_i (x - alpha_i) over exact angles.
+
+    F is expanded exactly in the g-basis of dimension d; returns the bound
+    record, or None when c_0 = 0 leaves F(1)/c_0 undefined.
+    """
+    poly = [Fraction(1)]  # ascending monomial coefficients
     for a in angles:
-        shifted = [Fraction(0)] + poly
-        scaled = [-a * c for c in poly] + [Fraction(0)]
-        poly = [u + v for u, v in zip(shifted, scaled)]
-    return poly
+        poly = [u - a * v for u, v in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
+    fam = JacobiFamily(d, max_k=max(12, len(angles)))
+    coeffs = expand_in_basis(fam, poly, kind="g")
+    if coeffs[0] == 0:
+        return None
+    return relative_bound(BoundQuery(d=d, angles=angles, mode="sdist-g", F_coeffs=coeffs))
 
 
 def _annihilator_bound(X, report):
     """Relative bound from the degree-set annihilator, if its hypotheses hold.
 
-    Expands F(x) = prod_i (x - alpha_i) in the g-basis and evaluates
-    F(1)/c_0; returns (bound, all_hypotheses_ok) or None when the degree set
-    is empty.  Angles are snapped to rationals so the arithmetic is exact.
+    Returns (bound, all_hypotheses_ok), or None when the degree set is empty
+    or c_0 = 0; a negative c_0 fails the "c_0 > 0" hypothesis.  Angles are
+    snapped to rationals so the arithmetic is exact.
     """
     if not report.angles:
         return None
@@ -198,14 +205,9 @@ def _annihilator_bound(X, report):
     for a in report.angles:
         f = _snap(a)
         angles.append(f if f is not None else Fraction(float(a)).limit_denominator(10**12))
-    poly = _annihilator_poly(angles)
-    fam = JacobiFamily(X.dim, max_k=max(12, len(angles)))
-    coeffs = expand_in_basis(fam, poly, kind="g")
-    if not coeffs or coeffs[0] <= 0:
+    out = _annihilator_relative_bound(X.dim, angles)
+    if out is None:
         return None
-    out = relative_bound(
-        BoundQuery(d=X.dim, angles=angles, mode="sdist-g", F_coeffs=coeffs)
-    )
     return out["bound"], all(out["hypotheses_ok"].values())
 
 
@@ -525,15 +527,9 @@ def cmd_bounds(args):
         }
     )
     if args.angles:
-        angles = _parse_angles(args.angles)
-        poly = _annihilator_poly(angles)
-        fam = JacobiFamily(d, max_k=max(12, len(angles)))
-        coeffs = expand_in_basis(fam, poly, kind="g")
-        if coeffs[0] == 0:
+        out = _annihilator_relative_bound(d, _parse_angles(args.angles))
+        if out is None:
             raise UsageError("degenerate angle list: annihilator has c_0 = 0")
-        out = relative_bound(
-            BoundQuery(d=d, angles=angles, mode="sdist-g", F_coeffs=coeffs)
-        )
         ok = all(out["hypotheses_ok"].values())
         rows.append(
             {
@@ -620,13 +616,13 @@ def cmd_export(args):
     what = args.what
     if what == "angles":
         X = _load_lineset(args.file, args.tol)
-        sq = X.angle_matrix()
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["i", "j", "angle"])
-            for i in range(X.n):
-                for j in range(i + 1, X.n):
-                    writer.writerow([i, j, f"{sq[i, j]:.12g}"])
+            for r0, A in _angle_blocks(X):
+                for i, row in enumerate(A, start=r0):
+                    for j in range(i + 1, X.n):
+                        writer.writerow([i, j, f"{row[j]:.12g}"])
         body = {"pairs": X.n * (X.n - 1) // 2, "wrote": args.out}
     elif what == "diffset":
         if (args.singer is None) == (args.rds is None):

@@ -38,7 +38,7 @@ from .finite_algebra import (
     isprime,
     root_table,
 )
-from .linesets import LineSet
+from .linesets import LineSet, distinct_lines
 from .mubs import MubFamily, SemifieldTable, _phase_bases, _prime_power
 from .schemes import association_scheme
 
@@ -614,7 +614,7 @@ def code_to_lines(C, variant):
     angles.  variant "gf-near-balanced": every codeword balanced up to one
     letter and the all-ones word in C, which collapses the image q-fold.
     variant "z4": i^codeword with 1 in C, collapsing 4-fold.  Projectively
-    repeated images are merged before the LineSet is built.
+    repeated images are merged (`distinct_lines`) before the LineSet is built.
     """
     words = C.codewords()
     n = C.n
@@ -639,13 +639,7 @@ def code_to_lines(C, variant):
     else:
         raise ValueError(f"unknown variant {variant!r}")
     vecs = root_table(C.q)[words] / np.sqrt(n)
-
-    overlap = np.abs(vecs @ vecs.conj().T)
-    keep = []
-    for i in range(len(vecs)):
-        if all(overlap[i, j] < 1 - 1e-9 for j in keep):
-            keep.append(i)
-    vecs = vecs[keep]
+    vecs = vecs[distinct_lines(vecs)]
     if np.abs(vecs.imag).max() < 1e-12:
         return LineSet(n, vecs.real, field="real")
     return LineSet(n, vecs, field="complex")

@@ -165,12 +165,10 @@ def _dual_route(d, kmax):
     g_rec = _g_recurrence(d, kmax)
     h_rec = _h_recurrence(d, kmax)
     for k in range(kmax + 1):
-        assert _poly_trim(g_exp[k]) == _poly_trim(g_rec[k]), (
-            f"g_{k} explicit/recurrence mismatch at d={d}"
-        )
-        assert _poly_trim(h_exp[k]) == _poly_trim(h_rec[k]), (
-            f"h_{k} explicit/recurrence mismatch at d={d}"
-        )
+        if _poly_trim(g_exp[k]) != _poly_trim(g_rec[k]):
+            raise RuntimeError(f"g_{k} explicit/recurrence mismatch at d={d}")
+        if _poly_trim(h_exp[k]) != _poly_trim(h_rec[k]):
+            raise RuntimeError(f"h_{k} explicit/recurrence mismatch at d={d}")
     return g_exp, h_exp
 
 
@@ -192,8 +190,10 @@ class JacobiFamily:
         self.max_k = max_k
         self.g_coeffs, self.h_coeffs = _dual_route(d, max_k)
         for k in range(max_k + 1):
-            assert poly_eval(self.g_coeffs[k], 1) == dim_harm(d, k, k)
-            assert poly_eval(self.h_coeffs[k], 1) == dim_harm(d, k + 1, k)
+            if poly_eval(self.g_coeffs[k], 1) != dim_harm(d, k, k):
+                raise RuntimeError(f"g_{k}(1) != dim Harm({k},{k}) at d={d}")
+            if poly_eval(self.h_coeffs[k], 1) != dim_harm(d, k + 1, k):
+                raise RuntimeError(f"h_{k}(1) != dim Harm({k + 1},{k}) at d={d}")
 
     def lam(self, k):
         return _lam(self.d, k)
@@ -256,7 +256,8 @@ def expand_in_basis(fam, poly, kind="g"):
         c = residue[r] / basis[r][r]
         coeffs[r] = c
         residue = _poly_add(residue, _poly_scale(basis[r], -c))
-    assert all(c == 0 for c in residue), "triangular solve left a residue"
+    if any(c != 0 for c in residue):
+        raise RuntimeError("triangular solve left a residue")
     return coeffs
 
 

@@ -26,6 +26,14 @@ EPS_DESIGN = 1e-8
 #: largest denominator considered when snapping a measured angle to a rational
 SNAP_DENOMINATOR = 10**6
 
+#: LineSet's tolerance unless a caller sets its own
+DEFAULT_TOL = 1e-9
+
+
+def _certify_atol(X):
+    """The one absolute tolerance of the unit-norm and MUB certificates."""
+    return max(X.tol, 1e-12) * 10
+
 
 class LineSet:
     """n unit vectors in dimension dim, optionally partitioned into bases.
@@ -37,7 +45,7 @@ class LineSet:
     class labels that `schemes` cuts from it, stay valid.
     """
 
-    def __init__(self, dim, vectors, field="complex", basis_labels=None, tol=1e-9):
+    def __init__(self, dim, vectors, field="complex", basis_labels=None, tol=DEFAULT_TOL):
         self.dim = int(dim)
         self.field = field
         self.tol = float(tol)
@@ -50,7 +58,7 @@ class LineSet:
             raise ValueError("a line set needs at least one vector")
         norms = np.linalg.norm(V, axis=1)
         worst = int(np.abs(norms - 1).argmax())
-        if abs(norms[worst] - 1) > max(self.tol, 1e-12) * 10:
+        if abs(norms[worst] - 1) > _certify_atol(self):
             raise ValueError(
                 f"vector {worst} is not unit norm (|v| = {norms[worst]:.6g})"
             )
@@ -85,6 +93,18 @@ class LineSet:
     def __repr__(self):
         labs = "" if self.basis_labels is None else f", {len(set(self.basis_labels))} bases"
         return f"LineSet({self.n} lines in {self.field} dim {self.dim}{labs})"
+
+
+def distinct_lines(V):
+    """Indices of the rows of V that span new lines: a row is dropped when its
+    |<u,v>|^2 with a row kept before it exceeds 1 - DEFAULT_TOL."""
+    kept = np.empty_like(V)
+    keep = []
+    for i, v in enumerate(V):
+        if not keep or (np.abs(kept[:len(keep)] @ v.conj()) ** 2).max() <= 1 - DEFAULT_TOL:
+            kept[len(keep)] = v
+            keep.append(i)
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -234,33 +254,36 @@ def design_strength(X, fam=None, t_max=4, epsilon=EPS_DESIGN):
 def verify_mub(X):
     """Certify a labeled line set as mutually unbiased bases.
 
-    Each label cell must be an orthonormal basis (error if not); the set is
-    unbiased when every cross-cell angle equals 1/dim within tolerance.
-    Returns the worst-case measured cross angle as alpha.
+    One pass over the row blocks of the angle matrix (`_angle_blocks`)
+    with atol = `_certify_atol(X)`.  Off the diagonal of each label cell,
+    |<a,b>| <= atol, or the cells are not orthonormal bases (ValueError);
+    LineSet checked the unit diagonal at the same atol.  The set is unbiased
+    when every cross-cell angle is within atol of 1/dim; alpha is their mean.
     """
     if X.basis_labels is None:
         raise ValueError("verify_mub needs basis_labels partitioning the vectors")
     labels = sorted(set(X.basis_labels))
-    cells = {lab: [i for i, l in enumerate(X.basis_labels) if l == lab] for lab in labels}
-    bad = []
-    for lab, idx in cells.items():
-        B = X.vectors[idx]
-        if not np.allclose(B.conj() @ B.T, np.eye(X.dim), atol=max(X.tol, 1e-12) * 10):
-            bad.append(lab)
+    index = {lab: k for k, lab in enumerate(labels)}
+    cell = np.array([index[lab] for lab in X.basis_labels])
+    atol = _certify_atol(X)
+    target = 1.0 / X.dim
+    not_orthonormal = np.zeros(len(labels), dtype=bool)
+    worst, total, count = 0.0, 0.0, 0
+    for r0, A in _angle_blocks(X):
+        rows = cell[r0:r0 + len(A)]
+        cross = A[rows[:, None] < cell]  # each cross-cell pair once
+        if cross.size:
+            worst = max(worst, float(np.abs(cross - target).max()))
+            total += float(cross.sum())
+            count += cross.size
+        A[np.arange(len(A)), np.arange(r0, r0 + len(A))] = 0.0
+        inside = (rows[:, None] == cell) & (A > atol * atol)
+        not_orthonormal[rows[inside.any(axis=1)]] = True
+    bad = [labels[k] for k in np.flatnonzero(not_orthonormal)]
     if bad:
         raise ValueError(f"cells {bad} are not orthonormal bases")
-    A = X.angle_matrix()
-    target = 1.0 / X.dim
-    worst = 0.0
-    cross_vals = []
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            cross = A[np.ix_(cells[labels[a]], cells[labels[b]])]
-            worst = max(worst, float(np.abs(cross - target).max()))
-            cross_vals.append(cross.ravel())
-    alpha = float(np.concatenate(cross_vals).mean()) if cross_vals else target
-    unbiased = worst <= max(X.tol, 1e-12) * 10
-    return {"unbiased": unbiased, "alpha": alpha,
+    alpha = total / count if count else target
+    return {"unbiased": worst <= atol, "alpha": alpha,
             "count": len(labels), "max_deviation": worst}
 
 
@@ -463,5 +486,5 @@ def lineset_from_json(source):
         vectors,
         field=doc.get("field", "complex"),
         basis_labels=doc.get("labels"),
-        tol=doc.get("tol", 1e-9),
+        tol=doc.get("tol", DEFAULT_TOL),
     )

@@ -1,9 +1,10 @@
 """Mutually unbiased bases: every construction route in one place.
 
 All constructors return a MubFamily whose first basis is the identity; the
-constructor itself certifies unitarity and pairwise flatness, so a family
-object in hand is already a valid MUB set.  Angle conventions follow the
-squared-modulus rule: unbiased means every cross angle is exactly 1/d.
+family certifies itself on creation with `verify_mub` on its line set, at
+LineSet's tolerance, so a family object in hand is already a valid MUB set.
+Angle conventions follow the squared-modulus rule: unbiased means every
+cross angle is exactly 1/d.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from linekit.finite_algebra import factorint, gf_create, gr_create, root_table
-from linekit.linesets import LineSet
+from linekit.linesets import LineSet, verify_mub
 
 
 def _prime_power(q):
@@ -32,30 +33,23 @@ def _prime_power(q):
 
 @dataclass
 class MubFamily:
-    """d x d bases, bases[0] = I, pairwise unbiased (checked at creation)."""
+    """d x d bases, bases[0] = I, certified unbiased at creation by
+    `verify_mub` on `to_lineset()`, at LineSet's tolerance (ValueError)."""
 
     d: int
     bases: list
     provenance: tuple = ("unknown", None)
-    tol: float = 1e-9
 
     def __post_init__(self):
         self.bases = [np.asarray(B, dtype=complex) for B in self.bases]
-        d = self.d
-        eye = np.eye(d)
         for k, B in enumerate(self.bases):
-            if B.shape != (d, d):
-                raise ValueError(f"basis {k} has shape {B.shape}, expected {(d, d)}")
-            if np.abs(B.conj().T @ B - eye).max() > self.tol * 100:
-                raise ValueError(f"basis {k} is not unitary")
-        target = 1 / np.sqrt(d)
-        for a, b in itertools.combinations(range(len(self.bases)), 2):
-            M = self.bases[a].conj().T @ self.bases[b]
-            dev = np.abs(np.abs(M) - target).max()
-            if dev > self.tol * 100:
-                raise ValueError(
-                    f"bases {a} and {b} are not unbiased (flatness deviation {dev:.3g})"
-                )
+            if B.shape != (self.d, self.d):
+                raise ValueError(f"basis {k} has shape {B.shape}, expected {(self.d, self.d)}")
+        verdict = verify_mub(self.to_lineset())
+        if not verdict["unbiased"]:
+            raise ValueError(
+                f"bases are not unbiased (max deviation {verdict['max_deviation']:.3g})"
+            )
 
     def __len__(self):
         return len(self.bases)
@@ -64,7 +58,7 @@ class MubFamily:
         """All basis columns as one labeled line set of len(self)*d lines."""
         vectors = np.hstack(self.bases).T
         labels = [k for k in range(len(self.bases)) for _ in range(self.d)]
-        return LineSet(self.d, vectors, basis_labels=labels, tol=self.tol)
+        return LineSet(self.d, vectors, basis_labels=labels)
 
     def __repr__(self):
         return f"MubFamily(d={self.d}, bases={len(self.bases)}, via {self.provenance[0]})"
@@ -384,5 +378,6 @@ def hadamard6(family, s=None, t=None, u=None):
     else:
         raise ValueError(f"family must be 'sym', 'char', or 'skew', got {family!r}")
     gram = H.conj().T @ H
-    assert np.abs(gram - 6 * np.eye(6)).max() < 1e-8, "matrix is not Hadamard"
+    if np.abs(gram - 6 * np.eye(6)).max() >= 1e-8:
+        raise RuntimeError("matrix is not Hadamard")
     return H

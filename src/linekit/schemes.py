@@ -370,7 +370,7 @@ def gram_algebra_check(X, tol=CLOSURE_TOL):
     gsq_norm = np.linalg.norm(Gsq)
     gramian = np.array([[n, diag.sum()], [diag.sum().conjugate(), np.vdot(G, G)]])
     rhs = np.array([np.trace(Gsq), np.vdot(G, Gsq)])
-    sol = np.linalg.solve(gramian, rhs)
+    sol = np.linalg.lstsq(gramian, rhs)[0]  # singular when G = I, e.g. one line
     residual = np.multiply(G, -sol[1])
     residual += Gsq
     residual.reshape(-1)[:: n + 1] -= sol[0]  # the multiple of I

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from linekit.finite_algebra import jacobi_symbol
-from linekit.linesets import LineSet, design_strength, gram_degree_set
+from linekit.linesets import LineSet, design_strength, distinct_lines, gram_degree_set
 
 
 class DisplacementGroup:
@@ -104,32 +104,27 @@ class FiducialCandidate:
         self.vector = v / nrm
 
 
-def wh_orbit(fid, tol=1e-9):
+def wh_orbit(fid):
     """Apply all d^2 displacements to the vector and deduplicate the lines.
 
-    Deduplication keeps the first representative in lexicographic (j, k)
-    order, discarding any later vector whose squared overlap with a kept one
-    exceeds 1 - tol.  A fiducial vector keeps all d^2; degenerate starting
-    vectors (e.g. basis vectors) collapse to fewer.
+    Deduplication (`distinct_lines`) keeps the first representative in
+    lexicographic (j, k) order.  A fiducial vector keeps all d^2; degenerate
+    starting vectors (e.g. basis vectors) collapse to fewer.
     """
     g = DisplacementGroup(fid.d, fid.group)
     d = fid.d
     orbit = np.empty((d * d, d), dtype=complex)
     for idx, (j, k) in enumerate(g.pairs()):
         orbit[idx] = g.apply(j, k, fid.vector)
-    overlap = np.abs(orbit.conj() @ orbit.T) ** 2
-    keep = []
-    for i in range(d * d):
-        if not keep or overlap[keep, i].max() <= 1 - tol:
-            keep.append(i)
-    return LineSet(d, orbit[keep], tol=tol)
+    return LineSet(d, orbit[distinct_lines(orbit)])
 
 
-def verify_sic(X, tol=1e-9):
+def verify_sic(X):
     """Certify a maximal equiangular set: d^2 lines at common angle 1/(d+1).
 
-    Reports the common angle (None if not equiangular) and the design
-    strength either way; a genuine maximal set has strength >= 2.
+    The common angle must lie within X.tol of 1/(d+1).  Reports the common
+    angle (None if not equiangular) and the design strength either way; a
+    genuine maximal set has strength >= 2.
     """
     d = X.dim
     rep = gram_degree_set(X)
@@ -137,7 +132,7 @@ def verify_sic(X, tol=1e-9):
     is_sic = (
         X.n == d * d
         and alpha is not None
-        and abs(alpha - 1 / (d + 1)) <= max(tol, X.tol)
+        and abs(alpha - 1 / (d + 1)) <= X.tol
     )
     strength = design_strength(X).strength
     return {"is_sic": bool(is_sic), "alpha": alpha, "strength": strength}
@@ -194,7 +189,7 @@ def _quartic_coeffs(d, a, b):
     )
 
 
-def appleby_candidates(d, tol=1e-9):
+def appleby_candidates(d):
     """Almost-flat fiducial candidates in odd dimension d, with verdicts.
 
     The family has one entry of modulus b and d - 1 entries of modulus a,
@@ -203,8 +198,8 @@ def appleby_candidates(d, tol=1e-9):
     companion matrix plus one Newton step.  Returns one record per root:
     {"y", "quartic_residual", "candidate", "verdict"}.  A repeated root is
     found only to about sqrt(eps) and may come back as two nearby values,
-    so roots whose candidates span the same line (squared overlap above
-    1 - tol, as in wh_orbit) share the first one's record.  Only d = 3, 7
+    so roots whose candidates span the same line (`distinct_lines`, as in
+    wh_orbit) share the first one's record.  Only d = 3, 7
     and 19 are expected to produce a verified maximal set.
     """
     d = int(d)
@@ -222,8 +217,7 @@ def appleby_candidates(d, tol=1e-9):
 
     coeffs = _quartic_coeffs(d, a, b)
     deriv = np.polyder(coeffs)
-    results = []
-    seen = []
+    found = []
     for r in np.roots(coeffs):
         r = complex(r)
         r -= np.polyval(coeffs, r) / np.polyval(deriv, r)
@@ -237,20 +231,10 @@ def appleby_candidates(d, tol=1e-9):
         v[0] = b
         for x in range(1, d):
             v[x] = a * np.exp(1j * phase * int(jacobi_symbol(x, d)))
-        cand = FiducialCandidate(d, v, source=("appleby", y))
-        if any(abs(np.vdot(s, cand.vector)) ** 2 > 1 - tol for s in seen):
-            continue
-        seen.append(cand.vector)
-        verdict = verify_sic(wh_orbit(cand, tol=tol), tol=tol)
-        results.append(
-            {
-                "y": y,
-                "quartic_residual": residual(y),
-                "candidate": cand,
-                "verdict": verdict,
-            }
-        )
-    return results
+        found.append((y, FiducialCandidate(d, v, source=("appleby", y))))
+    keep = distinct_lines(np.array([cand.vector for _, cand in found]))
+    return [{"y": y, "quartic_residual": residual(y), "candidate": cand,
+             "verdict": verify_sic(wh_orbit(cand))} for y, cand in (found[k] for k in keep)]
 
 
 def almost_flat_params(d):
@@ -270,6 +254,7 @@ def almost_flat_params(d):
     for name, sgn in (("plus", 1.0), ("minus", -1.0)):
         a2 = (1 + sgn / sq) / d
         b2 = (1 - sgn * (d - 1) / sq) / d
-        assert abs((d - 1) * a2 + b2 - 1) < 1e-12
+        if abs((d - 1) * a2 + b2 - 1) >= 1e-12:
+            raise RuntimeError(f"{name} branch: (d - 1) a2 + b2 != 1 at d={d}")
         out[name] = {"a2": float(a2), "b2": float(b2)}
     return out

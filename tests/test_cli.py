@@ -1,14 +1,22 @@
 """End-to-end tests of the command-line surface via main()."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 from linekit.cli import EXIT_CERTIFICATION, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
-from linekit.linesets import lineset_from_json
-from linekit.mubs import SemifieldTable, semifield_to_csv
-from linekit.sics import builtin_fiducial
+from linekit.linesets import LineSet, lineset_from_json, lineset_to_json
+from linekit.mubs import SemifieldTable, semifield_to_csv, wf_mubs
+from linekit.sics import builtin_fiducial, wh_orbit
+
+
+def random_lines(n, d, seed):
+    rng = np.random.default_rng(seed)
+    V = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    return LineSet(d, V / np.linalg.norm(V, axis=1, keepdims=True))
 
 
 def run(capsys, argv):
@@ -221,6 +229,13 @@ class TestVerify:
         assert "scheme closed: yes" in out
         assert "gram algebra closed: yes" in out
 
+    def test_deep_on_an_orthonormal_basis(self, capsys, tmp_path):
+        path = tmp_path / "basis.json"
+        lineset_to_json(LineSet(3, np.eye(3)), path=str(path))
+        code, out, _ = run(capsys, ["verify", str(path), "--deep"])
+        assert code == EXIT_OK
+        assert "gram algebra closed: yes" in out
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["verify", "/nonexistent/x.json"])
         assert code == EXIT_USAGE
@@ -257,6 +272,17 @@ class TestBounds:
         code, _, err = run(capsys, ["bounds", "--dim", "3", "--angles", "5/4"])
         assert code == EXIT_USAGE
         assert "angles" in err
+
+    def test_annihilator_with_c0_zero_is_a_usage_error(self, capsys):
+        # F = x - 1/d has c_0 = 1/d - 1/d
+        code, _, err = run(capsys, ["bounds", "--dim", "4", "--angles", "1/4"])
+        assert code == EXIT_USAGE
+        assert "c_0 = 0" in err
+
+    def test_annihilator_with_negative_c0_fails_its_hypothesis(self, capsys):
+        code, out, _ = run(capsys, ["bounds", "--dim", "4", "--angles", "1/2"])
+        assert code == EXIT_OK
+        assert "bound: relative; value: -2; hypotheses: sign conditions FAIL: c_0 > 0" in out
 
 
 class TestSchemeCmd:
@@ -296,6 +322,31 @@ class TestSchemeCmd:
 
 
 class TestExport:
+    @staticmethod
+    def dense_angles_csv(X):
+        """The angles CSV from the whole angle matrix (reference)."""
+        sq = X.angle_matrix()
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["i", "j", "angle"])
+        for i in range(X.n):
+            for j in range(i + 1, X.n):
+                writer.writerow([i, j, f"{sq[i, j]:.12g}"])
+        return buf.getvalue().encode()
+
+    @pytest.mark.parametrize("make", [
+        lambda: wf_mubs(3).to_lineset(),
+        lambda: wh_orbit(builtin_fiducial(8)),
+        lambda: random_lines(30, 4, seed=5),
+    ], ids=["wf3", "sic8", "random"])
+    def test_angles_csv_matches_the_dense_writer(self, capsys, tmp_path, make):
+        X = make()
+        path, out_file = tmp_path / "x.json", tmp_path / "angles.csv"
+        lineset_to_json(X, path=str(path))
+        code, _, _ = run(capsys, ["export", "angles", str(path), "--out", str(out_file)])
+        assert code == EXIT_OK
+        assert out_file.read_bytes() == self.dense_angles_csv(lineset_from_json(str(path)))
+
     def test_angles_csv(self, capsys, tmp_path):
         path = tmp_path / "s.json"
         run(capsys, ["construct", "lines", "--singer", "2", "--out", str(path)])

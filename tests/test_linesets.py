@@ -9,13 +9,14 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from linekit import linesets
-from linekit.groupcodes import diffset_lines, singer_difference_set
+from linekit.groupcodes import diffset_lines, field_rds, rds_to_mubs, singer_difference_set
 from linekit.jacobi import JacobiFamily, dim_harm, jacobi_poly
 from linekit.linesets import (
     LineSet,
     canonical_dephase,
     gap_clusters,
     design_strength,
+    distinct_lines,
     gram_degree_set,
     lineset_from_json,
     lineset_to_json,
@@ -24,8 +25,15 @@ from linekit.linesets import (
     verify_equiangular,
     verify_mub,
 )
-from linekit.mubs import wf_mubs
-from linekit.sics import appleby_candidates, builtin_fiducial, wh_orbit
+from linekit.mubs import (
+    SemifieldTable,
+    alltop_mubs,
+    semifield_mubs,
+    spin_model_mubs,
+    tensor_mubs,
+    wf_mubs,
+)
+from linekit.sics import DisplacementGroup, appleby_candidates, builtin_fiducial, wh_orbit
 
 ISQ2 = 1 / np.sqrt(2)
 
@@ -134,6 +142,45 @@ def test_json_matches_per_entry_writer_and_keeps_every_bit(make):
 def test_json_rejects_entries_that_are_not_pairs(vectors):
     with pytest.raises(ValueError):
         lineset_from_json({"dim": 2, "vectors": vectors})
+
+
+# ---------------------------------------------------------------------------
+# duplicate lines
+# ---------------------------------------------------------------------------
+
+
+def raw_orbit(d, v, kind="cyclic"):
+    g = DisplacementGroup(d, kind)
+    return np.array([g.apply(j, k, np.asarray(v, dtype=complex)) for j, k in g.pairs()])
+
+
+def phased_repeats(seed):
+    """Random rows, each repeated under a random phase and a 1e-7 nudge."""
+    rng = np.random.default_rng(seed)
+    V = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
+    V = V[rng.integers(0, 12, size=40)] * np.exp(2j * np.pi * rng.random(40))[:, None]
+    V += 1e-7 * rng.normal(size=V.shape)
+    return V / np.linalg.norm(V, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: raw_orbit(3, [1, 0, 0]),
+    lambda: raw_orbit(4, [1, 1, 0, 0] / np.sqrt(2)),
+    lambda: raw_orbit(2, builtin_fiducial(2).vector),
+    lambda: raw_orbit(8, builtin_fiducial(8).vector, "binary-triple"),
+    lambda: 1j ** np.array([[0, 0, 1, 1], [1, 1, 2, 2], [0, 2, 1, 3], [2, 2, 3, 3]]) / 2,
+    lambda: phased_repeats(4),
+], ids=["orbit-e0", "orbit-half", "orbit-sic2", "orbit-sic8", "z4-words", "phased-repeats"])
+def test_distinct_lines_matches_the_all_pairs_filters(make):
+    V = make()
+    overlap = np.abs(V.conj() @ V.T)
+    squared, plain = [], []  # the orbit rule and the code rule
+    for i in range(len(V)):
+        if not squared or (overlap[squared, i] ** 2).max() <= 1 - 1e-9:
+            squared.append(i)
+        if all(overlap[i, j] < 1 - 1e-9 for j in plain):
+            plain.append(i)
+    assert distinct_lines(V) == squared == plain
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +435,116 @@ def test_verify_mub_errors():
     V = np.array([[1, 0], [ISQ2, ISQ2], [0, 1], [ISQ2, -ISQ2]], dtype=complex)
     with pytest.raises(ValueError, match="not orthonormal"):
         verify_mub(LineSet(2, V, basis_labels=[0, 0, 1, 1]))
+
+
+def dense_verify_mub(X):
+    """verify_mub from the whole angle matrix, one np.ix_ gather per pair of
+    cells and one concatenation of every cross value (reference)."""
+    if X.basis_labels is None:
+        raise ValueError("verify_mub needs basis_labels partitioning the vectors")
+    labels = sorted(set(X.basis_labels))
+    cells = {lab: [i for i, l in enumerate(X.basis_labels) if l == lab] for lab in labels}
+    bad = []
+    for lab, idx in cells.items():
+        B = X.vectors[idx]
+        if not np.allclose(B.conj() @ B.T, np.eye(X.dim), atol=max(X.tol, 1e-12) * 10):
+            bad.append(lab)
+    if bad:
+        raise ValueError(f"cells {bad} are not orthonormal bases")
+    A = X.angle_matrix()
+    target = 1.0 / X.dim
+    worst = 0.0
+    cross_vals = []
+    for a in range(len(labels)):
+        for b in range(a + 1, len(labels)):
+            cross = A[np.ix_(cells[labels[a]], cells[labels[b]])]
+            worst = max(worst, float(np.abs(cross - target).max()))
+            cross_vals.append(cross.ravel())
+    alpha = float(np.concatenate(cross_vals).mean()) if cross_vals else target
+    unbiased = worst <= max(X.tol, 1e-12) * 10
+    return {"unbiased": unbiased, "alpha": alpha,
+            "count": len(labels), "max_deviation": worst}
+
+
+def scrambled(X, seed):
+    """X under a random unitary, per-line phases and a row permutation."""
+    rng = np.random.default_rng(seed)
+    n, d = X.n, X.dim
+    Q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    perm = rng.permutation(n)
+    V = (X.vectors @ Q.T * np.exp(2j * np.pi * rng.random(n))[:, None])[perm]
+    return LineSet(d, V, basis_labels=[X.basis_labels[i] for i in perm], tol=X.tol)
+
+
+def bent_cells(X, cells):
+    """X with one vector of each named cell tilted toward a cellmate."""
+    V = X.vectors.copy()
+    for lab in cells:
+        i, j = [k for k, l in enumerate(X.basis_labels) if l == lab][:2]
+        V[i] = (V[i] + 1e-3 * V[j]) / np.linalg.norm(V[i] + 1e-3 * V[j])
+    return LineSet(X.dim, V, basis_labels=X.basis_labels, tol=X.tol)
+
+
+def doubled(X):
+    return real_doubling(phase_align_for_doubling(X))
+
+
+#: complete, partial and biased labeled sets from every MUB route
+MUB_ORACLE_SETS = {
+    **{f"wf{q}": (lambda q=q: wf_mubs(q).to_lineset()) for q in (2, 3, 4, 5, 8, 9, 16)},
+    **{f"alltop{q}": (lambda q=q: alltop_mubs(q).to_lineset()) for q in (5, 7, 11)},
+    **{f"spin{n}": (lambda n=n: spin_model_mubs(n).to_lineset()) for n in range(2, 13)},
+    "tensor2x3": lambda: tensor_mubs(wf_mubs(2), wf_mubs(3)).to_lineset(),
+    "tensor4x5": lambda: tensor_mubs(wf_mubs(4), wf_mubs(5)).to_lineset(),
+    **{f"rds{q}": (lambda q=q: rds_to_mubs(*field_rds(q)).to_lineset()) for q in (3, 4, 5, 8)},
+    **{f"semifield{q}": (lambda q=q: semifield_mubs(SemifieldTable.from_field(q)).to_lineset())
+       for q in (9, 25)},
+    "doubled-triple": lambda: doubled(mub_triple_c2()),
+    "doubled-wf2": lambda: doubled(wf_mubs(2).to_lineset()),
+    "doubled-wf3-biased": lambda: real_doubling(wf_mubs(3).to_lineset()),
+    "scrambled-wf27": lambda: scrambled(wf_mubs(27).to_lineset(), 7),
+    "duplicate-bases": lambda: LineSet(3, np.vstack([np.eye(3)] * 3), basis_labels=[0] * 3
+                                       + [1] * 3 + [2] * 3),
+    "duplicate-wf5-bases": lambda: LineSet(
+        5, np.vstack([wf_mubs(5).bases[k].T for k in (0, 1, 2, 1)]),
+        basis_labels=[k for k in "abcd" for _ in range(5)]),
+    "one-basis": lambda: LineSet(3, np.eye(3), basis_labels=["only"] * 3),
+}
+
+
+@pytest.mark.parametrize("name", list(MUB_ORACLE_SETS))
+@pytest.mark.parametrize("block", [linesets.BLOCK_ENTRIES, 64])
+def test_verify_mub_matches_dense_route(name, block, monkeypatch):
+    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", block)
+    X = MUB_ORACLE_SETS[name]()
+    out, ref = verify_mub(X), dense_verify_mub(X)
+    assert out["unbiased"] == ref["unbiased"] and out["count"] == ref["count"]
+    assert abs(out["max_deviation"] - ref["max_deviation"]) <= 1e-15
+    assert abs(out["alpha"] - ref["alpha"]) <= 1e-15
+    assert out["unbiased"] == ("biased" not in name and "duplicate" not in name)
+
+
+@pytest.mark.parametrize("block", [linesets.BLOCK_ENTRIES, 64])
+def test_verify_mub_names_the_same_bad_cells_as_the_dense_route(block, monkeypatch):
+    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", block)
+    X = bent_cells(scrambled(wf_mubs(7).to_lineset(), 3), [6, 2])
+    with pytest.raises(ValueError) as ref:
+        dense_verify_mub(X)
+    with pytest.raises(ValueError) as out:
+        verify_mub(X)
+    assert str(out.value) == str(ref.value) == "cells [2, 6] are not orthonormal bases"
+
+
+def test_verify_mub_forms_no_n_by_n_array():
+    X = wf_mubs(64).to_lineset()
+    tracemalloc.start()
+    try:
+        out = verify_mub(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["unbiased"] and out["count"] == 65
+    assert peak < 32 * 2**20  # the whole angle matrix alone is 138 MB
 
 
 # ---------------------------------------------------------------------------

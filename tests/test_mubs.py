@@ -451,13 +451,24 @@ def test_hadamard6_unknown_family():
 
 
 def test_mub_family_rejects_nonunitary():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not unit norm"):
         MubFamily(d=2, bases=[np.eye(2), np.ones((2, 2))])
 
 
+def test_mub_family_rejects_unit_columns_that_are_not_orthogonal():
+    tilted = np.array([[1, 0.6], [0, 0.8]])
+    with pytest.raises(ValueError, match=r"cells \[1\] are not orthonormal bases"):
+        MubFamily(d=2, bases=[np.eye(2), tilted])
+
+
 def test_mub_family_rejects_biased_pair():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not unbiased"):
         MubFamily(d=2, bases=[np.eye(2), np.eye(2)])
+
+
+def test_mub_family_rejects_a_wrong_shape():
+    with pytest.raises(ValueError, match="shape"):
+        MubFamily(d=2, bases=[np.eye(2), np.eye(3)])
 
 
 def test_mub_family_to_lineset_labels():

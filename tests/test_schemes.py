@@ -461,6 +461,15 @@ def test_gram_square_matches_dense_product(name):
         assert abs(out["mub_identity_residual"] - mub) <= 1e-12
 
 
+@pytest.mark.parametrize("X", [LineSet(3, np.eye(3)), LineSet(2, [[1, 0]])],
+                         ids=["orthonormal-basis", "one-line"])
+def test_gram_square_fit_when_g_is_the_identity(X):
+    # G = I makes the 2 x 2 fit of G^2 on span{I, G} singular
+    out = gram_algebra_check(X)
+    assert out["gram_square_residual"] <= 1e-15
+    assert out["closed"] and out["mub_identity_residual"] is None
+
+
 @pytest.mark.parametrize("make, products", [
     (lambda: wf_mubs(5).to_lineset(), 1),  # the zero class drops out
     (lambda: diffset_lines(*singer_difference_set(4)), 1),
