@@ -2,7 +2,7 @@
 
 import sys
 
-from linekit.cli import main
+from linekit.front import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -318,7 +318,7 @@ def relative_bound(query):
     if not c or c[0] == 0:
         raise ValueError("c_0 = 0: bound F(1)/c_0 is undefined")
     kind = "g" if query.mode.endswith("-g") else "h"
-    fam = JacobiFamily(query.d, max_k=max(12, len(c) - 1))
+    fam = JacobiFamily(query.d, max_k=len(c) - 1)
     F = [Fraction(0)]
     for r, cr in enumerate(c):
         F = _poly_add(F, _poly_scale(jacobi_poly(fam, r, kind), cr))

@@ -41,8 +41,9 @@ class LineSet:
     vectors: (n, dim) complex array (real sets keep zero imaginary parts);
     basis_labels: length-n list partitioning the set into cells of size dim.
     The vectors are a read-only copy of the input and tol is fixed here, so
-    the degree set that `gram_degree_set` stores on the line set, and the
-    class labels that `schemes` cuts from it, stay valid.
+    the degree set that `gram_degree_set` stores on the line set, the verdict
+    that `verify_mub` stores, and the class labels that `schemes` cuts from
+    the degree set stay valid.
     """
 
     def __init__(self, dim, vectors, field="complex", basis_labels=None, tol=DEFAULT_TOL):
@@ -67,6 +68,7 @@ class LineSet:
         V.flags.writeable = False
         self.vectors = V
         self._degree_set = None
+        self._mub_verdict = None
         self._labels = None
         if basis_labels is not None:
             basis_labels = list(basis_labels)
@@ -259,7 +261,10 @@ def verify_mub(X):
     |<a,b>| <= atol, or the cells are not orthonormal bases (ValueError);
     LineSet checked the unit diagonal at the same atol.  The set is unbiased
     when every cross-cell angle is within atol of 1/dim; alpha is their mean.
+    The verdict is stored on X like the degree set; later calls return it.
     """
+    if X._mub_verdict is not None:
+        return X._mub_verdict
     if X.basis_labels is None:
         raise ValueError("verify_mub needs basis_labels partitioning the vectors")
     labels = sorted(set(X.basis_labels))
@@ -283,8 +288,9 @@ def verify_mub(X):
     if bad:
         raise ValueError(f"cells {bad} are not orthonormal bases")
     alpha = total / count if count else target
-    return {"unbiased": worst <= atol, "alpha": alpha,
-            "count": len(labels), "max_deviation": worst}
+    X._mub_verdict = {"unbiased": worst <= atol, "alpha": alpha,
+                      "count": len(labels), "max_deviation": worst}
+    return X._mub_verdict
 
 
 def verify_equiangular(X, fam=None):

@@ -45,7 +45,10 @@ class MubFamily:
         for k, B in enumerate(self.bases):
             if B.shape != (self.d, self.d):
                 raise ValueError(f"basis {k} has shape {B.shape}, expected {(self.d, self.d)}")
-        verdict = verify_mub(self.to_lineset())
+        vectors = np.hstack(self.bases).T
+        labels = [k for k in range(len(self.bases)) for _ in range(self.d)]
+        self._lineset = LineSet(self.d, vectors, basis_labels=labels)
+        verdict = verify_mub(self._lineset)
         if not verdict["unbiased"]:
             raise ValueError(
                 f"bases are not unbiased (max deviation {verdict['max_deviation']:.3g})"
@@ -55,10 +58,9 @@ class MubFamily:
         return len(self.bases)
 
     def to_lineset(self):
-        """All basis columns as one labeled line set of len(self)*d lines."""
-        vectors = np.hstack(self.bases).T
-        labels = [k for k in range(len(self.bases)) for _ in range(self.d)]
-        return LineSet(self.d, vectors, basis_labels=labels)
+        """All basis columns as one labeled line set of len(self)*d lines: the
+        set certified at creation, shared because its vectors are read-only."""
+        return self._lineset
 
     def __repr__(self):
         return f"MubFamily(d={self.d}, bases={len(self.bases)}, via {self.provenance[0]})"

@@ -3,10 +3,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from importlib import import_module
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import linekit
+from linekit import front, linesets
 from linekit.cli import EXIT_CERTIFICATION, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from linekit.linesets import LineSet, lineset_from_json, lineset_to_json
 from linekit.mubs import SemifieldTable, semifield_to_csv, wf_mubs
@@ -73,6 +81,21 @@ class TestConstructMub:
         )
         assert code == EXIT_OK
         assert "bases: 3" in out
+
+    def test_one_certificate_pass_per_line_set(self, capsys, monkeypatch):
+        # MubFamily's verify_mub verdict is stored on the line set that the
+        # report reuses: one degree-set pass and one MUB pass in all
+        passes = []
+        blocks = linesets._angle_blocks
+        monkeypatch.setattr(linesets, "_angle_blocks", lambda X: passes.append(X) or blocks(X))
+        code, out, _ = run(capsys, ["construct", "mub", "--dim", "5"])
+        assert code == EXIT_OK and "unbiased: yes" in out
+        assert len(passes) == 2 and passes[0] is passes[1]
+        # --tol makes a new line set, which is certified afresh
+        passes.clear()
+        code, out, _ = run(capsys, ["--tol", "1e-6", "construct", "mub", "--dim", "5"])
+        assert code == EXIT_OK and "unbiased: yes" in out
+        assert len(passes) == 3 and passes[1] is passes[2] is not passes[0]
 
     def test_semifield_from_csv(self, capsys, tmp_path):
         table_file = tmp_path / "gf3.csv"
@@ -284,6 +307,15 @@ class TestBounds:
         assert code == EXIT_OK
         assert "bound: relative; value: -2; hypotheses: sign conditions FAIL: c_0 > 0" in out
 
+    def test_annihilator_builds_families_only_to_its_degree(self, monkeypatch):
+        depths = []
+        real = front.JacobiFamily
+        monkeypatch.setattr(front, "JacobiFamily",
+                            lambda d, max_k: depths.append(max_k) or real(d, max_k))
+        out = front._annihilator_relative_bound(27, [Fraction(0), Fraction(1, 27)])
+        assert out["bound"] == 756 and all(out["hypotheses_ok"].values())
+        assert depths == [2]
+
 
 class TestSchemeCmd:
     def test_singer_scheme(self, capsys, tmp_path):
@@ -420,3 +452,75 @@ class TestReportContract:
         report = json.loads(out)
         assert report["config"]["dim"] == 2
         assert report["summary"]["n"] == 6
+
+
+# ---------------------------------------------------------------------------
+# cold start: which modules a fresh process loads
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(linekit.__file__).parent.parent)
+LAYERS = {f"linekit.{m}" for m in
+          ("finite_algebra", "mubs", "linesets", "jacobi", "schemes", "groupcodes", "sics")}
+
+
+def child_imports(*args):
+    """A fresh `python -X importtime ARGS` process and the modules it imported."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+    rows = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return proc, {row.rsplit("|", 1)[1].strip() for row in rows}
+
+
+class TestColdStart:
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_bounds_loads_no_numpy_and_no_layer_but_jacobi(self, fmt):
+        proc, names = child_imports("-m", "linekit", "--format", fmt, "bounds", "--dim", "27",
+                                    "--s", "2", "--angles", "0,1/27", "--real")
+        assert proc.returncode == EXIT_OK and "756" in proc.stdout
+        assert "numpy" not in names
+        assert {n for n in names if n.startswith("linekit.")} == {"linekit.front", "linekit.jacobi"}
+
+    def test_import_linekit_loads_nothing(self):
+        proc, names = child_imports("-c", "import linekit; linekit.__version__")
+        assert proc.returncode == 0 and "linekit" in names
+        assert "numpy" not in names
+        assert not any(n.startswith("linekit.") for n in names)
+
+    def test_import_cli_loads_every_layer(self):
+        # tools that rebind layer functions in every linekit namespace rely on it
+        proc, names = child_imports("-c", "import linekit.cli")
+        assert proc.returncode == 0
+        assert LAYERS <= names and "numpy" in names
+
+    def test_help_and_usage_error_exit_codes(self):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        ok = subprocess.run([sys.executable, "-m", "linekit", "--help"], capture_output=True,
+                            text=True, env=env, timeout=60)
+        assert ok.returncode == 0 and "bounds" in ok.stdout
+        bad = subprocess.run([sys.executable, "-m", "linekit", "bounds"], capture_output=True,
+                             text=True, env=env, timeout=60)
+        assert bad.returncode == EXIT_USAGE and "--dim" in bad.stderr
+
+    def test_cli_main_is_the_front_main(self):
+        assert main is front.main
+
+
+class TestLazyPackage:
+    def test_every_public_name_resolves_to_its_home_object(self):
+        names = [n for n in linekit.__all__ if n != "__version__"]
+        assert len(names) == len(set(names)) == 76
+        for name in names:
+            obj = getattr(linekit, name)
+            assert obj.__module__ in LAYERS
+            assert getattr(import_module(obj.__module__), name) is obj
+        assert linekit.__version__ == "0.1.0"
+        assert set(linekit.__all__) <= set(dir(linekit))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            linekit.no_such_name  # noqa: B018
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from linekit import *", namespace)
+        assert set(linekit.__all__) <= set(namespace)
+        assert namespace["wf_mubs"] is import_module("linekit.mubs").wf_mubs

@@ -97,6 +97,29 @@ def test_beyond_cache_recomputes_with_warning():
         jacobi_poly(fam, 3, "g")  # cached: no warning
 
 
+def test_shallow_families_equal_the_depth_12_prefix():
+    # bounds build a family only to the degree they need
+    for d in range(2, 41):
+        deep = JacobiFamily(d, max_k=12)
+        for s in (0, 1, 2, 3, 5):
+            fam = JacobiFamily(d, max_k=s)
+            assert fam.g_coeffs == deep.g_coeffs[: s + 1]
+            assert fam.h_coeffs == deep.h_coeffs[: s + 1]
+
+
+def test_relative_bound_family_depth_is_the_degree_of_F(monkeypatch):
+    import linekit.jacobi as jac
+
+    # F(x) = x (x - 1/4), the annihilator of the MUB angles in C^4
+    c = expand_in_basis(JacobiFamily(4, max_k=2), [0, Fraction(-1, 4), 1], kind="g")
+    depths = []
+    real = jac.JacobiFamily
+    monkeypatch.setattr(jac, "JacobiFamily",
+                        lambda d, max_k: depths.append(max_k) or real(d, max_k))
+    out = relative_bound(BoundQuery(d=4, angles=[0, Fraction(1, 4)], mode="sdist-g", F_coeffs=c))
+    assert depths == [2] and out["bound"] == 20
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         JacobiFamily(1)
