@@ -128,18 +128,22 @@ class DegreeSetReport:
 BLOCK_ENTRIES = 1 << 18
 
 
-def _angle_blocks(X):
-    """Yield (first row, |G[rows]|^2) over row blocks of the angle matrix.
-
-    The blocks split the rows evenly into runs of at least two rows (unless
-    n is 1), so each is a GEMM call like the whole product in
-    `angle_matrix`.  A line set of up to 512 lines is one block.
-    """
-    n = X.n
-    count = max(1, n // max(2, BLOCK_ENTRIES // n))
+def _row_blocks(n, entries):
+    """(first, end) of row blocks splitting n rows evenly into runs of at
+    least two rows (unless n is 1) and about entries / n rows."""
+    count = max(1, n // max(2, entries // n))
     edges = [n * k // count for k in range(count + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _angle_blocks(X):
+    """Yield (first row, |G[rows]|^2) over the `_row_blocks` of the angle matrix.
+
+    Each block is a GEMM call like the whole product in `angle_matrix`.  A
+    line set of up to 512 lines is one block.
+    """
     V = X.vectors
-    for r0, r1 in zip(edges, edges[1:]):
+    for r0, r1 in _row_blocks(X.n, BLOCK_ENTRIES):
         yield r0, np.abs(V[r0:r1].conj() @ V.T) ** 2
 
 

@@ -31,11 +31,18 @@ graph labels a pair of vertices by their distance.
   Brouwer-Cohen-Neumaier 1989).
 
 The module also builds the zonal idempotent candidates coming from the
-g-basis, runs a floating-point closure test on the Gram-weighted classes,
-and computes Seidel spectra of real equiangular sets.  The Gram-weighted
-test takes G^2 = conj(V) (V^T conj(V)) V^T from the n x d vectors V in
-O(n^2 d) rather than as an n x n GEMM.  The products that matter at size
-go through `np.matmul`, where a test can count them.
+g-basis, tests closure of the Gram-weighted classes A'_k = G o A_k, and
+computes Seidel spectra of real equiangular sets.  The Gram-weighted test
+holds no n x n complex matrix.  It reads row blocks of G = conj(V) V^T and
+G^2 = conj(V) (V^T conj(V)) V^T from the n x d vectors, and eliminates the
+largest kept class b: with D = diag(G) and U = G - D - A'_b,
+A'_i A'_b = A'_i G - A'_i D - A'_i U.  With no other kept class, U is the
+sparse zero-angle class and A'_b A'_b = G^2 - GD - DG + D^2 - (GU + UG) +
+DU + UD + U^2, with GU + UG from the d x n product V^T U, so unbiased bases
+and one-class sets need no n x n GEMM.  Each product is computed once, block
+by block, and fitted on the span in the same pass, with a floor for
+products that are zero (`gram_algebra_check`).  The products that matter at
+size go through `np.matmul`, where a test can count them.
 """
 
 from __future__ import annotations
@@ -46,10 +53,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from linekit.jacobi import JacobiFamily, jacobi_poly
-from linekit.linesets import _angle_blocks, gap_clusters, gram_degree_set
+from linekit import linesets
+from linekit.linesets import _angle_blocks, _row_blocks, gap_clusters, gram_degree_set
 
 #: Frobenius-residual threshold below which the Gram-weighted span counts as closed
 CLOSURE_TOL = 1e-8
+
+#: a Gram-weighted product P = A'_i A'_j with ||P|| <= PRODUCT_FLOOR ||G|| ||A'_i||
+#: counts as the zero matrix: a product derived from the factor of G whose
+#: true value is zero leaves only rounding noise of about eps ||G|| ||A'_i||
+PRODUCT_FLOOR = 2.0**10 * np.finfo(float).eps
 
 
 @dataclass
@@ -122,28 +135,6 @@ def _angle_labels(X):
         np.fill_diagonal(L, 0)
         X._labels = L
     return report, X._labels
-
-
-def _span_residual(product, basis):
-    """Relative Frobenius distance from `product` to the span of `basis`.
-
-    The basis matrices are assumed to have pairwise disjoint supports, hence
-    orthogonal under the Frobenius inner product, so the least-squares
-    projection is one coefficient per matrix, and taking one matrix's part
-    out leaves the other coefficients alone.  A 1-D entry stands for the
-    diagonal matrix holding it.  `product` must be complex and C-contiguous;
-    it is overwritten with the residual.
-    """
-    norm = np.linalg.norm(product)
-    if norm == 0:
-        return 0.0
-    for B in basis:
-        if B.ndim == 1:
-            c = np.vdot(B, np.diagonal(product)) / np.vdot(B, B)
-            product.reshape(-1)[:: len(B) + 1] -= c * B
-        else:
-            product -= np.vdot(B, product) / np.vdot(B, B) * B
-    return float(np.linalg.norm(product) / norm)
 
 
 def association_scheme(L):
@@ -318,8 +309,11 @@ def jacobi_idempotents(X, fam=None, e=1):
         coeffs = [float(c) for c in jacobi_poly(fam, r, kind="g")]
         val = np.zeros_like(sq)
         for c in reversed(coeffs):
-            val = val * sq + c
-        mats.append(val / n)
+            val *= sq
+            val += c
+        val /= n
+        mats.append(val)
+    del sq  # before the products are allocated
     # E_0 = J/n has n equal rows, so E_0 E_j is n copies of one row, the
     # column sums of E_j over n; E_j E_i = (E_i E_j)^T has the same norm
     res = np.zeros((e + 1, e + 1))
@@ -341,74 +335,154 @@ def jacobi_idempotents(X, fam=None, e=1):
     }
 
 
+def _class_inner(L, G, P, size):
+    """The sums of conj(G) P over each label 0..size-1 of L."""
+    w = G.conj()
+    w *= P
+    keys = L.ravel()
+    return np.bincount(keys, w.real.ravel(), size) + 1j * np.bincount(keys, w.imag.ravel(), size)
+
+
+def _add_sparse_terms(P, U, D, r0):
+    """Add rows r0:r0 + len(P) of D U + U D + U U to P, for U held as row
+    pointers and its nonzero (rows, cols, vals) in row order; at most
+    P.size terms of U U are expanded at a time."""
+    ptr, rows, cols, vals = U
+    r1, n, flat = r0 + len(P), P.shape[1], P.reshape(-1)
+    step = max(1, P.size // int(np.diff(ptr).max()))
+    for t0 in range(ptr[r0], ptr[r1], step):
+        t = np.arange(t0, min(t0 + step, ptr[r1]))
+        size = ptr[cols[t] + 1] - ptr[cols[t]]
+        u = np.arange(size.sum()) + np.repeat(ptr[cols[t]] - np.cumsum(size) + size, size)
+        keys = np.concatenate([np.repeat(rows[t] - r0, size) * n + cols[u],
+                               (rows[t] - r0) * n + cols[t]])
+        terms = np.concatenate([np.repeat(vals[t], size) * vals[u],
+                                (D[rows[t]] + D[cols[t]]) * vals[t]])
+        flat.real += np.bincount(keys, terms.real, P.size)
+        flat.imag += np.bincount(keys, terms.imag, P.size)
+
+
 def gram_algebra_check(X, tol=CLOSURE_TOL):
     """Closure test for the Gram-weighted classes A'_i = G o A_i.
 
-    The weighted classes keep the raw inner products instead of flattening
-    them to 0/1, so their span can close even when the 0/1 span does not.
-    A'_0 = diag(G) = I up to the unit-norm check, held as the vector diag(G);
-    a zero angle contributes the zero matrix and is dropped from the
-    spanning set.  Its products lie in the span, and every A'_i is Hermitian
-    with A'_j A'_i = (A'_i A'_j)^H of the same residual, so the unordered
-    pairs of the other classes decide closure, each as a dense product.
-
-    The report also carries two Gram-square diagnostics: the distance of G^2
-    from span{I, G} (zero for the lines of unbiased bases and for
-    equiangular sets meeting the relative bound, where {I, G} spans an
-    algebra), and, when the angle set is the {0, 1/d} of unbiased bases, the
-    residual of the identity G^2 = (n/d) G.  G^2 comes from the rank-d
-    factor, conj(V) (V^T conj(V)) V^T.
+    Their span can close even when the 0/1 span does not.  The basis is
+    diag(G) = I and every class of norm above 1e-12 n; the dropped zero-angle
+    class still enters every product.  Each A'_i is Hermitian, so the
+    unordered pairs decide closure.  Each product P is fitted block by block:
+    a bincount of the labels gives c_k = sum_{L=k} conj(G) P / S_k, with
+    S_k = sum_{L=k} |G|^2, ||P - c[L] G||^2 is summed directly after one
+    refining step of c, and the blocks merge with the exact term
+    sum_R S_R |c_R - c|^2 (the expanded ||P||^2 - |c|^2 S would cancel down
+    to sqrt(eps)).  A product with ||P|| <= PRODUCT_FLOOR ||G|| ||A'_i|| is
+    zero.  The distance of G^2 from span{I, G} (zero for unbiased bases and
+    tight equiangular sets) and, for the {0, 1/d} angles of unbiased bases,
+    that of G^2 = (n/d) G are fitted and merged the same way.
     """
     report, L = _angle_labels(X)
-    n = X.n
-    V = X.vectors
-    G = X.gram()
-    diag = np.diagonal(G).copy()
+    n, s, V, Vc = X.n, report.s, X.vectors, X.vectors.conj()
+    D = np.einsum("ij,ij->i", Vc, V)  # diag(G)
+    N = np.array([np.vdot(D, D).real,  # ||A'_k||^2
+                  *(2 * m * a for m, a in zip(report.multiplicities, report.angles))])
+    keep = [k for k in range(1, s + 1) if N[k] > (1e-12 * n) ** 2]
+    big = max(keep, key=lambda k: report.multiplicities[k - 1], default=0)
+    small = [k for k in keep if k != big]
+    labels = np.arange(s + 1)
+    basis, rest = np.isin(labels, [0, *keep]), (labels != 0) & (labels != big)
+    # a GEMM product remakes the rows of its right factor for each row block
+    blocks = _row_blocks(n, linesets.BLOCK_ENTRIES // (1 if small else 8))
 
-    core = np.matmul(V.T, V.conj())  # d x d
-    Gsq = np.matmul(np.matmul(V.conj(), core), V.T)
-    gsq_norm = np.linalg.norm(Gsq)
-    gramian = np.array([[n, diag.sum()], [diag.sum().conjugate(), np.vdot(G, G)]])
-    rhs = np.array([np.trace(Gsq), np.vdot(G, Gsq)])
-    sol = np.linalg.lstsq(gramian, rhs)[0]  # singular when G = I, e.g. one line
-    residual = np.multiply(G, -sol[1])
-    residual += Gsq
-    residual.reshape(-1)[:: n + 1] -= sol[0]  # the multiple of I
-    square_residual = float(np.linalg.norm(residual) / gsq_norm)
+    def rows(r0, r1, member, Gr=None):
+        """Rows r0:r1 of the sum of the weighted classes k with member[k]."""
+        return np.where(member[L[r0:r1]], np.matmul(Vc[r0:r1], V.T) if Gr is None else Gr, 0)
+
+    def times(left, member):
+        """left @ (the sum of the weighted classes k with member[k])."""
+        return sum(np.matmul(left[:, c0:c1], rows(c0, c1, member)) for c0, c1 in blocks)
+
+    # the classes at each vertex or, with no small class, V^T U and the
+    # nonzero entries of U = G - diag(G) - A'_big
+    VTU, touch, entries = np.zeros((V.shape[1], n), dtype=complex), np.zeros((s + 1, n), bool), []
+    for r0, r1 in blocks if rest.any() else []:
+        if small:
+            touch[L[r0:r1], np.arange(r0, r1)[:, None]] = True
+        elif (Ur := rows(r0, r1, rest)).any():
+            VTU += np.matmul(V[r0:r1].T, Ur)
+            a, e = np.nonzero(Ur)
+            entries.append((a + r0, e, Ur[a, e]))
+    if entries:
+        Y = [np.concatenate(x) for x in zip(*entries)]
+        Y.insert(0, np.searchsorted(Y[0], np.arange(n + 1)))
+        GU = np.hstack([Vc, VTU.conj().T]), np.vstack([VTU, V.T])  # U conj(V) = (V^T U)^H
+    meet = touch[small] @ touch[small].T
+    products = [(i, big) for i in [big] + small if keep]
+    products += [(i, j) for a, i in enumerate(small) for b, j in enumerate(small)
+                 if b >= a and meet[a, b]]  # classes meeting at no vertex have product 0
+
+    def product(i, j, r0, r1, Gr, G2r):
+        """Rows r0:r1 of A'_i A'_j, where A'_big = G - diag(G) - U."""
+        if i == j == big and not small:  # G^2 - GD - DG + D^2 - (GU + UG) + DU + UD + U^2
+            P = G2r - (D[r0:r1, None] + D) * Gr
+            P[np.arange(r1 - r0), np.arange(r0, r1)] += D[r0:r1] ** 2
+            if entries:
+                P -= np.matmul(GU[0][r0:r1], GU[1])
+                _add_sparse_terms(P, Y, D, r0)
+            return P
+        W = rows(r0, r1, labels == i, Gr)
+        if i == big or j != big:  # with small classes U U is a GEMM, so A'_big A'_big is one
+            return times(W, labels == j)
+        return np.matmul(np.matmul(W, Vc), V.T) - W * D - times(W, rest)  # W G - W D - W U
 
     nonzero = [a for a in report.angles if a > 1e-9]
-    mub_residual = None
-    if (
-        report.zero_present
-        and len(nonzero) == 1
-        and abs(nonzero[0] - 1.0 / X.dim) <= 1e-9
-        and X.n % X.dim == 0
-    ):
-        np.multiply(G, -(X.n // X.dim), out=residual)
-        residual += Gsq
-        mub_residual = float(np.linalg.norm(residual) / gsq_norm)
-    del Gsq, residual
+    mub = (report.zero_present and len(nonzero) == 1 and X.n % X.dim == 0
+           and abs(nonzero[0] - 1.0 / X.dim) <= 1e-9)
+    core = np.matmul(V.T, Vc)  # G^2 = conj(V) core V^T
+    square = np.zeros(3)  # ||G^2||^2 and the squared residuals of the fit and of G^2 = (n/d) G
+    closure, fits = 0.0, []
+    for p, (i, j) in enumerate(products or [(0, 0)]):  # the first also fits G^2
+        weight, coef, res2, norm2 = np.zeros(s + 1), np.zeros(s + 1, dtype=complex), 0.0, 0.0
+        for r0, r1 in blocks:
+            Lr, rv = L[r0:r1], Vc[r0:r1]
+            Gr, E = np.split(np.matmul(np.vstack([rv, rv @ core]), V.T), 2) if p == 0 else (
+                np.matmul(rv, V.T), None)  # rows of G and, for the first product, of G^2
+            if i:  # fit P on these rows alone, then merge with the rows before
+                P = product(i, j, r0, r1, Gr, E)
+                S = np.bincount(Lr.ravel(), (Gr.real**2 + Gr.imag**2).ravel(), s + 1) * basis
+                inv = np.divide(1.0, S, out=np.zeros(s + 1), where=S > 0)
+                c = _class_inner(Lr, Gr, P, s + 1) * inv
+                F = P - c[Lr] * Gr
+                fix = _class_inner(Lr, Gr, F, s + 1) * inv  # removes the bincount rounding
+                res2 += np.vdot(F, F).real - (S * abs(fix) ** 2).sum()
+                c += fix
+                share = S * np.divide(1.0, weight + S, out=np.zeros(s + 1), where=S > 0)
+                res2 += (weight * share * abs(c - coef) ** 2).sum()  # between the blocks
+                coef += share * (c - coef)
+                weight += S
+                norm2 += np.vdot(P, P).real
+            if p == 0:  # the G^2 fit on span{I, G} of these rows, merged the same way
+                t = D[r0:r1].sum()
+                A = np.array([[r1 - r0, t], [np.conj(t), np.vdot(Gr, Gr)]])
+                b = np.array([np.trace(E, offset=r0), np.vdot(Gr, E)])
+                x = np.linalg.lstsq(A, b)[0]  # singular when G = I
+                fits.append((A, b, x))
+                square[0] += np.vdot(E, E).real
+                square[2] += np.linalg.norm(E - X.n // X.dim * Gr) ** 2 if mub else 0
+                E -= x[1] * Gr
+                E[np.arange(r1 - r0), np.arange(r0, r1)] -= x[0]
+                square[1] += np.vdot(E, E).real
+            Gr = E = P = F = None  # freed before the next block is allocated
+        if i and norm2 > PRODUCT_FLOOR**2 * N.sum() * N[i]:
+            closure = max(closure, np.sqrt(max(res2, 0.0) / norm2))
+    beta = np.linalg.lstsq(sum(A for A, _, _ in fits), sum(b for _, b, _ in fits))[0]
+    square[1] += sum(np.vdot(x - beta, A @ (x - beta)).real for A, _, x in fits)
 
-    keep = []
-    for k in range(1, report.s + 1):
-        W = np.where(L == k, G, 0)
-        if np.linalg.norm(W) > 1e-12 * n:
-            keep.append(W)
-    del G  # diag and the weighted classes hold all of it
-    closure = 0.0
-    for i in range(len(keep)):
-        for j in range(i, len(keep)):
-            product = np.matmul(keep[i], keep[j])
-            closure = max(closure, _span_residual(product, [diag, *keep]))
-            del product  # before the next product is allocated
-
+    gsq_norm = np.sqrt(square[0])
     return {
         "closed": closure <= tol,
         "closure_residual": float(closure),
         "span_dimension": len(keep) + 1,
         "zero_class_dropped": bool(report.zero_present),
-        "gram_square_residual": square_residual,
-        "mub_identity_residual": mub_residual,
+        "gram_square_residual": float(np.sqrt(square[1]) / gsq_norm),
+        "mub_identity_residual": float(np.sqrt(square[2]) / gsq_norm) if mub else None,
     }
 
 

@@ -1,6 +1,7 @@
 """Scheme closure, zonal idempotents, Gram algebras, and Seidel spectra."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from linekit.mubs import wf_mubs
 from linekit.schemes import (
     CLOSURE_TOL,
     _angle_labels,
-    _span_residual,
     association_scheme,
     gram_algebra_check,
     jacobi_idempotents,
@@ -244,6 +244,67 @@ def test_labels_are_the_degree_set_clusters(name):
     assert np.array_equal(L, nearest)
 
 
+def _span_residual(product, basis):
+    """Relative Frobenius distance from `product` to the span of `basis`.
+
+    The basis matrices are assumed to have pairwise disjoint supports, hence
+    orthogonal under the Frobenius inner product, so the least-squares
+    projection is one coefficient per matrix, and taking one matrix's part
+    out leaves the other coefficients alone.  A 1-D entry stands for the
+    diagonal matrix holding it.  `product` must be complex and C-contiguous;
+    it is overwritten with the residual.
+    """
+    norm = np.linalg.norm(product)
+    if norm == 0:
+        return 0.0
+    for B in basis:
+        if B.ndim == 1:
+            c = np.vdot(B, np.diagonal(product)) / np.vdot(B, B)
+            product.reshape(-1)[:: len(B) + 1] -= c * B
+        else:
+            product -= np.vdot(B, product) / np.vdot(B, B) * B
+    return float(np.linalg.norm(product) / norm)
+
+
+def dense_gram_algebra_check(X, tol=CLOSURE_TOL):
+    """The Gram-weighted closure test on dense n x n classes (reference).
+
+    Every unordered pair of kept weighted classes is one dense product, and
+    its residual comes from `_span_residual` over diag(G) and the kept
+    classes; G^2 comes from the rank-d factor.
+    """
+    report, L = _angle_labels(X)
+    n = X.n
+    V = X.vectors
+    G = X.gram()
+    diag = np.diagonal(G).copy()
+    Gsq = (V.conj() @ (V.T @ V.conj())) @ V.T
+    gsq_norm = np.linalg.norm(Gsq)
+    gramian = np.array([[n, diag.sum()], [diag.sum().conjugate(), np.vdot(G, G)]])
+    rhs = np.array([np.trace(Gsq), np.vdot(G, Gsq)])
+    sol = np.linalg.lstsq(gramian, rhs)[0]
+    residual = Gsq - sol[1] * G
+    residual.reshape(-1)[:: n + 1] -= sol[0]
+    square_residual = float(np.linalg.norm(residual) / gsq_norm)
+    nonzero = [a for a in report.angles if a > 1e-9]
+    mub_residual = None
+    if (report.zero_present and len(nonzero) == 1
+            and abs(nonzero[0] - 1.0 / X.dim) <= 1e-9 and X.n % X.dim == 0):
+        mub_residual = float(np.linalg.norm(Gsq - X.n // X.dim * G) / gsq_norm)
+    keep = [W for W in (np.where(L == k, G, 0) for k in range(1, report.s + 1))
+            if np.linalg.norm(W) > 1e-12 * n]
+    closure = max((_span_residual(keep[i] @ keep[j], [diag, *keep])
+                   for i in range(len(keep)) for j in range(i, len(keep))), default=0.0)
+    return {
+        "closed": closure <= tol,
+        "closure_residual": float(closure),
+        "span_dimension": len(keep) + 1,
+        "zero_class_dropped": bool(report.zero_present),
+        "gram_square_residual": square_residual,
+        "mub_identity_residual": mub_residual,
+    }
+
+
 def ordered_pair_closure(X):
     """Gram-algebra residual over every ordered pair of weighted classes, A'_0 included."""
     report, L = _angle_labels(X)
@@ -461,6 +522,101 @@ def test_gram_square_matches_dense_product(name):
         assert abs(out["mub_identity_residual"] - mub) <= 1e-12
 
 
+def sic_and_mercedes(seed=None):
+    """The 4-line SIC in C^2 and the 3 Mercedes lines of R^2 in orthogonal C^2
+    blocks of C^4 (angles 0, 1/4 and 1/3), turned by a seeded unitary.
+
+    The product of the two kept classes is exactly 0, while the square of the
+    SIC class is the identity on its block only, so the span is not closed.
+    """
+    mercedes = [(1, 0), (-0.5, 3**0.5 / 2), (-0.5, -(3**0.5) / 2)]
+    V = np.zeros((7, 4), dtype=complex)
+    V[:4, :2], V[4:, 2:] = sic_lines().vectors, mercedes
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        V = V @ np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0].T
+    return LineSet(4, V)
+
+
+def random_with_orthogonal_pairs(seed):
+    """A turned orthonormal basis of C^4 and six random lines: a zero-angle
+    class next to many kept classes."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    return LineSet(4, np.vstack([U.T, random_lines(n=6, d=4, seed=seed).vectors]))
+
+
+GRAM_ORACLE_SETS = {
+    **{f"lines-{name}": make for name, make in LABEL_CASES.items()},
+    **GRAM_SETS,
+    "sic-and-mercedes": sic_and_mercedes,
+    **{f"sic-and-mercedes-turned{seed}": (lambda seed=seed: sic_and_mercedes(seed))
+       for seed in range(3)},
+    **{f"random{seed}": (lambda seed=seed: random_lines(n=3 + seed, d=2 + seed % 3, seed=seed))
+       for seed in range(8)},
+    **{f"orthogonal-pairs{seed}": (lambda seed=seed: random_with_orthogonal_pairs(seed))
+       for seed in range(3)},
+}
+
+
+def assert_matches_dense_oracle(out, ref):
+    assert out.keys() == ref.keys()
+    for key in ("closed", "span_dimension", "zero_class_dropped"):
+        assert out[key] == ref[key], key
+    for key in ("closure_residual", "gram_square_residual"):
+        assert abs(out[key] - ref[key]) <= 1e-12, key
+    assert (out["mub_identity_residual"] is None) == (ref["mub_identity_residual"] is None)
+    if ref["mub_identity_residual"] is not None:
+        assert abs(out["mub_identity_residual"] - ref["mub_identity_residual"]) <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(GRAM_ORACLE_SETS))
+def test_gram_algebra_matches_dense_oracle(name):
+    X = GRAM_ORACLE_SETS[name]()
+    assert_matches_dense_oracle(gram_algebra_check(X), dense_gram_algebra_check(X))
+
+
+@pytest.mark.parametrize("name", ["wf4", "singer3", "partial-wf3", "random-9x3",
+                                  "sic-and-mercedes-turned0", "orthogonal-pairs1"])
+def test_gram_algebra_matches_dense_oracle_on_small_row_blocks(name, monkeypatch):
+    X = GRAM_ORACLE_SETS[name]()
+    ref = dense_gram_algebra_check(X)
+    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", 8 * 2 * X.n)  # 2-row blocks
+    assert_matches_dense_oracle(gram_algebra_check(X), ref)
+
+
+def test_many_classes_match_the_dense_oracle():
+    X = random_lines(n=20, d=4, seed=1)
+    out = gram_algebra_check(X)
+    assert out["span_dimension"] == 191
+    assert_matches_dense_oracle(out, dense_gram_algebra_check(X))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_zero_product_reads_zero_only_through_the_floor(seed, monkeypatch):
+    ref = dense_gram_algebra_check(sic_and_mercedes(seed))
+    assert not ref["closed"] and abs(ref["closure_residual"] - 0.6547) <= 1e-4
+    out = gram_algebra_check(sic_and_mercedes(seed))
+    assert abs(out["closure_residual"] - ref["closure_residual"]) <= 1e-12
+    monkeypatch.setattr(schemes, "PRODUCT_FLOOR", 0.0)
+    noisy = gram_algebra_check(sic_and_mercedes(seed))["closure_residual"]
+    assert abs(noisy - ref["closure_residual"]) > 0.01  # the zero product's rounding noise
+
+
+def test_gram_algebra_holds_no_n_by_n_complex_matrix(monkeypatch):
+    X = diffset_lines(*singer_difference_set(16))  # 273 lines in C^17
+    _angle_labels(X)
+    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", 8 * 8 * X.n)  # 8-row blocks
+    tracemalloc.start()
+    try:
+        out = gram_algebra_check(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["closed"]
+    assert peak < 16 * X.n**2  # below one complex n x n matrix
+
+
 @pytest.mark.parametrize("X", [LineSet(3, np.eye(3)), LineSet(2, [[1, 0]])],
                          ids=["orthonormal-basis", "one-line"])
 def test_gram_square_fit_when_g_is_the_identity(X):
@@ -471,9 +627,11 @@ def test_gram_square_fit_when_g_is_the_identity(X):
 
 
 @pytest.mark.parametrize("make, products", [
-    (lambda: wf_mubs(5).to_lineset(), 1),  # the zero class drops out
-    (lambda: diffset_lines(*singer_difference_set(4)), 1),
-    (lambda: random_lines(n=6, d=4, seed=3), 15 * 16 // 2),
+    (lambda: wf_mubs(5).to_lineset(), 0),  # one kept class: all from the factor
+    (lambda: diffset_lines(*singer_difference_set(4)), 0),
+    # 15 classes, the largest eliminated: the 66 pairs of the other 14 that
+    # meet at a vertex, each of the 14 times U, and U U
+    (lambda: random_lines(n=6, d=4, seed=3), 66 + 14 + 1),
 ])
 def test_gram_square_needs_no_n_by_n_product(make, products, monkeypatch):
     X = make()
@@ -481,7 +639,7 @@ def test_gram_square_needs_no_n_by_n_product(make, products, monkeypatch):
     monkeypatch.setattr(schemes, "np", counting)
     gram_algebra_check(X)
     square = [(a, b) for _, a, b in counting.calls if a == b == (X.n, X.n)]
-    assert len(square) == products  # the weighted-class products, nothing for G^2
+    assert len(square) == products  # the weighted-class products, nothing for G^2 or the fits
     assert all(dt == complex for dt, *_ in counting.calls)
 
 
@@ -502,6 +660,40 @@ def test_idempotent_residuals_match_dense_products(make, e):
     X = make()
     out = jacobi_idempotents(X, e=e)
     assert np.abs(out["residuals"] - dense_idempotent_residuals(X, e)).max() <= 1e-12
+
+
+def out_of_place_idempotents(X, e):
+    """`jacobi_idempotents` with a new array at every Horner step (reference)."""
+    fam = JacobiFamily(X.dim, max_k=max(e, 2))
+    sq = X.angle_matrix()
+    n = X.n
+    mats = []
+    for r in range(e + 1):
+        val = np.zeros_like(sq)
+        for c in reversed([float(c) for c in jacobi_poly(fam, r, kind="g")]):
+            val = val * sq + c
+        mats.append(val / n)
+    res = np.zeros((e + 1, e + 1))
+    for j in range(e + 1):
+        row = mats[0][0] @ mats[j] - (mats[0][0] if j == 0 else 0.0)
+        res[0, j] = res[j, 0] = np.sqrt(n) * np.linalg.norm(row)
+    for i in range(1, e + 1):
+        for j in range(i, e + 1):
+            product = mats[i] @ mats[j]
+            if i == j:
+                product -= mats[i]
+            res[i, j] = res[j, i] = np.linalg.norm(product)
+    return mats, res
+
+
+@pytest.mark.parametrize("make", [lambda: wf_mubs(5).to_lineset(), sic_lines, random_lines,
+                                  lambda: diffset_lines(*singer_difference_set(4))])
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_idempotents_in_place_are_bit_identical(make, e):
+    out = jacobi_idempotents(make(), e=e)
+    mats, res = out_of_place_idempotents(make(), e)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(out["idempotents"], mats, strict=True))
+    assert out["residuals"].tobytes() == res.tobytes()
 
 
 class TestJacobiIdempotents:
