@@ -33,16 +33,15 @@ graph labels a pair of vertices by their distance.
 The module also builds the zonal idempotent candidates coming from the
 g-basis, tests closure of the Gram-weighted classes A'_k = G o A_k, and
 computes Seidel spectra of real equiangular sets.  The Gram-weighted test
-holds no n x n complex matrix.  It reads row blocks of G = conj(V) V^T and
-G^2 = conj(V) (V^T conj(V)) V^T from the n x d vectors, and eliminates the
-largest kept class b: with D = diag(G) and U = G - D - A'_b,
-A'_i A'_b = A'_i G - A'_i D - A'_i U.  With no other kept class, U is the
-sparse zero-angle class and A'_b A'_b = G^2 - GD - DG + D^2 - (GU + UG) +
-DU + UD + U^2, with GU + UG from the d x n product V^T U, so unbiased bases
-and one-class sets need no n x n GEMM.  Each product is computed once, block
-by block, and fitted on the span in the same pass, with a floor for
-products that are zero (`gram_algebra_check`).  The products that matter at
-size go through `np.matmul`, where a test can count them.
+holds no n x n complex matrix: it reads row blocks of G = conj(V) V^T and
+G^2 = conj(V) (V^T conj(V)) V^T from the n x d vectors and fits each
+product on the span block by block (`gram_algebra_check`).  A lone kept
+class b next to a sparse zero-angle class U = G - D - A'_b, D = diag(G),
+squares from the factor: with M = G - U, A'_b A'_b = M^2 - DM - MD + D^2
+and M^2 = G^2 - GU - UG + U^2, where GU + UG comes from the d x n product
+V^T U, so unbiased bases and one-class sets need no n x n GEMM.  The
+products that matter at size go through `np.matmul`, where a test can count
+them.
 """
 
 from __future__ import annotations
@@ -58,11 +57,6 @@ from linekit.linesets import _angle_blocks, _row_blocks, gap_clusters, gram_degr
 
 #: Frobenius-residual threshold below which the Gram-weighted span counts as closed
 CLOSURE_TOL = 1e-8
-
-#: a Gram-weighted product P = A'_i A'_j with ||P|| <= PRODUCT_FLOOR ||G|| ||A'_i||
-#: counts as the zero matrix: a product derived from the factor of G whose
-#: true value is zero leaves only rounding noise of about eps ||G|| ||A'_i||
-PRODUCT_FLOOR = 2.0**10 * np.finfo(float).eps
 
 
 @dataclass
@@ -343,21 +337,19 @@ def _class_inner(L, G, P, size):
     return np.bincount(keys, w.real.ravel(), size) + 1j * np.bincount(keys, w.imag.ravel(), size)
 
 
-def _add_sparse_terms(P, U, D, r0):
-    """Add rows r0:r0 + len(P) of D U + U D + U U to P, for U held as row
-    pointers and its nonzero (rows, cols, vals) in row order; at most
-    P.size terms of U U are expanded at a time."""
+def _add_sparse_square(P, U, r0):
+    """Add rows r0:r0 + len(P) of U U to P, for U held as row pointers and
+    its nonzero (rows, cols, vals) in row order; at most P.size terms are
+    expanded at a time."""
     ptr, rows, cols, vals = U
-    r1, n, flat = r0 + len(P), P.shape[1], P.reshape(-1)
+    r1, flat = r0 + len(P), P.reshape(-1)
     step = max(1, P.size // int(np.diff(ptr).max()))
     for t0 in range(ptr[r0], ptr[r1], step):
         t = np.arange(t0, min(t0 + step, ptr[r1]))
         size = ptr[cols[t] + 1] - ptr[cols[t]]
         u = np.arange(size.sum()) + np.repeat(ptr[cols[t]] - np.cumsum(size) + size, size)
-        keys = np.concatenate([np.repeat(rows[t] - r0, size) * n + cols[u],
-                               (rows[t] - r0) * n + cols[t]])
-        terms = np.concatenate([np.repeat(vals[t], size) * vals[u],
-                                (D[rows[t]] + D[cols[t]]) * vals[t]])
+        keys = np.repeat(rows[t] - r0, size) * P.shape[1] + cols[u]
+        terms = np.repeat(vals[t], size) * vals[u]
         flat.real += np.bincount(keys, terms.real, P.size)
         flat.imag += np.bincount(keys, terms.imag, P.size)
 
@@ -373,64 +365,65 @@ def gram_algebra_check(X, tol=CLOSURE_TOL):
     S_k = sum_{L=k} |G|^2, ||P - c[L] G||^2 is summed directly after one
     refining step of c, and the blocks merge with the exact term
     sum_R S_R |c_R - c|^2 (the expanded ||P||^2 - |c|^2 S would cancel down
-    to sqrt(eps)).  A product with ||P|| <= PRODUCT_FLOOR ||G|| ||A'_i|| is
-    zero.  The distance of G^2 from span{I, G} (zero for unbiased bases and
-    tight equiangular sets) and, for the {0, 1/d} angles of unbiased bases,
-    that of G^2 = (n/d) G are fitted and merged the same way.
+    to sqrt(eps)).  Classes that meet at no vertex have product 0; the other
+    products are blocked GEMMs, except the square of a lone class, taken
+    from the factor while U U is sparse enough to cost less (module
+    docstring).  The distance of G^2 from span{I, G} (zero for unbiased
+    bases and tight equiangular sets) and, for the {0, 1/d} angles of
+    unbiased bases, that of G^2 = (n/d) G are fitted and merged the same way.
     """
     report, L = _angle_labels(X)
     n, s, V, Vc = X.n, report.s, X.vectors, X.vectors.conj()
     D = np.einsum("ij,ij->i", Vc, V)  # diag(G)
-    N = np.array([np.vdot(D, D).real,  # ||A'_k||^2
-                  *(2 * m * a for m, a in zip(report.multiplicities, report.angles))])
-    keep = [k for k in range(1, s + 1) if N[k] > (1e-12 * n) ** 2]
-    big = max(keep, key=lambda k: report.multiplicities[k - 1], default=0)
-    small = [k for k in keep if k != big]
+    keep = [k for k, (m, a) in enumerate(zip(report.multiplicities, report.angles), 1)
+            if 2 * m * a > (1e-12 * n) ** 2]  # ||A'_k||^2 = 2 m a
     labels = np.arange(s + 1)
-    basis, rest = np.isin(labels, [0, *keep]), (labels != 0) & (labels != big)
-    # a GEMM product remakes the rows of its right factor for each row block
-    blocks = _row_blocks(n, linesets.BLOCK_ENTRIES // (1 if small else 8))
+    basis = np.isin(labels, [0, *keep])
+    touch, width = np.zeros((s + 1, n), bool), 0  # classes at each vertex; longest row of U
+    for r0, r1 in _row_blocks(n, linesets.BLOCK_ENTRIES):
+        if len(keep) > 1:
+            touch[L[r0:r1], np.arange(r0, r1)[:, None]] = True
+        else:
+            width = max(width, n - np.count_nonzero(np.take(basis, L[r0:r1]), axis=1).min())
+    meet = touch @ touch.T  # classes meeting at no vertex have product 0
+    products = [(i, j) for a, i in enumerate(keep) for j in keep[a:] if i == j or meet[i, j]]
+    # a lone class squares from the factor while 50 n width^2 < n^3: each of
+    # the n width^2 expanded terms of U U costs 100 to 150 multiply-adds of a
+    # GEMM on 2 cores, but 50 keeps complete MUBs (n = d^2 + d, width d - 1)
+    # on the factor route from d = 5 on.  A GEMM remakes its right factor's
+    # rows for each row block, so its blocks are larger
+    factor = len(keep) == 1 and 50 * width**2 < n**2
+    blocks = _row_blocks(n, linesets.BLOCK_ENTRIES // (8 if factor else 1))
 
     def rows(r0, r1, member, Gr=None):
         """Rows r0:r1 of the sum of the weighted classes k with member[k]."""
-        return np.where(member[L[r0:r1]], np.matmul(Vc[r0:r1], V.T) if Gr is None else Gr, 0)
+        Gr = np.matmul(Vc[r0:r1], V.T) if Gr is None else Gr
+        return Gr * np.take(member, L[r0:r1])
 
-    def times(left, member):
-        """left @ (the sum of the weighted classes k with member[k])."""
-        return sum(np.matmul(left[:, c0:c1], rows(c0, c1, member)) for c0, c1 in blocks)
-
-    # the classes at each vertex or, with no small class, V^T U and the
-    # nonzero entries of U = G - diag(G) - A'_big
-    VTU, touch, entries = np.zeros((V.shape[1], n), dtype=complex), np.zeros((s + 1, n), bool), []
-    for r0, r1 in blocks if rest.any() else []:
-        if small:
-            touch[L[r0:r1], np.arange(r0, r1)[:, None]] = True
-        elif (Ur := rows(r0, r1, rest)).any():
-            VTU += np.matmul(V[r0:r1].T, Ur)
-            a, e = np.nonzero(Ur)
-            entries.append((a + r0, e, Ur[a, e]))
+    # V^T U and the nonzero entries of U = G - diag(G) - A'_b for the lone class b
+    VTU, entries = np.zeros((V.shape[1], n), dtype=complex), []
+    for r0, r1 in blocks if factor and width else []:
+        if not (Ur := rows(r0, r1, ~basis)).any():
+            continue
+        VTU += np.matmul(V[r0:r1].T, Ur)
+        a, e = np.nonzero(Ur)
+        entries.append((a + r0, e, Ur[a, e]))
     if entries:
         Y = [np.concatenate(x) for x in zip(*entries)]
         Y.insert(0, np.searchsorted(Y[0], np.arange(n + 1)))
         GU = np.hstack([Vc, VTU.conj().T]), np.vstack([VTU, V.T])  # U conj(V) = (V^T U)^H
-    meet = touch[small] @ touch[small].T
-    products = [(i, big) for i in [big] + small if keep]
-    products += [(i, j) for a, i in enumerate(small) for b, j in enumerate(small)
-                 if b >= a and meet[a, b]]  # classes meeting at no vertex have product 0
 
     def product(i, j, r0, r1, Gr, G2r):
-        """Rows r0:r1 of A'_i A'_j, where A'_big = G - diag(G) - U."""
-        if i == j == big and not small:  # G^2 - GD - DG + D^2 - (GU + UG) + DU + UD + U^2
-            P = G2r - (D[r0:r1, None] + D) * Gr
+        """Rows r0:r1 of A'_i A'_j."""
+        if factor:  # M^2 - DM - MD + D^2 with M = G - U, M^2 = G^2 - GU - UG + U^2
+            P = G2r - (D[r0:r1, None] + D) * rows(r0, r1, basis, Gr)
             P[np.arange(r1 - r0), np.arange(r0, r1)] += D[r0:r1] ** 2
             if entries:
                 P -= np.matmul(GU[0][r0:r1], GU[1])
-                _add_sparse_terms(P, Y, D, r0)
+                _add_sparse_square(P, Y, r0)
             return P
         W = rows(r0, r1, labels == i, Gr)
-        if i == big or j != big:  # with small classes U U is a GEMM, so A'_big A'_big is one
-            return times(W, labels == j)
-        return np.matmul(np.matmul(W, Vc), V.T) - W * D - times(W, rest)  # W G - W D - W U
+        return sum(np.matmul(W[:, c0:c1], rows(c0, c1, labels == j)) for c0, c1 in blocks)
 
     nonzero = [a for a in report.angles if a > 1e-9]
     mub = (report.zero_present and len(nonzero) == 1 and X.n % X.dim == 0
@@ -470,7 +463,7 @@ def gram_algebra_check(X, tol=CLOSURE_TOL):
                 E[np.arange(r1 - r0), np.arange(r0, r1)] -= x[0]
                 square[1] += np.vdot(E, E).real
             Gr = E = P = F = None  # freed before the next block is allocated
-        if i and norm2 > PRODUCT_FLOOR**2 * N.sum() * N[i]:
+        if i and norm2 > 0:
             closure = max(closure, np.sqrt(max(res2, 0.0) / norm2))
     beta = np.linalg.lstsq(sum(A for A, _, _ in fits), sum(b for _, b, _ in fits))[0]
     square[1] += sum(np.vdot(x - beta, A @ (x - beta)).real for A, _, x in fits)

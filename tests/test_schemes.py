@@ -16,7 +16,7 @@ from linekit.groupcodes import (
 )
 from linekit.jacobi import JacobiFamily, dim_harm, jacobi_poly
 from linekit.linesets import LineSet, design_strength, gap_clusters
-from linekit.mubs import wf_mubs
+from linekit.mubs import tensor_mubs, wf_mubs
 from linekit.schemes import (
     CLOSURE_TOL,
     _angle_labels,
@@ -489,6 +489,8 @@ GRAM_SETS = {
        for q in (2, 3, 4, 5, 7, 8, 9)},
     **{f"sic{d}": (lambda d=d: wh_orbit(builtin_fiducial(d))) for d in (2, 3, 8)},
     "partial-wf3": lambda: LineSet(3, wf_mubs(3).to_lineset().vectors[:9]),
+    "partial-wf7": lambda: LineSet(7, wf_mubs(7).to_lineset().vectors[:21]),  # 3 bases
+    "tensor-2x8": lambda: tensor_mubs(wf_mubs(2), wf_mubs(8)).to_lineset(),  # 3 bases in C^16
     "random": random_lines,
     "random-6x4": lambda: random_lines(n=6, d=4, seed=3),
     "random-9x3": lambda: random_lines(n=9, d=3, seed=11),
@@ -577,7 +579,8 @@ def test_gram_algebra_matches_dense_oracle(name):
 
 
 @pytest.mark.parametrize("name", ["wf4", "singer3", "partial-wf3", "random-9x3",
-                                  "sic-and-mercedes-turned0", "orthogonal-pairs1"])
+                                  "sic-and-mercedes-turned0", "orthogonal-pairs1",
+                                  "wf5", "partial-wf7"])
 def test_gram_algebra_matches_dense_oracle_on_small_row_blocks(name, monkeypatch):
     X = GRAM_ORACLE_SETS[name]()
     ref = dense_gram_algebra_check(X)
@@ -592,15 +595,15 @@ def test_many_classes_match_the_dense_oracle():
     assert_matches_dense_oracle(out, dense_gram_algebra_check(X))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_a_zero_product_reads_zero_only_through_the_floor(seed, monkeypatch):
-    ref = dense_gram_algebra_check(sic_and_mercedes(seed))
-    assert not ref["closed"] and abs(ref["closure_residual"] - 0.6547) <= 1e-4
-    out = gram_algebra_check(sic_and_mercedes(seed))
-    assert abs(out["closure_residual"] - ref["closure_residual"]) <= 1e-12
-    monkeypatch.setattr(schemes, "PRODUCT_FLOOR", 0.0)
-    noisy = gram_algebra_check(sic_and_mercedes(seed))["closure_residual"]
-    assert abs(noisy - ref["closure_residual"]) > 0.01  # the zero product's rounding noise
+@pytest.mark.parametrize("seed", [None, 0])
+def test_classes_meeting_at_no_vertex_skip_their_product(seed, monkeypatch):
+    X = sic_and_mercedes(seed)
+    counting = CountingNumpy()
+    monkeypatch.setattr(schemes, "np", counting)
+    out = gram_algebra_check(X)
+    assert not out["closed"] and abs(out["closure_residual"] - 0.6547) <= 1e-4
+    # the squares of the 1/4 and the 1/3 class; their product is 0
+    assert sum(a == b == (X.n, X.n) for _, a, b in counting.calls) == 2
 
 
 def test_gram_algebra_holds_no_n_by_n_complex_matrix(monkeypatch):
@@ -629,9 +632,10 @@ def test_gram_square_fit_when_g_is_the_identity(X):
 @pytest.mark.parametrize("make, products", [
     (lambda: wf_mubs(5).to_lineset(), 0),  # one kept class: all from the factor
     (lambda: diffset_lines(*singer_difference_set(4)), 0),
-    # 15 classes, the largest eliminated: the 66 pairs of the other 14 that
-    # meet at a vertex, each of the 14 times U, and U U
-    (lambda: random_lines(n=6, d=4, seed=3), 66 + 14 + 1),
+    # 15 classes, one pair each: the 15 squares and the 60 pairs that meet
+    (lambda: random_lines(n=6, d=4, seed=3), 15 + 60),
+    # a lone class next to a dense zero class: its square is one GEMM
+    (lambda: LineSet(7, wf_mubs(7).to_lineset().vectors[:21]), 1),
 ])
 def test_gram_square_needs_no_n_by_n_product(make, products, monkeypatch):
     X = make()
