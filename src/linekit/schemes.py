@@ -36,12 +36,14 @@ computes Seidel spectra of real equiangular sets.  The Gram-weighted test
 holds no n x n complex matrix: it reads row blocks of G = conj(V) V^T and
 G^2 = conj(V) (V^T conj(V)) V^T from the n x d vectors and fits each
 product on the span block by block (`gram_algebra_check`).  A lone kept
-class b next to a sparse zero-angle class U = G - D - A'_b, D = diag(G),
-squares from the factor: with M = G - U, A'_b A'_b = M^2 - DM - MD + D^2
-and M^2 = G^2 - GU - UG + U^2, where GU + UG comes from the d x n product
-V^T U, so unbiased bases and one-class sets need no n x n GEMM.  The
-products that matter at size go through `np.matmul`, where a test can count
-them.
+class b squares from the factor: with D = diag(G), U = G - D - A'_b the
+dropped classes and M = G - U, A'_b A'_b = M^2 - DM - MD + D^2 and
+M^2 = G^2 - GU - UG + U^2, where GU + UG comes from the d x n product
+V^T U.  U^2 is left out: each of the K dropped classes has ||A'_k||_F <=
+1e-12 n, so ||U^2||_F <= ||U||_F^2 <= K 1e-24 n^2, while the Hermitian A'_b
+has ||A'_b^2||_F >= ||A'_b||_F^2 / sqrt(n), and the relative residual moves
+by at most 2 K 1e-24 n^2.5 / ||A'_b||_F^2.  The products that matter at
+size go through `np.matmul`, where a test can count them.
 """
 
 from __future__ import annotations
@@ -337,40 +339,22 @@ def _class_inner(L, G, P, size):
     return np.bincount(keys, w.real.ravel(), size) + 1j * np.bincount(keys, w.imag.ravel(), size)
 
 
-def _add_sparse_square(P, U, r0):
-    """Add rows r0:r0 + len(P) of U U to P, for U held as row pointers and
-    its nonzero (rows, cols, vals) in row order; at most P.size terms are
-    expanded at a time."""
-    ptr, rows, cols, vals = U
-    r1, flat = r0 + len(P), P.reshape(-1)
-    step = max(1, P.size // int(np.diff(ptr).max()))
-    for t0 in range(ptr[r0], ptr[r1], step):
-        t = np.arange(t0, min(t0 + step, ptr[r1]))
-        size = ptr[cols[t] + 1] - ptr[cols[t]]
-        u = np.arange(size.sum()) + np.repeat(ptr[cols[t]] - np.cumsum(size) + size, size)
-        keys = np.repeat(rows[t] - r0, size) * P.shape[1] + cols[u]
-        terms = np.repeat(vals[t], size) * vals[u]
-        flat.real += np.bincount(keys, terms.real, P.size)
-        flat.imag += np.bincount(keys, terms.imag, P.size)
-
-
-def gram_algebra_check(X, tol=CLOSURE_TOL):
+def gram_algebra_check(X):
     """Closure test for the Gram-weighted classes A'_i = G o A_i.
 
     Their span can close even when the 0/1 span does not.  The basis is
-    diag(G) = I and every class of norm above 1e-12 n; the dropped zero-angle
-    class still enters every product.  Each A'_i is Hermitian, so the
-    unordered pairs decide closure.  Each product P is fitted block by block:
-    a bincount of the labels gives c_k = sum_{L=k} conj(G) P / S_k, with
+    diag(G) = I and every class of norm above 1e-12 n; the dropped classes
+    still enter every product.  Each A'_i is Hermitian, so the unordered
+    pairs decide closure.  Each product P is fitted block by block: a
+    bincount of the labels gives c_k = sum_{L=k} conj(G) P / S_k, with
     S_k = sum_{L=k} |G|^2, ||P - c[L] G||^2 is summed directly after one
     refining step of c, and the blocks merge with the exact term
     sum_R S_R |c_R - c|^2 (the expanded ||P||^2 - |c|^2 S would cancel down
-    to sqrt(eps)).  Classes that meet at no vertex have product 0; the other
-    products are blocked GEMMs, except the square of a lone class, taken
-    from the factor while U U is sparse enough to cost less (module
-    docstring).  The distance of G^2 from span{I, G} (zero for unbiased
-    bases and tight equiangular sets) and, for the {0, 1/d} angles of
-    unbiased bases, that of G^2 = (n/d) G are fitted and merged the same way.
+    to sqrt(eps)).  Classes that meet at no vertex have product 0, a lone
+    class squares from the factor (module docstring), and the other products
+    are blocked GEMMs.  The distance of G^2 from span{I, G} (zero for
+    unbiased bases and tight equiangular sets) and, for the {0, 1/d} angles
+    of unbiased bases, that of G^2 = (n/d) G are fitted and merged alike.
     """
     report, L = _angle_labels(X)
     n, s, V, Vc = X.n, report.s, X.vectors, X.vectors.conj()
@@ -379,20 +363,13 @@ def gram_algebra_check(X, tol=CLOSURE_TOL):
             if 2 * m * a > (1e-12 * n) ** 2]  # ||A'_k||^2 = 2 m a
     labels = np.arange(s + 1)
     basis = np.isin(labels, [0, *keep])
-    touch, width = np.zeros((s + 1, n), bool), 0  # classes at each vertex; longest row of U
-    for r0, r1 in _row_blocks(n, linesets.BLOCK_ENTRIES):
-        if len(keep) > 1:
-            touch[L[r0:r1], np.arange(r0, r1)[:, None]] = True
-        else:
-            width = max(width, n - np.count_nonzero(np.take(basis, L[r0:r1]), axis=1).min())
+    factor = len(keep) == 1
+    touch = np.zeros((s + 1, n), bool)  # classes at each vertex
+    for r0, r1 in _row_blocks(n, linesets.BLOCK_ENTRIES) if len(keep) > 1 else []:
+        touch[L[r0:r1], np.arange(r0, r1)[:, None]] = True
     meet = touch @ touch.T  # classes meeting at no vertex have product 0
     products = [(i, j) for a, i in enumerate(keep) for j in keep[a:] if i == j or meet[i, j]]
-    # a lone class squares from the factor while 50 n width^2 < n^3: each of
-    # the n width^2 expanded terms of U U costs 100 to 150 multiply-adds of a
-    # GEMM on 2 cores, but 50 keeps complete MUBs (n = d^2 + d, width d - 1)
-    # on the factor route from d = 5 on.  A GEMM remakes its right factor's
-    # rows for each row block, so its blocks are larger
-    factor = len(keep) == 1 and 50 * width**2 < n**2
+    # a GEMM remakes its right factor's rows for each row block, so its blocks are larger
     blocks = _row_blocks(n, linesets.BLOCK_ENTRIES // (8 if factor else 1))
 
     def rows(r0, r1, member, Gr=None):
@@ -400,27 +377,20 @@ def gram_algebra_check(X, tol=CLOSURE_TOL):
         Gr = np.matmul(Vc[r0:r1], V.T) if Gr is None else Gr
         return Gr * np.take(member, L[r0:r1])
 
-    # V^T U and the nonzero entries of U = G - diag(G) - A'_b for the lone class b
-    VTU, entries = np.zeros((V.shape[1], n), dtype=complex), []
-    for r0, r1 in blocks if factor and width else []:
-        if not (Ur := rows(r0, r1, ~basis)).any():
-            continue
-        VTU += np.matmul(V[r0:r1].T, Ur)
-        a, e = np.nonzero(Ur)
-        entries.append((a + r0, e, Ur[a, e]))
-    if entries:
-        Y = [np.concatenate(x) for x in zip(*entries)]
-        Y.insert(0, np.searchsorted(Y[0], np.arange(n + 1)))
-        GU = np.hstack([Vc, VTU.conj().T]), np.vstack([VTU, V.T])  # U conj(V) = (V^T U)^H
+    # V^T U for the dropped classes U = G - diag(G) - A'_b of the lone class b
+    VTU = np.zeros((V.shape[1], n), dtype=complex)
+    for r0, r1 in blocks if factor and not basis.all() else []:
+        if (Ur := rows(r0, r1, ~basis)).any():
+            VTU += np.matmul(V[r0:r1].T, Ur)
+    GU = (np.hstack([Vc, VTU.conj().T]), np.vstack([VTU, V.T])) if VTU.any() else None
 
     def product(i, j, r0, r1, Gr, G2r):
         """Rows r0:r1 of A'_i A'_j."""
-        if factor:  # M^2 - DM - MD + D^2 with M = G - U, M^2 = G^2 - GU - UG + U^2
+        if factor:  # M^2 - DM - MD + D^2, M^2 = G^2 - GU - UG with U conj(V) = (V^T U)^H
             P = G2r - (D[r0:r1, None] + D) * rows(r0, r1, basis, Gr)
             P[np.arange(r1 - r0), np.arange(r0, r1)] += D[r0:r1] ** 2
-            if entries:
+            if GU is not None:
                 P -= np.matmul(GU[0][r0:r1], GU[1])
-                _add_sparse_square(P, Y, r0)
             return P
         W = rows(r0, r1, labels == i, Gr)
         return sum(np.matmul(W[:, c0:c1], rows(c0, c1, labels == j)) for c0, c1 in blocks)
@@ -470,7 +440,7 @@ def gram_algebra_check(X, tol=CLOSURE_TOL):
 
     gsq_norm = np.sqrt(square[0])
     return {
-        "closed": closure <= tol,
+        "closed": closure <= CLOSURE_TOL,
         "closure_residual": float(closure),
         "span_dimension": len(keep) + 1,
         "zero_class_dropped": bool(report.zero_present),

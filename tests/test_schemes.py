@@ -207,13 +207,13 @@ def test_kernel_matches_dense_eigenprojectors(name):
     assert all(type(k) is int for k in rep.valencies)
 
 
-def scrambled_wf3():
-    """wf_mubs(3) with its lines permuted, rephased and rotated by a unitary."""
-    rng = np.random.default_rng(11)
-    V = wf_mubs(3).to_lineset().vectors
-    U, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+def scrambled(X, seed=11):
+    """X with its lines permuted, rephased and rotated by a seeded unitary."""
+    rng = np.random.default_rng(seed)
+    d, V = X.dim, X.vectors
+    U, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     phases = np.exp(2j * np.pi * rng.random(len(V)))[:, None]
-    return LineSet(3, (V * phases)[rng.permutation(len(V))] @ U.T)
+    return LineSet(d, (V * phases)[rng.permutation(len(V))] @ U.T)
 
 
 LABEL_CASES = {
@@ -222,7 +222,7 @@ LABEL_CASES = {
     "sic2-three-lines": lambda: LineSet(2, sic_lines().vectors[:3]),  # one class, not closed
     "singer2": lambda: diffset_lines(*singer_difference_set(2)),
     "singer3": lambda: diffset_lines(*singer_difference_set(3)),
-    "scrambled-wf3": scrambled_wf3,
+    "scrambled-wf3": lambda: scrambled(wf_mubs(3).to_lineset()),
     "random": random_lines,
     "random-6x4": lambda: random_lines(n=6, d=4, seed=3),
     "random-3x2": lambda: random_lines(n=3, d=2, seed=1),  # worst residual off the diagonal
@@ -558,6 +558,10 @@ GRAM_ORACLE_SETS = {
        for seed in range(8)},
     **{f"orthogonal-pairs{seed}": (lambda seed=seed: random_with_orthogonal_pairs(seed))
        for seed in range(3)},
+    # a lone class next to a dense zero class U that is rounding noise at
+    # nearly every entry, where the unscrambled sets hold many exact zeros
+    **{f"scrambled-{name}": (lambda name=name: scrambled(GRAM_SETS[name]()))
+       for name in ("partial-wf7", "tensor-2x8")},
 }
 
 
@@ -586,6 +590,28 @@ def test_gram_algebra_matches_dense_oracle_on_small_row_blocks(name, monkeypatch
     ref = dense_gram_algebra_check(X)
     monkeypatch.setattr(linesets, "BLOCK_ENTRIES", 8 * 2 * X.n)  # 2-row blocks
     assert_matches_dense_oracle(gram_algebra_check(X), ref)
+
+
+def perturbed_wf(q, eps, seed=1):
+    """wf_mubs(q) moved by eps times seeded complex noise and renormalised:
+    its zero-angle class is no longer 0, but is still dropped."""
+    rng = np.random.default_rng(seed)
+    V = wf_mubs(q).to_lineset().vectors
+    V = V + eps * (rng.normal(size=V.shape) + 1j * rng.normal(size=V.shape))
+    return LineSet(q, V / np.linalg.norm(V, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("q, eps", [(3, 1e-13), (5, 1e-12)])
+def test_a_dropped_class_near_its_bound_enters_the_square(q, eps):
+    X = perturbed_wf(q, eps)
+    report = _angle_labels(X)[0]
+    dropped = 2 * report.multiplicities[0] * report.angles[0]
+    assert 1e-3 < dropped / (1e-12 * X.n) ** 2 <= 1  # U != 0, near the bound that drops it
+    out, ref = gram_algebra_check(X), dense_gram_algebra_check(X)
+    assert_matches_dense_oracle(out, ref)
+    assert out["span_dimension"] == 2
+    # the residual is of the size of GU + UG, so the absolute check cannot see that term
+    assert abs(out["closure_residual"] - ref["closure_residual"]) <= 1e-3 * ref["closure_residual"]
 
 
 def test_many_classes_match_the_dense_oracle():
@@ -634,8 +660,8 @@ def test_gram_square_fit_when_g_is_the_identity(X):
     (lambda: diffset_lines(*singer_difference_set(4)), 0),
     # 15 classes, one pair each: the 15 squares and the 60 pairs that meet
     (lambda: random_lines(n=6, d=4, seed=3), 15 + 60),
-    # a lone class next to a dense zero class: its square is one GEMM
-    (lambda: LineSet(7, wf_mubs(7).to_lineset().vectors[:21]), 1),
+    # a lone class next to a dense zero class also squares from the factor
+    (lambda: LineSet(7, wf_mubs(7).to_lineset().vectors[:21]), 0),
 ])
 def test_gram_square_needs_no_n_by_n_product(make, products, monkeypatch):
     X = make()
