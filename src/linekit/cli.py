@@ -64,6 +64,8 @@ from linekit.mubs import (
     wf_mubs,
 )
 from linekit.schemes import (
+    CLOSURE_TOL,
+    EIGENMATRIX_TOL,
     gram_algebra_check,
     jacobi_idempotents,
     scheme_from_lineset,
@@ -337,11 +339,11 @@ def cmd_verify(args):
         if scheme.closed:
             deep["pq residual"] = f"{scheme.pq_residual:.3g}"
             deep["krein minimum"] = f"{scheme.krein_min:.3g}"
-            if scheme.pq_residual > 1e-8 * scheme.n:
+            if scheme.pq_residual > EIGENMATRIX_TOL * scheme.n:
                 failures.append(
                     {"check": "scheme-pq", "detail": f"PQ deviates from vI by {scheme.pq_residual:.3g}"}
                 )
-            if scheme.krein_min < -1e-8:
+            if scheme.krein_min < -EIGENMATRIX_TOL:
                 failures.append(
                     {"check": "scheme-krein", "detail": f"negative parameter {scheme.krein_min:.3g}"}
                 )
@@ -349,13 +351,9 @@ def cmd_verify(args):
         deep["gram algebra closed"] = "yes" if gram["closed"] else "no"
         if gram["mub_identity_residual"] is not None:
             deep["gram square identity residual"] = f"{gram['mub_identity_residual']:.3g}"
-            if gram["mub_identity_residual"] > 1e-8:
-                failures.append(
-                    {
-                        "check": "gram-square",
-                        "detail": f"G^2 = (n/d) G off by {gram['mub_identity_residual']:.3g}",
-                    }
-                )
+            if gram["mub_identity_residual"] > CLOSURE_TOL:
+                failures.append({"check": "gram-square",
+                                 "detail": f"G^2 = (n/d) G off by {gram['mub_identity_residual']:.3g}"})
         report["deep"] = deep
 
     report["failures"] = failures

@@ -33,17 +33,21 @@ graph labels a pair of vertices by their distance.
 The module also builds the zonal idempotent candidates coming from the
 g-basis, tests closure of the Gram-weighted classes A'_k = G o A_k, and
 computes Seidel spectra of real equiangular sets.  The Gram-weighted test
-holds no n x n complex matrix: it reads row blocks of G = conj(V) V^T and
-G^2 = conj(V) (V^T conj(V)) V^T from the n x d vectors and fits each
-product on the span block by block (`gram_algebra_check`).  A lone kept
-class b squares from the factor: with D = diag(G), U = G - D - A'_b the
-dropped classes and M = G - U, A'_b A'_b = M^2 - DM - MD + D^2 and
-M^2 = G^2 - GU - UG + U^2, where GU + UG comes from the d x n product
-V^T U.  U^2 is left out: each of the K dropped classes has ||A'_k||_F <=
-1e-12 n, so ||U^2||_F <= ||U||_F^2 <= K 1e-24 n^2, while the Hermitian A'_b
-has ||A'_b^2||_F >= ||A'_b||_F^2 / sqrt(n), and the relative residual moves
-by at most 2 K 1e-24 n^2.5 / ||A'_b||_F^2.  The products that matter at
-size go through `np.matmul`, where a test can count them.
+holds no n x n complex matrix: it reads row blocks of G = conj(V) V^T from
+the n x d vectors and fits each product on the span block by block
+(`gram_algebra_check`).  A lone kept class b squares from the factor: with
+D = diag(G), U = G - D - A'_b the dropped classes and M = G - U,
+A'_b A'_b = M^2 - DM - MD + D^2 and M^2 = G^2 - GU - UG + U^2, where the
+rows of G^2 = conj(V) core V^T come from the d x d core = V^T conj(V) and
+GU + UG from the d x n product V^T U.  U^2 is left out: each of the K
+dropped classes has ||A'_k||_F <= 1e-12 n, so ||U^2||_F <= ||U||_F^2 <=
+K 1e-24 n^2, while the Hermitian A'_b has ||A'_b^2||_F >= ||A'_b||_F^2 /
+sqrt(n), and the relative residual moves by at most 2 K 1e-24 n^2.5 /
+||A'_b||_F^2.  G^2 is fitted on the spectrum alone: I, G and G^2 share
+eigenvectors, so ||G^2 - xI - yG||_F^2 = sum_k |mu_k^2 - x - y mu_k|^2 over
+the eigenvalues mu of G, the d of core and n - d zeros (the n largest of
+core when n < d).  The products that matter at size go through `np.matmul`,
+where a test can count them.
 """
 
 from __future__ import annotations
@@ -59,6 +63,8 @@ from linekit.linesets import _angle_blocks, _row_blocks, gap_clusters, gram_degr
 
 #: Frobenius-residual threshold below which the Gram-weighted span counts as closed
 CLOSURE_TOL = 1e-8
+#: PQ = n I within EIGENMATRIX_TOL n, and no Krein parameter below -EIGENMATRIX_TOL
+EIGENMATRIX_TOL = 1e-8
 
 
 @dataclass
@@ -353,12 +359,16 @@ def gram_algebra_check(X):
     to sqrt(eps)).  Classes that meet at no vertex have product 0, a lone
     class squares from the factor (module docstring), and the other products
     are blocked GEMMs.  The distance of G^2 from span{I, G} (zero for
-    unbiased bases and tight equiangular sets) and, for the {0, 1/d} angles
-    of unbiased bases, that of G^2 = (n/d) G are fitted and merged alike.
+    unbiased bases and tight equiangular sets) is the least-squares line
+    through the points (mu, mu^2) over the n eigenvalues mu of G, fitted
+    centred and its misfit summed directly; for the {0, 1/d} angles of
+    unbiased bases, that from (n/d) G is ||mu^2 - (n/d) mu|| (0 for a tight
+    frame, V^H V = (n/d) I), both over ||G^2||_F = ||mu^2||.
     """
     report, L = _angle_labels(X)
-    n, s, V, Vc = X.n, report.s, X.vectors, X.vectors.conj()
+    n, d, s, V, Vc = X.n, X.dim, report.s, X.vectors, X.vectors.conj()
     D = np.einsum("ij,ij->i", Vc, V)  # diag(G)
+    core = np.matmul(V.T, Vc)  # G^2 = conj(V) core V^T, and G has the eigenvalues of core
     keep = [k for k, (m, a) in enumerate(zip(report.multiplicities, report.angles), 1)
             if 2 * m * a > (1e-12 * n) ** 2]  # ||A'_k||^2 = 2 m a
     labels = np.arange(s + 1)
@@ -384,10 +394,10 @@ def gram_algebra_check(X):
             VTU += np.matmul(V[r0:r1].T, Ur)
     GU = (np.hstack([Vc, VTU.conj().T]), np.vstack([VTU, V.T])) if VTU.any() else None
 
-    def product(i, j, r0, r1, Gr, G2r):
+    def product(i, j, r0, r1, Gr):
         """Rows r0:r1 of A'_i A'_j."""
         if factor:  # M^2 - DM - MD + D^2, M^2 = G^2 - GU - UG with U conj(V) = (V^T U)^H
-            P = G2r - (D[r0:r1, None] + D) * rows(r0, r1, basis, Gr)
+            P = np.matmul(Vc[r0:r1] @ core, V.T) - (D[r0:r1, None] + D) * rows(r0, r1, basis, Gr)
             P[np.arange(r1 - r0), np.arange(r0, r1)] += D[r0:r1] ** 2
             if GU is not None:
                 P -= np.matmul(GU[0][r0:r1], GU[1])
@@ -398,54 +408,40 @@ def gram_algebra_check(X):
     nonzero = [a for a in report.angles if a > 1e-9]
     mub = (report.zero_present and len(nonzero) == 1 and X.n % X.dim == 0
            and abs(nonzero[0] - 1.0 / X.dim) <= 1e-9)
-    core = np.matmul(V.T, Vc)  # G^2 = conj(V) core V^T
-    square = np.zeros(3)  # ||G^2||^2 and the squared residuals of the fit and of G^2 = (n/d) G
-    closure, fits = 0.0, []
-    for p, (i, j) in enumerate(products or [(0, 0)]):  # the first also fits G^2
+    closure = 0.0
+    for i, j in products:
         weight, coef, res2, norm2 = np.zeros(s + 1), np.zeros(s + 1, dtype=complex), 0.0, 0.0
-        for r0, r1 in blocks:
-            Lr, rv = L[r0:r1], Vc[r0:r1]
-            Gr, E = np.split(np.matmul(np.vstack([rv, rv @ core]), V.T), 2) if p == 0 else (
-                np.matmul(rv, V.T), None)  # rows of G and, for the first product, of G^2
-            if i:  # fit P on these rows alone, then merge with the rows before
-                P = product(i, j, r0, r1, Gr, E)
-                S = np.bincount(Lr.ravel(), (Gr.real**2 + Gr.imag**2).ravel(), s + 1) * basis
-                inv = np.divide(1.0, S, out=np.zeros(s + 1), where=S > 0)
-                c = _class_inner(Lr, Gr, P, s + 1) * inv
-                F = P - c[Lr] * Gr
-                fix = _class_inner(Lr, Gr, F, s + 1) * inv  # removes the bincount rounding
-                res2 += np.vdot(F, F).real - (S * abs(fix) ** 2).sum()
-                c += fix
-                share = S * np.divide(1.0, weight + S, out=np.zeros(s + 1), where=S > 0)
-                res2 += (weight * share * abs(c - coef) ** 2).sum()  # between the blocks
-                coef += share * (c - coef)
-                weight += S
-                norm2 += np.vdot(P, P).real
-            if p == 0:  # the G^2 fit on span{I, G} of these rows, merged the same way
-                t = D[r0:r1].sum()
-                A = np.array([[r1 - r0, t], [np.conj(t), np.vdot(Gr, Gr)]])
-                b = np.array([np.trace(E, offset=r0), np.vdot(Gr, E)])
-                x = np.linalg.lstsq(A, b)[0]  # singular when G = I
-                fits.append((A, b, x))
-                square[0] += np.vdot(E, E).real
-                square[2] += np.linalg.norm(E - X.n // X.dim * Gr) ** 2 if mub else 0
-                E -= x[1] * Gr
-                E[np.arange(r1 - r0), np.arange(r0, r1)] -= x[0]
-                square[1] += np.vdot(E, E).real
-            Gr = E = P = F = None  # freed before the next block is allocated
-        if i and norm2 > 0:
+        for r0, r1 in blocks:  # fit P on these rows alone, then merge with the rows before
+            Lr, Gr = L[r0:r1], np.matmul(Vc[r0:r1], V.T)
+            P = product(i, j, r0, r1, Gr)
+            S = np.bincount(Lr.ravel(), (Gr.real**2 + Gr.imag**2).ravel(), s + 1) * basis
+            inv = np.divide(1.0, S, out=np.zeros(s + 1), where=S > 0)
+            c = _class_inner(Lr, Gr, P, s + 1) * inv
+            F = P - c[Lr] * Gr
+            fix = _class_inner(Lr, Gr, F, s + 1) * inv  # removes the bincount rounding
+            res2 += np.vdot(F, F).real - (S * abs(fix) ** 2).sum()
+            c += fix
+            share = S * np.divide(1.0, weight + S, out=np.zeros(s + 1), where=S > 0)
+            res2 += (weight * share * abs(c - coef) ** 2).sum()  # between the blocks
+            coef += share * (c - coef)
+            weight += S
+            norm2 += np.vdot(P, P).real
+            Gr = P = F = None  # freed before the next block is allocated
+        if norm2 > 0:
             closure = max(closure, np.sqrt(max(res2, 0.0) / norm2))
-    beta = np.linalg.lstsq(sum(A for A, _, _ in fits), sum(b for _, b, _ in fits))[0]
-    square[1] += sum(np.vdot(x - beta, A @ (x - beta)).real for A, _, x in fits)
 
-    gsq_norm = np.sqrt(square[0])
+    mu = np.pad(np.linalg.eigvalsh(core)[::-1][:n], (0, max(n - d, 0)))  # the spectrum of G
+    dm, dq = mu - mu.mean(), mu**2 - (mu**2).mean()  # centred: x = mean(mu^2) - y mean(mu)
+    misfit = dq - np.vdot(dm, dq) / (np.vdot(dm, dm) or 1.0) * dm  # mu^2 - x - y mu; 0 if G = I
+    gsq_norm = np.linalg.norm(mu**2)
     return {
         "closed": closure <= CLOSURE_TOL,
         "closure_residual": float(closure),
         "span_dimension": len(keep) + 1,
         "zero_class_dropped": bool(report.zero_present),
-        "gram_square_residual": float(np.sqrt(square[1]) / gsq_norm),
-        "mub_identity_residual": float(np.sqrt(square[2]) / gsq_norm) if mub else None,
+        "gram_square_residual": float(np.linalg.norm(misfit) / gsq_norm),
+        "mub_identity_residual": (float(np.linalg.norm(mu**2 - n // d * mu) / gsq_norm)
+                                  if mub else None),
     }
 
 

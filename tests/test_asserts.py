@@ -1,8 +1,12 @@
-"""A ratchet on assert statements in the package.
+"""Ratchets on assert statements and tolerance literals in the package.
 
 python -O strips assert statements, so a check written as one vanishes from
 optimized runs.  Each module may hold at most the count listed here; the
 limits only go down as the remaining asserts become explicit raises.
+
+Tolerances written inline as float literals in (0, 1e-5] are counted the
+same way: the limits only go down as they move into named constants, and
+on toward one tolerance table.
 """
 
 import ast
@@ -11,13 +15,32 @@ from pathlib import Path
 import linekit
 
 ASSERT_LIMITS = {"jacobi": 0, "linesets": 0, "mubs": 0, "sics": 0}
+TOLERANCE_LIMITS = {"cli": 2, "front": 1, "groupcodes": 3, "linesets": 6, "mubs": 4,
+                    "schemes": 10, "sics": 5}
+
+
+def _module_trees():
+    for path in sorted(Path(linekit.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_tolerance(node):
+    return isinstance(node, ast.Constant) and type(node.value) is float and 0 < node.value <= 1e-5
 
 
 def test_assert_count_within_limits():
     over = {}
-    for path in sorted(Path(linekit.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for stem, tree in _module_trees():
         count = sum(isinstance(node, ast.Assert) for node in ast.walk(tree))
-        if count > ASSERT_LIMITS.get(path.stem, 0):
-            over[path.stem] = count
+        if count > ASSERT_LIMITS.get(stem, 0):
+            over[stem] = count
     assert not over, f"modules over their assert limit: {over}"
+
+
+def test_tolerance_literal_count_within_limits():
+    over = {}
+    for stem, tree in _module_trees():
+        count = sum(map(_is_tolerance, ast.walk(tree)))
+        if count > TOLERANCE_LIMITS.get(stem, 0):
+            over[stem] = count
+    assert not over, f"modules over their tolerance-literal limit: {over}"

@@ -508,7 +508,8 @@ def dense_gram_square(X):
     square = np.linalg.norm(Gsq - sol[0] * pair[0] - sol[1] * G) / np.linalg.norm(Gsq)
     nonzero = [a for a in report.angles if a > 1e-9]
     mub = None
-    if report.zero_present and len(nonzero) == 1 and abs(nonzero[0] - 1 / X.dim) <= 1e-9:
+    if (report.zero_present and len(nonzero) == 1 and abs(nonzero[0] - 1 / X.dim) <= 1e-9
+            and X.n % X.dim == 0):
         mub = np.linalg.norm(Gsq - X.n // X.dim * G) / np.linalg.norm(Gsq)
     return square, mub
 
@@ -548,6 +549,14 @@ def random_with_orthogonal_pairs(seed):
     return LineSet(4, np.vstack([U.T, random_lines(n=6, d=4, seed=seed).vectors]))
 
 
+def confined_lines(n, d, rank, seed):
+    """n random lines of C^d inside a seeded subspace of dimension rank, so
+    that G has rank below min(n, d)."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank)))[0]
+    return LineSet(d, random_lines(n=n, d=rank, seed=seed).vectors @ U.T)
+
+
 GRAM_ORACLE_SETS = {
     **{f"lines-{name}": make for name, make in LABEL_CASES.items()},
     **GRAM_SETS,
@@ -562,6 +571,11 @@ GRAM_ORACLE_SETS = {
     # nearly every entry, where the unscrambled sets hold many exact zeros
     **{f"scrambled-{name}": (lambda name=name: scrambled(GRAM_SETS[name]()))
        for name in ("partial-wf7", "tensor-2x8")},
+    # the spectrum of G off the common case: rank below min(n, d), and n < d
+    "confined-6-in-C4-rank2": lambda: confined_lines(6, 4, 2, seed=5),
+    "confined-7-in-C5-rank3": lambda: confined_lines(7, 5, 3, seed=6),
+    "confined-4-in-C5-rank2": lambda: confined_lines(4, 5, 2, seed=7),
+    "random-3x5": lambda: random_lines(n=3, d=5, seed=8),
 }
 
 
