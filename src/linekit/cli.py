@@ -5,6 +5,9 @@ which never imports numpy; `main` imports this module only when one of these
 subcommands runs.  This side imports every layer module at the top, so that
 `import linekit.cli` loads the whole package: tools that rebind layer
 functions in every `linekit.*` namespace (the benchmark tracer) rely on it.
+For the same reason every layer function is called through its module-level
+name here, also from the `EXPECT` table: a table that held `verify_sic`
+itself would keep the original when the name is rebound.
 `main` and the exit codes are re-exported here, so `linekit.cli.main` is the
 front's `main`.
 """
@@ -18,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from linekit.finite_algebra import gf_create, gr_create
+from linekit.finite_algebra import gf_create
 from linekit.groupcodes import (
     LinearCode,
     cover_graph,
@@ -98,14 +101,10 @@ def _annihilator_bound(X, report):
 
 
 def _met_phrase(n, bound):
-    value = Fraction(bound) if isinstance(bound, (int, Fraction)) else None
-    if value is not None:
-        if n == value:
-            return "met with equality"
-        return "satisfied" if n < value else "VIOLATED"
-    return "met with equality" if abs(n - float(bound)) <= 1e-6 else (
-        "satisfied" if n < float(bound) else "VIOLATED"
-    )
+    """Both bounds are exact: `absolute_bound` is an int, the relative one a Fraction."""
+    if n == bound:
+        return "met with equality"
+    return "satisfied" if n < bound else "VIOLATED"
 
 
 def _lineset_sections(X):
@@ -128,47 +127,23 @@ def _lineset_sections(X):
         summary["bases"] = len(set(X.basis_labels))
     for t in (1, 2):
         summary[f"{t}-design"] = "yes" if strength >= t else "no"
-    rows = []
     absval = absolute_bound(X.dim, report.s, zero_in_A=report.zero_present)
-    rows.append(
-        {
-            "bound": "absolute",
-            "value": fmt_rational(absval),
-            "status": _met_phrase(X.n, absval),
-        }
-    )
+    rows = [{"bound": "absolute", "value": fmt_rational(absval),
+             "status": _met_phrase(X.n, absval)}]
     ann = _annihilator_bound(X, report)
     if ann is not None and ann[1]:
-        rows.append(
-            {
-                "bound": "relative",
-                "value": fmt_rational(ann[0]),
-                "status": _met_phrase(X.n, ann[0]),
-            }
-        )
+        rows.append({"bound": "relative", "value": fmt_rational(ann[0]),
+                     "status": _met_phrase(X.n, ann[0])})
     if X.n > X.dim:
         floor = welch_bound(X.dim, X.n)
         top = max(report.angles) if report.angles else 0.0
-        at_floor = abs(float(floor) - float(top)) <= 1e-9
-        rows.append(
-            {
-                "bound": "welch floor",
-                "value": fmt_rational(floor),
-                "status": "largest angle meets the floor"
-                if at_floor
-                else f"largest angle {fmt_rational(top)} above the floor",
-            }
-        )
+        status = ("largest angle meets the floor" if abs(float(floor) - float(top)) <= 1e-9
+                  else f"largest angle {fmt_rational(top)} above the floor")
+        rows.append({"bound": "welch floor", "value": fmt_rational(floor), "status": status})
     if X.basis_labels is not None:
-        cap = X.dim + 1
-        got = len(set(X.basis_labels))
-        rows.append(
-            {
-                "bound": "basis ceiling",
-                "value": f"{cap} bases / {X.dim * cap} lines",
-                "status": "met with equality" if got == cap else f"{got} of {cap} bases",
-            }
-        )
+        cap, got = X.dim + 1, len(set(X.basis_labels))
+        rows.append({"bound": "basis ceiling", "value": f"{cap} bases / {X.dim * cap} lines",
+                     "status": "met with equality" if got == cap else f"{got} of {cap} bases"})
     return summary, rows
 
 
@@ -178,13 +153,48 @@ def _apply_tol(X, tol):
     return LineSet(X.dim, X.vectors, field=X.field, basis_labels=X.basis_labels, tol=tol)
 
 
-def _field_context(provenance):
-    kind, params = provenance
-    if kind in ("wf", "alltop"):
-        q = params["q"] if isinstance(params, dict) else int(params)
-        p, m = _prime_power(q)
-        return gr_create(m).label() if p == 2 else gf_create(p, m).label()
-    return None
+#: --expect kind -> (certificate, the verdict key that passes it, its
+#: `construct` summary row, failure detail).  The lambdas look the layer
+#: functions up when they run, so a rebound name is the one called.
+EXPECT = {
+    "sic": (lambda X: verify_sic(X), "is_sic", "sic verified",
+            lambda v: "orbit is not a maximal equiangular set"),
+    "mub": (lambda X: verify_mub(X), "unbiased", "unbiased",
+            lambda v: f"max deviation {v['max_deviation']:.3g}"),
+    "equiangular": (lambda X: verify_equiangular(X), "equiangular", "equiangular",
+                    lambda v: "more than one angle"),
+}
+
+
+def _scheme_section(rep):
+    """The `[scheme]` body of a `scheme_from_lineset` report."""
+    body = {
+        "n": rep.n,
+        "classes": rep.classes,
+        "angles": ", ".join(fmt_rational(a) for a in rep.angles),
+        "closed": "yes" if rep.closed else "no",
+        "closure residual": f"{rep.closure_residual:.3g}",
+    }
+    if rep.closed:
+        body["valencies"] = ", ".join(fmt_rational(v) for v in rep.valencies)
+        body["multiplicities"] = ", ".join(str(m) for m in rep.multiplicities)
+        body["pq residual"] = f"{rep.pq_residual:.3g}"
+        body["krein minimum"] = f"{rep.krein_min:.3g}"
+        body["reconstruction residual"] = f"{rep.reconstruction_residual:.3g}"
+    return body
+
+
+def _gram_section(gram):
+    """The `[gram algebra]` body of a `gram_algebra_check` verdict."""
+    body = {
+        "closed": "yes" if gram["closed"] else "no",
+        "closure residual": f"{gram['closure_residual']:.3g}",
+        "span dimension": gram["span_dimension"],
+        "gram square residual": f"{gram['gram_square_residual']:.3g}",
+    }
+    if gram["mub_identity_residual"] is not None:
+        body["unbiased identity residual"] = f"{gram['mub_identity_residual']:.3g}"
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +209,7 @@ def cmd_construct(args):
             raise UsageError("construct mub needs --dim")
         fam = _construct_mub(args)
         X = _apply_tol(fam.to_lineset(), args.tol)
-        context = _field_context(fam.provenance)
+        context = fam.provenance[1].get("field")
     elif target == "sic":
         if args.dim is None:
             raise UsageError("construct sic needs --dim")
@@ -218,16 +228,14 @@ def cmd_construct(args):
     summary, bound_rows = _lineset_sections(X)
     if context is not None:
         summary["field context"] = context
-    if target == "sic":
-        verdict = verify_sic(X)
-        summary["sic verified"] = "yes" if verdict["is_sic"] else "no"
+    if target in EXPECT:
+        certify, key, row, _ = EXPECT[target]
+        verdict = certify(X)
+        summary[row] = "yes" if verdict[key] else "no"
         if verdict["alpha"] is not None:
             summary["alpha"] = fmt_rational(verdict["alpha"])
-    if target == "mub":
-        verdict = verify_mub(X)
-        summary["unbiased"] = "yes" if verdict["unbiased"] else "no"
-        summary["alpha"] = fmt_rational(verdict["alpha"])
-        summary["max deviation"] = f"{verdict['max_deviation']:.3g}"
+        if "max_deviation" in verdict:
+            summary["max deviation"] = f"{verdict['max_deviation']:.3g}"
     report = {"summary": summary, "bounds": bound_rows}
     if args.out:
         lineset_to_json(X, path=args.out)
@@ -267,9 +275,7 @@ def _resolve_fiducial(args):
     if source == "builtin":
         return builtin_fiducial(args.dim)
     if source == "appleby":
-        survivors = [
-            entry for entry in appleby_candidates(args.dim) if entry["verdict"]["is_sic"]
-        ]
+        survivors = [e for e in appleby_candidates(args.dim) if e["verdict"]["is_sic"]]
         if not survivors:
             raise RuntimeError(
                 f"the parametrized search found no verified fiducial in dimension {args.dim}"
@@ -294,68 +300,46 @@ def _resolve_fiducial(args):
 def cmd_verify(args):
     X = _load_lineset(args.file, args.tol)
     summary, bound_rows = _lineset_sections(X)
-    failures = []
-    for row in bound_rows:
-        if row["status"] == "VIOLATED":
-            failures.append(
-                {"check": f"bound-{row['bound']}", "detail": f"n exceeds {row['value']}"}
-            )
     report = {"summary": summary, "bounds": bound_rows}
+    checks = [(f"bound-{row['bound']}", row["status"] != "VIOLATED", f"n exceeds {row['value']}")
+              for row in bound_rows]  # (check, ok, failure detail)
 
-    if args.expect == "sic":
-        verdict = verify_sic(X)
-        report["expect sic"] = {k: str(v) for k, v in verdict.items()}
-        if verdict["alpha"] is not None:
-            report["expect sic"]["alpha"] = fmt_rational(verdict["alpha"])
-        if not verdict["is_sic"]:
-            failures.append({"check": "expect-sic", "detail": "orbit is not a maximal equiangular set"})
-    elif args.expect == "mub":
+    if args.expect is not None:
+        certify, key, _, detail = EXPECT[args.expect]
         try:
-            verdict = verify_mub(X)
-        except ValueError as exc:
-            verdict = None
-            failures.append({"check": "expect-mub", "detail": str(exc)})
-        if verdict is not None:
-            report["expect mub"] = {k: str(v) for k, v in verdict.items()}
-            if not verdict["unbiased"]:
-                failures.append(
-                    {
-                        "check": "expect-mub",
-                        "detail": f"max deviation {verdict['max_deviation']:.3g}",
-                    }
-                )
-    elif args.expect == "equiangular":
-        verdict = verify_equiangular(X)
-        report["expect equiangular"] = {k: str(v) for k, v in verdict.items()}
-        if not verdict["equiangular"]:
-            failures.append({"check": "expect-equiangular", "detail": "more than one angle"})
+            verdict = certify(X)
+        except ValueError as exc:  # verify_mub: labels that are not bases
+            checks.append((f"expect-{args.expect}", False, str(exc)))
+        else:
+            section = {k: str(v) for k, v in verdict.items()}
+            if args.expect == "sic" and verdict["alpha"] is not None:
+                section["alpha"] = fmt_rational(verdict["alpha"])
+            report[f"expect {args.expect}"] = section
+            checks.append((f"expect-{args.expect}", verdict[key], detail(verdict)))
 
     if args.deep:
         scheme = scheme_from_lineset(X)
-        deep = {
-            "scheme closed": "yes" if scheme.closed else "no",
-            "closure residual": f"{scheme.closure_residual:.3g}",
-        }
-        if scheme.closed:
-            deep["pq residual"] = f"{scheme.pq_residual:.3g}"
-            deep["krein minimum"] = f"{scheme.krein_min:.3g}"
-            if scheme.pq_residual > EIGENMATRIX_TOL * scheme.n:
-                failures.append(
-                    {"check": "scheme-pq", "detail": f"PQ deviates from vI by {scheme.pq_residual:.3g}"}
-                )
-            if scheme.krein_min < -EIGENMATRIX_TOL:
-                failures.append(
-                    {"check": "scheme-krein", "detail": f"negative parameter {scheme.krein_min:.3g}"}
-                )
         gram = gram_algebra_check(X)
-        deep["gram algebra closed"] = "yes" if gram["closed"] else "no"
-        if gram["mub_identity_residual"] is not None:
-            deep["gram square identity residual"] = f"{gram['mub_identity_residual']:.3g}"
-            if gram["mub_identity_residual"] > CLOSURE_TOL:
-                failures.append({"check": "gram-square",
-                                 "detail": f"G^2 = (n/d) G off by {gram['mub_identity_residual']:.3g}"})
+        body, gram_body = _scheme_section(scheme), _gram_section(gram)
+        deep = {"scheme closed": body["closed"]}
+        deep.update((k, body[k]) for k in ("closure residual", "pq residual", "krein minimum")
+                    if k in body)
+        deep["gram algebra closed"] = gram_body["closed"]
+        if "unbiased identity residual" in gram_body:
+            deep["gram square identity residual"] = gram_body["unbiased identity residual"]
         report["deep"] = deep
+        # `not (x > tol)` so that a NaN residual passes, as it always has
+        if scheme.closed:
+            checks.append(("scheme-pq", not scheme.pq_residual > EIGENMATRIX_TOL * scheme.n,
+                           f"PQ deviates from vI by {scheme.pq_residual:.3g}"))
+            checks.append(("scheme-krein", not scheme.krein_min < -EIGENMATRIX_TOL,
+                           f"negative parameter {scheme.krein_min:.3g}"))
+        residual = gram["mub_identity_residual"]
+        if residual is not None:
+            checks.append(("gram-square", not residual > CLOSURE_TOL,
+                           f"G^2 = (n/d) G off by {residual:.3g}"))
 
+    failures = [{"check": name, "detail": text} for name, ok, text in checks if not ok]
     report["failures"] = failures
     report["result"] = "pass" if not failures else "fail"
     return report, EXIT_OK if not failures else EXIT_CERTIFICATION
@@ -363,13 +347,9 @@ def cmd_verify(args):
 
 def _load_lineset(path, tol):
     try:
-        X = lineset_from_json(path)
+        return _apply_tol(lineset_from_json(path), tol)
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot read line-set file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(f"malformed line set in {path}: {exc}") from exc
-    try:
-        return _apply_tol(X, tol)
     except ValueError as exc:
         raise UsageError(f"malformed line set in {path}: {exc}") from exc
 
@@ -377,32 +357,9 @@ def _load_lineset(path, tol):
 def cmd_scheme(args):
     X = _load_lineset(args.file, args.tol)
     rep = scheme_from_lineset(X)
-    body = {
-        "n": rep.n,
-        "classes": rep.classes,
-        "angles": ", ".join(fmt_rational(a) for a in rep.angles),
-        "closed": "yes" if rep.closed else "no",
-        "closure residual": f"{rep.closure_residual:.3g}",
-    }
-    if rep.closed:
-        body["valencies"] = ", ".join(fmt_rational(v) for v in rep.valencies)
-        body["multiplicities"] = ", ".join(str(m) for m in rep.multiplicities)
-        body["pq residual"] = f"{rep.pq_residual:.3g}"
-        body["krein minimum"] = f"{rep.krein_min:.3g}"
-        body["reconstruction residual"] = f"{rep.reconstruction_residual:.3g}"
-    report = {"scheme": body}
+    report = {"scheme": _scheme_section(rep)}
     if args.gram:
-        gram = gram_algebra_check(X)
-        report["gram algebra"] = {
-            "closed": "yes" if gram["closed"] else "no",
-            "closure residual": f"{gram['closure_residual']:.3g}",
-            "span dimension": gram["span_dimension"],
-            "gram square residual": f"{gram['gram_square_residual']:.3g}",
-        }
-        if gram["mub_identity_residual"] is not None:
-            report["gram algebra"]["unbiased identity residual"] = (
-                f"{gram['mub_identity_residual']:.3g}"
-            )
+        report["gram algebra"] = _gram_section(gram_algebra_check(X))
     if args.idempotents is not None:
         idem = jacobi_idempotents(X, e=args.idempotents)
         report["idempotents"] = {

@@ -8,7 +8,9 @@ imports only when one of them runs.
 
 Every run resolves its arguments into a config block that is echoed at the
 top of the report, so a saved report is reproducible from its own header.
-Reports are deterministic — byte-identical across repeated runs.
+Reports are deterministic — byte-identical across repeated runs at a fixed
+BLAS thread count (residual digits move with `OPENBLAS_NUM_THREADS`; the
+verdicts do not).
 
 Exit codes: 0 all requested certifications pass; 2 usage errors or malformed
 input; 3 internal failure during construction; 4 a certification failed.

@@ -91,14 +91,14 @@ def wf_mubs(q):
     """
     p, m = _prime_power(q)
     if p == 2:
-        R = gr_create(m)
-        mul, trace, N, w = R.teichmuller_table, R.teichmuller_trace, 4, 1j
+        F = gr_create(m)
+        mul, trace, N, w = F.teichmuller_table, F.teichmuller_trace, 4, 1j
     else:
         F = gf_create(p, m)
         mul, trace, N, w = F.mul_table, F.trace_table, p, np.exp(2j * np.pi / p)
     tr_xy = trace[mul]
     E = (tr_xy[:, mul.diagonal()][:, :, None] + 2 * tr_xy) % N
-    return MubFamily(q, _phase_bases(E, N, w), provenance=("wf", {"q": q}))
+    return MubFamily(q, _phase_bases(E, N, w), provenance=("wf", {"q": q, "field": F.label()}))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def alltop_mubs(q):
     u = (digits[:, None] + digits) % p @ p ** np.arange(m)  # index of z + x
     E = (T[M[u, M[u, u]]][:, :, None] + T[M][u]) % p
     return MubFamily(q, _phase_bases(E, p, np.exp(2j * np.pi / p)),
-                     provenance=("alltop", {"q": q}))
+                     provenance=("alltop", {"q": q, "field": F.label()}))
 
 
 # ---------------------------------------------------------------------------

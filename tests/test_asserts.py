@@ -15,7 +15,7 @@ from pathlib import Path
 import linekit
 
 ASSERT_LIMITS = {"jacobi": 0, "linesets": 0, "mubs": 0, "sics": 0}
-TOLERANCE_LIMITS = {"cli": 2, "front": 1, "groupcodes": 3, "linesets": 6, "mubs": 4,
+TOLERANCE_LIMITS = {"cli": 1, "front": 1, "groupcodes": 3, "linesets": 6, "mubs": 4,
                     "schemes": 10, "sics": 5}
 
 

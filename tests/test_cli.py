@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface via main()."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 import linekit
-from linekit import front, linesets
+from linekit import cli, front, linesets
 from linekit.cli import EXIT_CERTIFICATION, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from linekit.finite_algebra import gf_create, gr_create
 from linekit.linesets import LineSet, lineset_from_json, lineset_to_json
 from linekit.mubs import SemifieldTable, semifield_to_csv, wf_mubs
 from linekit.sics import builtin_fiducial, wh_orbit
@@ -57,6 +59,15 @@ class TestConstructMub:
         assert "field context: GF(3^2)/2,1,1" in out
         _, out, _ = run(capsys, ["construct", "mub", "--dim", "4"])
         assert "field context: GR(4^2)/1,1,1" in out
+        _, out, _ = run(capsys, ["construct", "mub", "--dim", "7", "--method", "alltop"])
+        assert "field context: GF(7^1)/4,1" in out
+        for method in (["--method", "spin"], ["--method", "tensor", "--factors", "2,3"]):
+            _, out, _ = run(capsys, ["construct", "mub", "--dim", "6", *method])
+            assert "field context" not in out
+
+    def test_field_label_is_the_construction_field(self):
+        assert wf_mubs(4).provenance[1]["field"] == gr_create(2).label()
+        assert wf_mubs(9).provenance[1]["field"] == gf_create(3, 2).label()
 
     def test_alltop(self, capsys):
         code, out, _ = run(capsys, ["construct", "mub", "--dim", "5", "--method", "alltop"])
@@ -259,6 +270,30 @@ class TestVerify:
         assert code == EXIT_OK
         assert "gram algebra closed: yes" in out
 
+    @pytest.mark.parametrize("layer, field, value, check", [
+        ("scheme_from_lineset", "pq_residual", 1.0, "scheme-pq"),
+        ("scheme_from_lineset", "krein_min", -1.0, "scheme-krein"),
+        ("gram_algebra_check", "mub_identity_residual", 1.0, "gram-square"),
+    ])
+    def test_deep_checks_fail_past_their_tolerance_and_pass_nan(
+            self, capsys, monkeypatch, mub_file, layer, field, value, check):
+        original = getattr(cli, layer)
+
+        def bent(X, *, to):
+            out = original(X)
+            if isinstance(out, dict):
+                return {**out, field: to}
+            return dataclasses.replace(out, **{field: to})
+
+        monkeypatch.setattr(cli, layer, lambda X: bent(X, to=value))
+        code, out, _ = run(capsys, ["--format", "json", "verify", mub_file, "--deep"])
+        assert code == EXIT_CERTIFICATION
+        assert [f["check"] for f in json.loads(out)["failures"]] == [check]
+        # a NaN residual is not past its tolerance
+        monkeypatch.setattr(cli, layer, lambda X: bent(X, to=float("nan")))
+        code, out, _ = run(capsys, ["verify", mub_file, "--deep"])
+        assert code == EXIT_OK and "result: pass" in out
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["verify", "/nonexistent/x.json"])
         assert code == EXIT_USAGE
@@ -452,6 +487,26 @@ class TestReportContract:
         report = json.loads(out)
         assert report["config"]["dim"] == 2
         assert report["summary"]["n"] == 6
+
+    def test_layer_functions_are_called_through_module_names(self, capsys, monkeypatch, tmp_path):
+        # tools that rebind a layer function in linekit.cli (the benchmark
+        # tracer) see every call; a table holding the function would not
+        names = ("verify_mub", "verify_sic", "verify_equiangular", "scheme_from_lineset",
+                 "gram_algebra_check", "wf_mubs", "alltop_mubs")
+        called = set()
+        for name in names:
+            def counting(*args, _name=name, _original=getattr(cli, name), **kwargs):
+                called.add(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counting)
+        path = tmp_path / "sic3.json"
+        assert main(["construct", "mub", "--dim", "4"]) == EXIT_OK
+        assert main(["construct", "mub", "--dim", "5", "--method", "alltop"]) == EXIT_OK
+        assert main(["construct", "sic", "--dim", "3", "--out", str(path)]) == EXIT_OK
+        for kind in ("sic", "mub", "equiangular"):
+            main(["verify", str(path), "--deep", "--expect", kind])
+        capsys.readouterr()
+        assert called == set(names)
 
 
 # ---------------------------------------------------------------------------

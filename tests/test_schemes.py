@@ -15,7 +15,7 @@ from linekit.groupcodes import (
     singer_difference_set,
 )
 from linekit.jacobi import JacobiFamily, dim_harm, jacobi_poly
-from linekit.linesets import LineSet, design_strength, gap_clusters
+from linekit.linesets import LineSet, design_strength, gap_clusters, real_doubling
 from linekit.mubs import tensor_mubs, wf_mubs
 from linekit.schemes import (
     CLOSURE_TOL,
@@ -266,6 +266,16 @@ def _span_residual(product, basis):
     return float(np.linalg.norm(product) / norm)
 
 
+def square_fit_residual(Gsq, G):
+    """||G^2 - (a I + b G)|| / ||G^2|| with (a, b) the least-squares fit on
+    the n^2 x 2 design [vec I, vec G] (by SVD, not the normal equations,
+    which square the condition number)."""
+    n = len(G)
+    design = np.stack([np.eye(n, dtype=complex).ravel(), G.ravel()], axis=1)
+    coef = np.linalg.lstsq(design, Gsq.ravel())[0]
+    return float(np.linalg.norm(Gsq.ravel() - design @ coef) / np.linalg.norm(Gsq))
+
+
 def dense_gram_algebra_check(X, tol=CLOSURE_TOL):
     """The Gram-weighted closure test on dense n x n classes (reference).
 
@@ -280,12 +290,7 @@ def dense_gram_algebra_check(X, tol=CLOSURE_TOL):
     diag = np.diagonal(G).copy()
     Gsq = (V.conj() @ (V.T @ V.conj())) @ V.T
     gsq_norm = np.linalg.norm(Gsq)
-    gramian = np.array([[n, diag.sum()], [diag.sum().conjugate(), np.vdot(G, G)]])
-    rhs = np.array([np.trace(Gsq), np.vdot(G, Gsq)])
-    sol = np.linalg.lstsq(gramian, rhs)[0]
-    residual = Gsq - sol[1] * G
-    residual.reshape(-1)[:: n + 1] -= sol[0]
-    square_residual = float(np.linalg.norm(residual) / gsq_norm)
+    square_residual = square_fit_residual(Gsq, G)
     nonzero = [a for a in report.angles if a > 1e-9]
     mub_residual = None
     if (report.zero_present and len(nonzero) == 1
@@ -502,10 +507,7 @@ def dense_gram_square(X):
     report = _angle_labels(X)[0]
     G = X.gram()
     Gsq = G @ G
-    pair = [np.eye(X.n, dtype=complex), G]
-    gramian = np.array([[np.vdot(a, b) for b in pair] for a in pair])
-    sol = np.linalg.solve(gramian, np.array([np.vdot(a, Gsq) for a in pair]))
-    square = np.linalg.norm(Gsq - sol[0] * pair[0] - sol[1] * G) / np.linalg.norm(Gsq)
+    square = square_fit_residual(Gsq, G)
     nonzero = [a for a in report.angles if a > 1e-9]
     mub = None
     if (report.zero_present and len(nonzero) == 1 and abs(nonzero[0] - 1 / X.dim) <= 1e-9
@@ -576,6 +578,8 @@ GRAM_ORACLE_SETS = {
     "confined-7-in-C5-rank3": lambda: confined_lines(7, 5, 3, seed=6),
     "confined-4-in-C5-rank2": lambda: confined_lines(4, 5, 2, seed=7),
     "random-3x5": lambda: random_lines(n=3, d=5, seed=8),
+    # 180 lines, 3 kept classes: the several-class product route on a structured set
+    "real-doubling-wf9": lambda: real_doubling(wf_mubs(9).to_lineset()),
 }
 
 
