@@ -328,15 +328,15 @@ def cmd_verify(args):
         if "unbiased identity residual" in gram_body:
             deep["gram square identity residual"] = gram_body["unbiased identity residual"]
         report["deep"] = deep
-        # `not (x > tol)` so that a NaN residual passes, as it always has
+        # written `x <= tol` so that a NaN residual fails its check
         if scheme.closed:
-            checks.append(("scheme-pq", not scheme.pq_residual > EIGENMATRIX_TOL * scheme.n,
+            checks.append(("scheme-pq", scheme.pq_residual <= EIGENMATRIX_TOL * scheme.n,
                            f"PQ deviates from vI by {scheme.pq_residual:.3g}"))
-            checks.append(("scheme-krein", not scheme.krein_min < -EIGENMATRIX_TOL,
+            checks.append(("scheme-krein", scheme.krein_min >= -EIGENMATRIX_TOL,
                            f"negative parameter {scheme.krein_min:.3g}"))
         residual = gram["mub_identity_residual"]
         if residual is not None:
-            checks.append(("gram-square", not residual > CLOSURE_TOL,
+            checks.append(("gram-square", residual <= CLOSURE_TOL,
                            f"G^2 = (n/d) G off by {residual:.3g}"))
 
     failures = [{"check": name, "detail": text} for name, ok, text in checks if not ok]

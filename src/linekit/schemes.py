@@ -10,8 +10,8 @@ graph labels a pair of vertices by their distance.
   single precision holds every integer below 2^24 exactly, so an sgemm
   gives exact counts in any summation order.  The span closes exactly when
   A_i A_j is constant on each class k, and that constant is the
-  intersection number p_ij^k.  The first pair that breaks constancy is kept
-  as a witness.
+  intersection number p_ij^k.  Constancy is read row block by row block,
+  and the first pair that breaks it is kept as a witness.
 * The largest class is eliminated.  Let s be the class with the most pairs.
   Since A_0 + ... + A_s = J and A_0 = I, for any label matrix
   A_i A_s = r_i 1^T - A_i - sum_{l != 0, s} A_i A_l, with r_i the row sums
@@ -30,12 +30,13 @@ graph labels a pair of vertices by their distance.
   are q_ij^k = (1/n) sum_l Q_li Q_lj P_kl (Bannai-Ito 1984;
   Brouwer-Cohen-Neumaier 1989).
 
-The module also builds the zonal idempotent candidates coming from the
-g-basis, tests closure of the Gram-weighted classes A'_k = G o A_k, and
-computes Seidel spectra of real equiangular sets.  The Gram-weighted test
-holds no n x n complex matrix: it reads row blocks of G = conj(V) V^T from
-the n x d vectors and fits each product on the span block by block
-(`gram_algebra_check`).  A lone kept class b squares from the factor: with
+The module also builds the zonal idempotent candidates of the g-basis,
+tests closure of the Gram-weighted classes A'_k = G o A_k, and computes
+Seidel spectra of real equiangular sets.  The first two hold no n x n
+complex matrix: they read row blocks of G = conj(V) V^T from the n x d
+vectors, and the Gram-weighted test fits each product on the span block
+by block (`gram_algebra_check`).
+A lone kept class b squares from the factor: with
 D = diag(G), U = G - D - A'_b the dropped classes and M = G - U,
 A'_b A'_b = M^2 - DM - MD + D^2 and M^2 = G^2 - GU - UG + U^2, where the
 rows of G^2 = conj(V) core V^T come from the d x d core = V^T conj(V) and
@@ -162,7 +163,8 @@ def association_scheme(L):
     n = L.shape[0]
     m = int(L.max()) + 1
     flat = L.ravel()
-    sizes = np.bincount(flat, minlength=m)
+    blocks = _row_blocks(n, linesets.BLOCK_ENTRIES)
+    sizes = sum(np.bincount(L[r0:r1].ravel(), minlength=m) for r0, r1 in blocks)
     if sizes[0] != n or np.diagonal(L).any() or not sizes.all():
         raise ValueError("the label matrix must be 0 exactly on the diagonal "
                          "and hold every class 1..s")
@@ -174,16 +176,18 @@ def association_scheme(L):
     def check(i, j, prod):
         """Read p_ij off the representative pairs and test A_i A_j = prod.
 
-        A broken product's distance to the span of the 0/1 classes is each
-        entry minus its class mean; the means are exact integer sums over
-        counts, and the norm runs over a complex copy like every residual
-        of this module.
+        Constancy is tested row block by row block.  A broken product's
+        distance to the span of the 0/1 classes is each entry minus its class
+        mean; the means are exact integer sums over counts, and the norm runs
+        over a complex copy like every residual of this module.
         """
         p[i, j] = p[j, i] = prod[rows, cols]
-        expect = p[i, j].astype(np.float32)[L]
-        expect -= prod
-        if expect.any():
-            x, y = np.unravel_index(np.argmax(expect != 0), expect.shape)
+        expect = p[i, j].astype(np.float32)
+        for r0, r1 in blocks:  # the first broken pair in row-major order
+            if (bad := expect[L[r0:r1]] != prod[r0:r1]).any():
+                break
+        if bad.any():
+            x, y = divmod(r0 * n + int(np.argmax(bad)), n)
             exact = np.asarray(prod, dtype=np.float64, order="C")
             means = np.bincount(flat, weights=exact.ravel(), minlength=m) / sizes
             residual = (exact - means[L]).astype(complex)
@@ -297,38 +301,44 @@ def jacobi_idempotents(X, fam=None, e=1):
     X.  When the set is a 2e-design these are orthogonal idempotents; the
     report carries the pairwise residuals ||E_i E_j - [i==j] E_i|| either
     way, so a shortfall in design strength shows up as a large residual
-    rather than an error.  E_0 is always J/n, and trace(E_r) equals the
-    degree-r harmonic dimension by the normalization of the g-basis.
+    rather than an error.  E_0 is always J/n (a read-only broadcast), and
+    trace(E_r) equals the degree-r harmonic dimension by the normalization
+    of the g-basis.  E_1..E_e are filled from `_angle_blocks` and the
+    products taken in row blocks: no n x n array beyond the E_r.
     """
     if e < 0:
         raise ValueError("e must be nonnegative")
     if fam is None:
         fam = JacobiFamily(X.dim, max_k=max(e, 2))
-    sq = X.angle_matrix()
     n = X.n
-    mats = []
-    for r in range(e + 1):
-        coeffs = [float(c) for c in jacobi_poly(fam, r, kind="g")]
-        val = np.zeros_like(sq)
-        for c in reversed(coeffs):
-            val *= sq
-            val += c
-        val /= n
-        mats.append(val)
-    del sq  # before the products are allocated
+    mats = [np.broadcast_to(1.0 / n, (n, n))] + [np.empty((n, n)) for _ in range(e)]
+    coeffs = [[float(c) for c in jacobi_poly(fam, r, kind="g")] for r in range(1, e + 1)]
+    for r0, sq in _angle_blocks(X):
+        for M, cs in zip(mats[1:], coeffs):
+            val = M[r0:r0 + len(sq)]
+            val[:] = 0.0
+            for c in reversed(cs):
+                val *= sq
+                val += c
+            val /= n
     # E_0 = J/n has n equal rows, so E_0 E_j is n copies of one row, the
-    # column sums of E_j over n; E_j E_i = (E_i E_j)^T has the same norm
-    res = np.zeros((e + 1, e + 1))
+    # column sums of E_j over n; E_j E_i = (E_i E_j)^T has the same norm.
+    # Every matmul reads contiguous operands: a stride-0 one takes another path.
+    e0 = np.full(n, 1.0 / n)
+    row0 = np.zeros(n)
+    res = np.zeros((e + 1, e + 1))  # squared norms of the blocked products
+    for r0, r1 in _row_blocks(n, linesets.BLOCK_ENTRIES):
+        row0 += e0[r0:r1] @ np.full((r1 - r0, n), 1.0 / n)
+        for i in range(1, e + 1):
+            for j in range(i, e + 1):
+                product = np.matmul(mats[i][r0:r1], mats[j]).ravel()
+                if i == j:
+                    product -= mats[i][r0:r1].ravel()
+                res[i, j] += product.dot(product)
+    res = np.sqrt(np.maximum(res, res.T))
     for j in range(e + 1):
-        row = mats[0][0] @ mats[j] - (mats[0][0] if j == 0 else 0.0)
+        row = e0 @ mats[j] if j else row0 - e0
         res[0, j] = res[j, 0] = np.sqrt(n) * np.linalg.norm(row)
-    for i in range(1, e + 1):
-        for j in range(i, e + 1):
-            product = np.matmul(mats[i], mats[j])
-            if i == j:
-                product -= mats[i]
-            res[i, j] = res[j, i] = np.linalg.norm(product)
-            del product  # before the next product is allocated
     return {
         "idempotents": mats,
         "residuals": res,
@@ -375,12 +385,12 @@ def gram_algebra_check(X):
     basis = np.isin(labels, [0, *keep])
     factor = len(keep) == 1
     touch = np.zeros((s + 1, n), bool)  # classes at each vertex
-    for r0, r1 in _row_blocks(n, linesets.BLOCK_ENTRIES) if len(keep) > 1 else []:
+    for r0, r1 in _row_blocks(n, 4 * linesets.BLOCK_ENTRIES) if len(keep) > 1 else []:
         touch[L[r0:r1], np.arange(r0, r1)[:, None]] = True
     meet = touch @ touch.T  # classes meeting at no vertex have product 0
     products = [(i, j) for a, i in enumerate(keep) for j in keep[a:] if i == j or meet[i, j]]
     # a GEMM remakes its right factor's rows for each row block, so its blocks are larger
-    blocks = _row_blocks(n, linesets.BLOCK_ENTRIES // (8 if factor else 1))
+    blocks = _row_blocks(n, linesets.BLOCK_ENTRIES // 2 if factor else 4 * linesets.BLOCK_ENTRIES)
 
     def rows(r0, r1, member, Gr=None):
         """Rows r0:r1 of the sum of the weighted classes k with member[k]."""

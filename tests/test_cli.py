@@ -275,7 +275,7 @@ class TestVerify:
         ("scheme_from_lineset", "krein_min", -1.0, "scheme-krein"),
         ("gram_algebra_check", "mub_identity_residual", 1.0, "gram-square"),
     ])
-    def test_deep_checks_fail_past_their_tolerance_and_pass_nan(
+    def test_deep_checks_fail_past_their_tolerance_and_on_nan(
             self, capsys, monkeypatch, mub_file, layer, field, value, check):
         original = getattr(cli, layer)
 
@@ -289,10 +289,11 @@ class TestVerify:
         code, out, _ = run(capsys, ["--format", "json", "verify", mub_file, "--deep"])
         assert code == EXIT_CERTIFICATION
         assert [f["check"] for f in json.loads(out)["failures"]] == [check]
-        # a NaN residual is not past its tolerance
+        # a NaN residual is within no tolerance
         monkeypatch.setattr(cli, layer, lambda X: bent(X, to=float("nan")))
-        code, out, _ = run(capsys, ["verify", mub_file, "--deep"])
-        assert code == EXIT_OK and "result: pass" in out
+        code, out, _ = run(capsys, ["--format", "json", "verify", mub_file, "--deep"])
+        assert code == EXIT_CERTIFICATION
+        assert [f["check"] for f in json.loads(out)["failures"]] == [check]
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["verify", "/nonexistent/x.json"])

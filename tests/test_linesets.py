@@ -37,6 +37,10 @@ from linekit.sics import DisplacementGroup, appleby_candidates, builtin_fiducial
 
 ISQ2 = 1 / np.sqrt(2)
 
+#: BLOCK_ENTRIES values for the row-block oracles: the default, the larger
+#: blocks of gram_algebra_check's GEMM route, and 3-row blocks at n = 20
+ROW_BLOCKS = [linesets.BLOCK_ENTRIES, 4 * linesets.BLOCK_ENTRIES, 64]
+
 
 def standard_basis(d):
     return LineSet(d, np.eye(d))
@@ -225,7 +229,7 @@ def sorted_route_reference(X):
 
 
 @pytest.mark.parametrize("name", list(ORACLE_SETS) + ["wf27"])
-@pytest.mark.parametrize("block", [linesets.BLOCK_ENTRIES, 64])
+@pytest.mark.parametrize("block", ROW_BLOCKS)
 def test_degree_set_matches_sorted_route(name, block, monkeypatch):
     monkeypatch.setattr(linesets, "BLOCK_ENTRIES", block)
     X = wf_mubs(27).to_lineset() if name == "wf27" else ORACLE_SETS[name]()
@@ -234,6 +238,14 @@ def test_degree_set_matches_sorted_route(name, block, monkeypatch):
     assert rep.angles == angles and rep.multiplicities == mult and rep.spans == spans
     assert sum(mult) == X.n * (X.n - 1) // 2
     assert np.allclose(rep.power_sums, sums, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 8, 9, 17])
+def test_gap_breaks_and_power_sums_span_their_chunks(size, monkeypatch):
+    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", 4)  # a break at every chunk edge
+    x = (np.arange(size) // 2).astype(float)
+    assert list(linesets._gap_breaks(x, 0.5)) == list(range(2, size, 2))
+    assert np.allclose(linesets._power_sums(x), [(x ** j).sum() for j in range(5)])
 
 
 def test_degree_set_standard_basis():
@@ -513,7 +525,7 @@ MUB_ORACLE_SETS = {
 
 
 @pytest.mark.parametrize("name", list(MUB_ORACLE_SETS))
-@pytest.mark.parametrize("block", [linesets.BLOCK_ENTRIES, 64])
+@pytest.mark.parametrize("block", ROW_BLOCKS)
 def test_verify_mub_matches_dense_route(name, block, monkeypatch):
     monkeypatch.setattr(linesets, "BLOCK_ENTRIES", block)
     X = MUB_ORACLE_SETS[name]()
@@ -524,7 +536,7 @@ def test_verify_mub_matches_dense_route(name, block, monkeypatch):
     assert out["unbiased"] == ("biased" not in name and "duplicate" not in name)
 
 
-@pytest.mark.parametrize("block", [linesets.BLOCK_ENTRIES, 64])
+@pytest.mark.parametrize("block", ROW_BLOCKS)
 def test_verify_mub_names_the_same_bad_cells_as_the_dense_route(block, monkeypatch):
     monkeypatch.setattr(linesets, "BLOCK_ENTRIES", block)
     X = bent_cells(scrambled(wf_mubs(7).to_lineset(), 3), [6, 2])
@@ -545,6 +557,29 @@ def test_verify_mub_forms_no_n_by_n_array():
         tracemalloc.stop()
     assert out["unbiased"] and out["count"] == 65
     assert peak < 32 * 2**20  # the whole angle matrix alone is 138 MB
+
+
+def traced_peak(f, *args):
+    """f(*args) and the peak bytes that tracemalloc saw during the call."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_degree_set_holds_its_pair_array_and_one_block():
+    X = scrambled(wf_mubs(27).to_lineset(), 7)  # n = 756: 8 row blocks
+    rep, peak = traced_peak(gram_degree_set, X)
+    assert rep.multiplicities == [756 * 26 // 2, 756 * 729 // 2]
+    assert peak <= 8 * X.n * (X.n - 1) // 2 + 2.5 * 2**20  # no copy of the pair array
+
+
+def test_verify_mub_holds_one_block():
+    X = scrambled(wf_mubs(27).to_lineset(), 7)
+    out, peak = traced_peak(verify_mub, X)
+    assert out["unbiased"] and out["count"] == 28
+    assert peak <= X.n**2 + 2.5 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,14 @@ from linekit.groupcodes import (
     singer_difference_set,
 )
 from linekit.jacobi import JacobiFamily, dim_harm, jacobi_poly
-from linekit.linesets import LineSet, design_strength, gap_clusters, real_doubling
-from linekit.mubs import tensor_mubs, wf_mubs
+from linekit.linesets import (
+    LineSet,
+    design_strength,
+    gap_clusters,
+    gram_degree_set,
+    real_doubling,
+)
+from linekit.mubs import alltop_mubs, tensor_mubs, wf_mubs
 from linekit.schemes import (
     CLOSURE_TOL,
     _angle_labels,
@@ -437,6 +443,18 @@ def test_kernel_matches_dense_float64_kernel_bit_for_bit(name):
         assert rep.krein.tobytes() == krein.tobytes()
 
 
+@pytest.mark.parametrize("name", ["lines-wf4", "cover-rds3",
+                                  *(f"random{seed}" for seed in range(0, 60, 6))])
+def test_kernel_matches_dense_kernel_over_small_row_blocks(name, monkeypatch):
+    L = SCHEME_LABELS[name]()
+    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", 2 * L.shape[0])  # 2-row blocks
+    rep = association_scheme(L)
+    p, witness, closure, *_ = dense_association_scheme(L)
+    assert rep.witness == witness and rep.closure_residual == closure
+    if rep.closed:
+        assert np.array_equal(rep.intersection_numbers, p)
+
+
 def test_random_labels_cover_open_irregular_spans():
     reps = [association_scheme(random_labels(seed)) for seed in range(60)]
     assert sum(not r.closed for r in reps) >= 50
@@ -606,7 +624,7 @@ def test_gram_algebra_matches_dense_oracle(name):
 def test_gram_algebra_matches_dense_oracle_on_small_row_blocks(name, monkeypatch):
     X = GRAM_ORACLE_SETS[name]()
     ref = dense_gram_algebra_check(X)
-    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", 8 * 2 * X.n)  # 2-row blocks
+    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", 2 * 2 * X.n)  # 2-row blocks
     assert_matches_dense_oracle(gram_algebra_check(X), ref)
 
 
@@ -653,7 +671,7 @@ def test_classes_meeting_at_no_vertex_skip_their_product(seed, monkeypatch):
 def test_gram_algebra_holds_no_n_by_n_complex_matrix(monkeypatch):
     X = diffset_lines(*singer_difference_set(16))  # 273 lines in C^17
     _angle_labels(X)
-    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", 8 * 8 * X.n)  # 8-row blocks
+    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", 2 * 8 * X.n)  # 8-row blocks
     tracemalloc.start()
     try:
         out = gram_algebra_check(X)
@@ -742,6 +760,47 @@ def test_idempotents_in_place_are_bit_identical(make, e):
     mats, res = out_of_place_idempotents(make(), e)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(out["idempotents"], mats, strict=True))
     assert out["residuals"].tobytes() == res.tobytes()
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_idempotents_over_row_blocks_match_the_dense_products(e):
+    X = alltop_mubs(23).to_lineset()  # n = 552
+    assert len(linesets._row_blocks(X.n, linesets.BLOCK_ENTRIES)) >= 3
+    out = jacobi_idempotents(X, e=e)
+    mats, _ = out_of_place_idempotents(X, e)
+    assert all(np.abs(a - b).max() <= 1e-15 for a, b in zip(out["idempotents"], mats, strict=True))
+    ref = dense_idempotent_residuals(X, e)  # E_2 is far from idempotent: 4.4e5 at e = 2
+    assert np.abs(out["residuals"] - ref).max() <= 1e-12 * max(1.0, ref.max())
+
+
+def traced_peak(f, *args):
+    """f(*args) and the peak bytes that tracemalloc saw during the call."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_idempotents_hold_their_matrices_and_one_block(monkeypatch):
+    X = scrambled(wf_mubs(27).to_lineset())  # n = 756
+    fam = JacobiFamily(X.dim, max_k=2)
+
+    def no_gram(self):
+        raise AssertionError("jacobi_idempotents formed the n x n Gram")
+
+    monkeypatch.setattr(LineSet, "gram", no_gram)
+    out, peak = traced_peak(jacobi_idempotents, X, fam, 2)
+    assert out["residuals"][:2, :2].max() <= 1e-8  # a complete MUB is a 2-design
+    assert peak <= 2 * 8 * X.n**2 + 3 * 2**20  # E_1, E_2 and one block
+
+
+def test_labels_hold_their_matrix_and_one_block():
+    X = scrambled(wf_mubs(27).to_lineset())
+    gram_degree_set(X)
+    (report, L), peak = traced_peak(_angle_labels, X)
+    assert report.s == 2 and L.dtype == np.uint8
+    assert peak <= X.n**2 + 2.5 * 2**20
 
 
 class TestJacobiIdempotents:
