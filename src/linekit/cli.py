@@ -311,7 +311,7 @@ def cmd_verify(args):
         except ValueError as exc:  # verify_mub: labels that are not bases
             checks.append((f"expect-{args.expect}", False, str(exc)))
         else:
-            section = {k: str(v) for k, v in verdict.items()}
+            section = {k: f"{v:.3g}" if k == "T1" else str(v) for k, v in verdict.items()}
             if args.expect == "sic" and verdict["alpha"] is not None:
                 section["alpha"] = fmt_rational(verdict["alpha"])
             report[f"expect {args.expect}"] = section

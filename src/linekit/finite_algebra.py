@@ -16,7 +16,7 @@ The integer number theory (isprime, factorint, jacobi_symbol) lives here too.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from math import lcm
 
 import numpy as np
@@ -321,13 +321,17 @@ def _is_primitive(modulus, p, m):
 
 
 def gf_create(p, m, modulus=None):
-    """Build GF(p^m).
+    """Build GF(p^m), once per (p, m, modulus): later calls return the same field.
 
     The default modulus is the monic primitive polynomial of degree m whose
     base-p integer encoding sum(c_i p^i) is smallest; a user-supplied modulus
     must be monic of degree m and irreducible.
     """
-    p, m = int(p), int(m)
+    return _gf_create(int(p), int(m), None if modulus is None else tuple(int(c) for c in modulus))
+
+
+@cache
+def _gf_create(p, m, modulus):
     if not isprime(p):
         raise ValueError(f"p = {p} is not prime")
     if m < 1:

@@ -275,16 +275,22 @@ class GraphWithSpectrum:
 
 
 def _distance_labels(A):
-    """Distance matrix of a connected graph, one frontier product per level."""
+    """Distance matrix of a connected graph, one frontier product per level.
+
+    The frontier counts are float32 (exact below 2^24), and the distances
+    are held in the smallest unsigned type, like the labels of
+    `schemes._angle_labels`: uint8 until a level passes 255.
+    """
     n = A.shape[0]
-    adj = A.astype(float)
+    adj = A.astype(np.float32)
     seen = np.eye(n, dtype=bool)
     frontier = seen
-    dist = np.zeros((n, n), dtype=np.int64)
+    dist = np.zeros((n, n), dtype=np.uint8)
     level = 0
     while frontier.any():
         level += 1
         frontier = (frontier @ adj > 0) & ~seen
+        dist = dist.astype(np.min_scalar_type(level), copy=False)
         dist[frontier] = level
         seen |= frontier
     if not seen.all():

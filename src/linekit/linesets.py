@@ -3,9 +3,12 @@
 A LineSet is n unit vectors regarded projectively (each spans a line).  All
 statistics below depend only on the squared inner-product moduli |<a,b>|^2,
 so they are invariant under per-vector phases and global unitaries.  The
-degree set is one sorted pass over the n(n-1)/2 pair values, gathered by
-row blocks of the Gram matrix; it keeps the power sums of the angles, from
-which the Jacobi pair sums of the design test follow with no n x n array.
+degree set is one pass over the row blocks of the angle matrix: each
+block's pair values are sorted and cut into runs, and the runs of all
+blocks merge into exactly the clusters of the sorted n(n-1)/2 values, with
+no array of those values (`gram_degree_set`).  The same pass keeps the
+power sums of the angles, from which the Jacobi pair sums of the design
+test follow with no n x n array.
 """
 
 from __future__ import annotations
@@ -149,9 +152,8 @@ def _angle_blocks(X):
 
 
 def _gap_breaks(ordered, gap):
-    """Positions where adjacent ascending values differ by more than gap, in chunks."""
-    return np.concatenate([np.nonzero(np.diff(ordered[k:k + BLOCK_ENTRIES + 1]) > gap)[0] + k + 1
-                           for k in range(0, max(ordered.size - 1, 1), BLOCK_ENTRIES)])
+    """Positions where adjacent ascending values differ by more than gap."""
+    return np.nonzero(np.diff(ordered) > gap)[0] + 1
 
 
 def gap_clusters(vals, gap):
@@ -162,54 +164,69 @@ def gap_clusters(vals, gap):
 
 
 def _power_sums(x):
-    """[sum x^j for j = 0..4], read in chunks of BLOCK_ENTRIES."""
-    sums = np.zeros(4)
-    for c in (x[k:k + BLOCK_ENTRIES] for k in range(0, x.size, BLOCK_ENTRIES)):
-        sq = c * c
-        sums += c.sum(), sq.sum(), sq @ c, sq @ sq
-    return [x.size, *sums]
+    """[sum x^j for j = 0..4]."""
+    sq = x * x
+    return [x.size, x.sum(), sq.sum(), sq @ x, sq @ sq]
 
 
 def gram_degree_set(X):
     """Cluster the n(n-1)/2 pairwise angles |<a,b>|^2 into the degree set A.
 
-    The pair values are gathered row block by row block and sorted in
-    place; each cluster is a run of the sorted values split by the
+    The clusters are the runs of the sorted pair values split by the
     `gap_clusters` rule with width X.tol, which makes the clustering
-    deterministic and phase-invariant.  A pair with angle above 1 - tol
-    means two copies of the same projective line: error.  The report also
-    holds the power sums P_j of all n^2 angles, the diagonal included, for
-    the Jacobi pair sums of `design_strength`.  It is computed once and
-    stored on X; later calls return it.
+    deterministic and phase-invariant.  No array of all pair values is
+    formed: the upper triangle of each `_angle_blocks` row block is sorted
+    and cut by the same rule into runs, kept as (min, max, count, sum), and
+    the runs of all blocks are sorted by min and merged, a cluster starting
+    wherever min - (largest max so far) > tol.  These are the global breaks:
+    no run has an inner gap above tol, so a gap above tol between adjacent
+    sorted values lies between runs, and there the merge subtracts the same
+    two floats as the global rule.  Memory is one block plus the runs: one
+    per cluster and block unless a block leaves a gap that others fill, and
+    one per pair for a set of distinct angles.
+
+    A pair with angle above 1 - tol means two copies of the same projective
+    line: error, naming the first such pair in row-major order.  The report
+    also holds the power sums P_j of all n^2 angles, the diagonal included,
+    for the Jacobi pair sums of `design_strength`, summed in the same pass.
+    It is computed once and stored on X; later calls return it.
     """
     if X._degree_set is not None:
         return X._degree_set
-    n = X.n
-    vals = np.empty(n * (n - 1) // 2)
+    n, tol = X.n, X.tol
     diag = np.empty(n)
-    pos = 0
+    pair_sums = np.zeros(5)
+    runs = [np.empty((4, 0))]  # rows: min, max, count, sum of each run
     for r0, A in _angle_blocks(X):
-        for i, row in enumerate(A, start=r0):
-            diag[i] = row[i]
-            vals[pos:pos + n - 1 - i] = row[i + 1:]
-            pos += n - 1 - i
-    if vals.size and vals.max() > 1 - X.tol:
-        k = int(np.argmax(vals > 1 - X.tol))
-        iu, ju = np.triu_indices(n, k=1)
-        raise ValueError(
-            f"vectors {iu[k]} and {ju[k]} span the same line (angle {vals[k]:.12g})"
-        )
-    vals.sort()
-    edges = [0, *_gap_breaks(vals, X.tol), vals.size] if vals.size else [0]
-    runs = [vals[a:b] for a, b in zip(edges, edges[1:])]
-    angles = [float(run.mean()) for run in runs]
+        diag[r0:r0 + len(A)] = A[np.arange(len(A)), np.arange(r0, r0 + len(A))]
+        upper = [row[i + 1:] for i, row in enumerate(A, start=r0)]
+        vals = np.concatenate(upper)
+        if vals.size and vals.max() > 1 - tol:
+            i = next(i for i, u in enumerate(upper) if u.size and u.max() > 1 - tol)
+            j = int(np.argmax(upper[i] > 1 - tol))
+            raise ValueError(f"vectors {r0 + i} and {r0 + i + 1 + j} span the same line "
+                             f"(angle {upper[i][j]:.12g})")
+        if vals.size:
+            pair_sums += _power_sums(vals)
+            vals.sort()
+            starts = np.r_[0, _gap_breaks(vals, tol)]
+            ends = np.r_[starts[1:], vals.size]
+            runs.append([vals[starts], vals[ends - 1], ends - starts,
+                         np.add.reduceat(vals, starts)])
+    lo, hi, count, total = np.hstack(runs)
+    order = np.argsort(lo)
+    lo, hi, count, total = lo[order], np.maximum.accumulate(hi[order]), count[order], total[order]
+    starts = np.flatnonzero(np.r_[lo.size > 0, lo[1:] - hi[:-1] > tol])
+    ends = np.r_[starts[1:], lo.size]
+    sizes = np.add.reduceat(count, starts)
+    angles = [float(t / c) for t, c in zip(np.add.reduceat(total, starts), sizes)]
     X._degree_set = DegreeSetReport(
         angles=angles,
-        multiplicities=[run.size for run in runs],
+        multiplicities=[int(c) for c in sizes],
         s=len(angles),
-        zero_present=bool(angles and angles[0] <= X.tol),
-        spans=[(float(run[0]), float(run[-1])) for run in runs],
-        power_sums=[float(d + 2 * p) for d, p in zip(_power_sums(diag), _power_sums(vals))],
+        zero_present=bool(angles and angles[0] <= tol),
+        spans=[(float(lo[a]), float(hi[b - 1])) for a, b in zip(starts, ends)],
+        power_sums=[float(d + 2 * p) for d, p in zip(_power_sums(diag), pair_sums)],
     )
     return X._degree_set
 
@@ -457,18 +474,15 @@ def lineset_to_json(X, path=None):
     """Write the interchange format; returns the JSON string.
 
     Each vector entry is written as its [re, im] pair of floats, read off a
-    float64 (n, dim, 2) view of the vectors.
+    float64 (n, dim, 2) view of the vectors, one vector at a time: the text
+    is that of `json.dumps` on the whole document, with no Python list of
+    all the entries.
     """
-    doc = {
-        "dim": X.dim,
-        "field": X.field,
-        "tol": X.tol,
-        "vectors": np.ascontiguousarray(X.vectors).view(np.float64)
-        .reshape(X.n, X.dim, 2).tolist(),
-    }
-    if X.basis_labels is not None:
-        doc["labels"] = list(X.basis_labels)
-    text = json.dumps(doc)
+    head = json.dumps({"dim": X.dim, "field": X.field, "tol": X.tol})[:-1]
+    pairs = np.ascontiguousarray(X.vectors).view(np.float64).reshape(X.n, X.dim, 2)
+    body = ", ".join(json.dumps(row.tolist()) for row in pairs)
+    tail = "" if X.basis_labels is None else f', "labels": {json.dumps(list(X.basis_labels))}'
+    text = f'{head}, "vectors": [{body}]{tail}}}'
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)

@@ -5,21 +5,36 @@ class-label matrix L: n x n, 0 exactly on the diagonal and classes 1..s
 elsewhere.  A line set labels a pair of lines by its clustered angle, and a
 graph labels a pair of vertices by their distance.
 
-* Exact closure.  A_i is the 0/1 matrix of class i, held as float32: every
-  partial sum of a product A_i A_j is an integer of size at most n, and
-  single precision holds every integer below 2^24 exactly, so an sgemm
-  gives exact counts in any summation order.  The span closes exactly when
-  A_i A_j is constant on each class k, and that constant is the
-  intersection number p_ij^k.  Constancy is read row block by row block,
-  and the first pair that breaks it is kept as a witness.
+* Exact closure, one row block at a time.  A_i is the 0/1 matrix of class
+  i.  Row block R of a product A_i A_j is held as float32: every partial
+  sum is an integer of size at most n, and single precision holds every
+  integer below 2^24 exactly, so an sgemm gives exact counts in any
+  summation order.  The span closes exactly when A_i A_j is constant on
+  each class k, and that constant is the intersection number p_ij^k, read
+  at the first pair of class k in row-major order.  Constancy is tested
+  block by block, and the first pair that breaks it is kept as a witness.
+  Nothing n x n is held beyond L: the left factor A_i[R] and the columns of
+  the right factor A_j are made from L as each GEMM needs them.
 * The largest class is eliminated.  Let s be the class with the most pairs.
   Since A_0 + ... + A_s = J and A_0 = I, for any label matrix
-  A_i A_s = r_i 1^T - A_i - sum_{l != 0, s} A_i A_l, with r_i the row sums
-  of A_i, and A_s A_s follows from the A_l A_s the same way.  Only the
-  products A_i A_j with i, j != s are GEMMs: one for unbiased bases, none
-  for a one-class set.  The derived products are the same integer matrices,
-  so p, the witness and the closure residual do not depend on the
-  elimination (Bannai-Ito 1984).
+  A_i[R] A_s = r_i[R] 1^T - A_i[R] - sum_l A_i[R] A_l and
+  A_s[R] A_l = 1 r_l^T - A_l[R] - sum_i A_i[R] A_l, with r_i the row sums
+  of A_i and i, l over the small classes (not 0, not s); A_s[R] A_s follows
+  from the A_s[R] A_l the same way.  So each row block takes the GEMMs
+  A_i[R] A_l over the ordered pairs of small classes: one for unbiased
+  bases, none for a one-class set, k^2 for k small classes.  The derived
+  products are the same integer matrices, so p, the witness and the
+  closure residual do not depend on the elimination (Bannai-Ito 1984).
+* Counting instead of multiplying.  A small class i with at most n/16
+  pairs per row on average (the zero class of complete MUBs has d - 1)
+  forms (A_i A_l)[x, y] as the number of z in N_i(x) with L[z, y] = l: one
+  gathered row of L per neighbour, n^2 r byte additions for the whole
+  product against the 2 n^3 flops of a GEMM.
+* The residual of a broken product.  Its distance to the span of the 0/1
+  classes comes from the exact integer sums S1_k = sum P and S2_k =
+  sum P^2 over each class k, as sum_k S2_k - S1_k^2 / |k|; the sums are
+  taken only for products that break, and only from the block where they
+  first break, since before it P is p_ij^k on class k.
 * Spectral data from the small algebra.  Multiplication by A_i acts on the
   span as the (s+1) x (s+1) matrix B_i with (B_i)_{kj} = p_ij^k, and
   diag(sqrt k) symmetrises it because k_k p_ij^k = k_j p_ik^j.  Refining the
@@ -54,7 +69,9 @@ where a test can count them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -140,17 +157,29 @@ def _angle_labels(X):
     return report, X._labels
 
 
+def _span_residual(s1, s2, sizes):
+    """||P - mean_k P on class k||_F / ||P||_F from the exact class sums.
+
+    With S1_k = sum P and S2_k = sum P^2 over class k, the squared distance
+    from P to the span of the 0/1 classes is sum_k S2_k - S1_k^2 / |k|,
+    a rational held exactly; one rounding gives the ratio, one the root.
+    """
+    dist = sum(Fraction(int(b) * int(c) - int(a) ** 2, int(c)) for a, b, c in zip(s1, s2, sizes))
+    return math.sqrt(dist / sum(map(int, s2)))
+
+
 def association_scheme(L):
     """Test whether the classes of a label matrix L form an association scheme.
 
     L is an n x n integer array, 0 exactly on the diagonal and symmetric
     classes 1..s elsewhere, each with at least one pair (ValueError
-    otherwise).  Closure is decided
-    exactly: every A_i A_j must be constant on every class (see the module
-    docstring for the float32 counts and the eliminated class).  The
-    reported ``closure_residual`` is the largest relative Frobenius distance
-    from a product A_i A_j to the span of the classes; it is 0 when the span
-    closes.  Non-closure is an outcome, not an error.
+    otherwise).  Closure is decided exactly, row block by row block, with no
+    n x n array beyond L (see the module docstring for the products, the
+    eliminated class and the counting route).  The reported
+    ``closure_residual`` is the largest relative Frobenius distance from a
+    product A_i A_j to the span of the classes, from exact integer class
+    sums; it is 0 when the span closes.  Non-closure is an outcome, not an
+    error.
 
     When the span closes, P, Q, the multiplicities and the Krein parameters
     come from the (s+1) x (s+1) intersection matrices.  ``pq_residual`` is
@@ -162,76 +191,109 @@ def association_scheme(L):
     L = np.asarray(L)
     n = L.shape[0]
     m = int(L.max()) + 1
-    flat = L.ravel()
-    blocks = _row_blocks(n, linesets.BLOCK_ENTRIES)
-    sizes = sum(np.bincount(L[r0:r1].ravel(), minlength=m) for r0, r1 in blocks)
+    blocks = _row_blocks(n, 4 * linesets.BLOCK_ENTRIES)
+    counts = np.array([[np.count_nonzero(L[r0:r1] == k) for k in range(m)] for r0, r1 in blocks])
+    sizes = counts.sum(axis=0)
     if sizes[0] != n or np.diagonal(L).any() or not sizes.all():
         raise ValueError("the label matrix must be 0 exactly on the diagonal "
                          "and hold every class 1..s")
-    rows, cols = np.divmod([np.argmax(flat == k) for k in range(m)], n)
-    p = np.zeros((m, m, m), dtype=np.int64)
-    p[0] = p[:, 0] = np.eye(m, dtype=np.int64)
-    broken = []  # (i, j, witness, residual) of each product that breaks constancy
-
-    def check(i, j, prod):
-        """Read p_ij off the representative pairs and test A_i A_j = prod.
-
-        Constancy is tested row block by row block.  A broken product's
-        distance to the span of the 0/1 classes is each entry minus its class
-        mean; the means are exact integer sums over counts, and the norm runs
-        over a complex copy like every residual of this module.
-        """
-        p[i, j] = p[j, i] = prod[rows, cols]
-        expect = p[i, j].astype(np.float32)
-        for r0, r1 in blocks:  # the first broken pair in row-major order
-            if (bad := expect[L[r0:r1]] != prod[r0:r1]).any():
-                break
-        if bad.any():
-            x, y = divmod(r0 * n + int(np.argmax(bad)), n)
-            exact = np.asarray(prod, dtype=np.float64, order="C")
-            means = np.bincount(flat, weights=exact.ravel(), minlength=m) / sizes
-            residual = (exact - means[L]).astype(complex)
-            broken.append((i, j, (int(x), int(y), int(L[x, y])),
-                           float(np.linalg.norm(residual) / np.linalg.norm(exact))))
-
+    # the first pair of each class in row-major order, and its row block
+    home = np.argmax(counts > 0, axis=0)
+    first = [blocks[b][0] * n + int(np.argmax(L[slice(*blocks[b])] == k))
+             for k, b in enumerate(home)]
+    rows, cols = np.divmod(first, n)
     big = int(np.argmax(sizes[1:])) + 1 if m > 1 else 0
     small = [i for i in range(1, m) if i != big]
-    A = {i: (L == i).astype(np.float32) for i in small}
-    rowsum = {i: A[i].sum(axis=1) for i in small}
-    derived = {}  # -sum_l A_i A_l over small l, then A_i A_big
+    rowsum = {i: np.concatenate([np.count_nonzero(L[r0:r1] == i, axis=1) for r0, r1 in blocks])
+              .astype(np.float32) for i in small}
+    rowsum_big = n - 1 - sum(rowsum.values(), np.zeros(n, dtype=np.float32))
+    count = [i for i in small if 16 * sizes[i] <= n * n]  # at most n/16 entries per row
+    p = np.zeros((m, m, m), dtype=np.int64)
+    p[0] = p[:, 0] = np.eye(m, dtype=np.int64)
+    broken = {}  # (i, j) -> [witness, S1, S2] of each product that breaks constancy
 
-    def take_away(i, term):
-        if i in derived:
-            derived[i] -= term
-        else:
-            derived[i] = -term
+    def check(i, j, b, prod):
+        """Read p_ij at the first pairs in block b and test rows b of A_i A_j.
 
-    for a, i in enumerate(small):
-        for j in small[a:]:
-            prod = np.matmul(A[i], A[j])
-            check(i, j, prod)
-            take_away(i, prod)
-            if j != i:
-                take_away(j, prod.T)
-            del prod  # before the next product is allocated
-    for i in small:
-        derived[i] += rowsum[i][:, None]
-        derived[i] -= A.pop(i)
-    if m > 1:
-        rowsum_big = n - 1 - sum(rowsum.values(), np.zeros(n, dtype=np.float32))
-        last = np.subtract(rowsum_big[:, None], L == big, dtype=np.float32)
-        for i in small:
-            D = derived.pop(i)
-            if i < big:
-                check(i, big, D)
+        Before the block where constancy first breaks, A_i A_j is p_ij^k on
+        each class k, so its class sums there are counts times p_ij^k; from
+        that block on they are summed from the rows themselves, in float64
+        per block (exact: a block's sums stay below 2^53) and in int64 across
+        blocks (S2 <= n^4 < 2^63 for n < 55000).
+        """
+        r0, r1 = blocks[b]
+        here = home == b
+        p[i, j, here] = p[j, i, here] = prod[rows[here] - r0, cols[here]]
+        Lr = L[r0:r1]
+        if (i, j) not in broken:
+            bad = np.zeros(prod.shape, dtype=bool)
+            for k in np.flatnonzero(counts[b]):
+                bad |= (Lr == k) & (prod != p[i, j, k])
+            if not bad.any():
+                return
+            x, y = divmod(int(np.argmax(bad)), n)  # the first broken pair in row-major order
+            before = counts[:b].sum(axis=0) * p[i, j]
+            broken[i, j] = [(r0 + x, y, int(Lr[x, y])), before, before * p[i, j]]
+        sums, w = broken[i, j], prod.ravel().astype(np.float64)
+        sums[1] = sums[1] + np.bincount(Lr.ravel(), w, m).astype(np.int64)
+        sums[2] = sums[2] + np.bincount(Lr.ravel(), w * w, m).astype(np.int64)
+
+    def product(left, l):
+        """Rows R of A_i A_l as float32, from the left operand of class i: A_i[R]
+        for a GEMM against the columns of A_l made block by block, or for a
+        counted class, the neighbours z of each row x and their number, adding
+        [L[z, y] = l] one neighbour slot at a time."""
+        if not isinstance(left, tuple):
+            out = np.empty(left.shape, dtype=np.float32)
+            for c0, c1 in blocks:
+                out[:, c0:c1] = np.matmul(left, (L[c0:c1] == l).T.astype(np.float32))
+            return out
+        z, deg = left
+        out = np.zeros((len(z), n), dtype=np.min_scalar_type(z.shape[1]))
+        for t in range(z.shape[1]):
+            has = deg > t
+            if has.all():
+                out += L[z[:, t]] == l
             else:
-                check(big, i, D.T)
-            last -= D.T
-            del D
-        check(big, big, last)
+                out[has] += L[z[has, t]] == l
+        return out.astype(np.float32)
 
-    closure = max((b[3] for b in broken), default=0.0)
-    witness = min(broken)[2] if broken else None
+    for b, (r0, r1) in enumerate(blocks):
+        Lr = L[r0:r1]
+        # rows r0:r1 of A_big A_l = 1 r_l^T - A_l - sum_i A_i A_l
+        with_big = {l: rowsum[l] - (Lr == l) for l in small}
+        for i in small:
+            if i in count:
+                x, y = np.nonzero(Lr == i)
+                deg = np.bincount(x, minlength=r1 - r0)
+                z = np.zeros((r1 - r0, deg.max()), dtype=np.intp)
+                z[x, np.arange(x.size) - (np.cumsum(deg) - deg)[x]] = y
+                left = z, deg
+            else:
+                left = (Lr == i).astype(np.float32)
+            # rows r0:r1 of A_i A_big = r_i 1^T - A_i - sum_l A_i A_l
+            to_big = rowsum[i][r0:r1, None] - (Lr == i)
+            for l in small:
+                prod = product(left, l)
+                if i <= l:
+                    check(i, l, b, prod)
+                to_big -= prod
+                with_big[l] -= prod
+                del prod  # before the next product is allocated
+            if i < big:
+                check(i, big, b, to_big)
+            del to_big, left
+        if m > 1:
+            last = rowsum_big[r0:r1, None] - (Lr == big)
+            for l in small:
+                if l > big:
+                    check(big, l, b, with_big[l])
+                last -= with_big.pop(l)
+            check(big, big, b, last)
+            del last
+
+    closure = max((_span_residual(s1, s2, sizes) for _, s1, s2 in broken.values()), default=0.0)
+    witness = broken[min(broken)][0] if broken else None
     out = SchemeReport(
         n=n, classes=m - 1, angles=None, closed=witness is None,
         closure_residual=float(closure), witness=witness,

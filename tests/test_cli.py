@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import linekit
-from linekit import cli, front, linesets
+from linekit import cli, finite_algebra, front, linesets
 from linekit.cli import EXIT_CERTIFICATION, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from linekit.finite_algebra import gf_create, gr_create
 from linekit.linesets import LineSet, lineset_from_json, lineset_to_json
@@ -68,6 +68,26 @@ class TestConstructMub:
     def test_field_label_is_the_construction_field(self):
         assert wf_mubs(4).provenance[1]["field"] == gr_create(2).label()
         assert wf_mubs(9).provenance[1]["field"] == gf_create(3, 2).label()
+
+    def test_construct_lines_builds_its_field_once(self, capsys, monkeypatch):
+        memo, calls = finite_algebra._gf_create, []
+        mul = finite_algebra.GaloisField.mul
+        monkeypatch.setattr(finite_algebra.GaloisField, "mul",
+                            lambda F, a, b: calls.append(1) or mul(F, a, b))
+
+        def mul_calls():
+            """GaloisField.mul calls of `construct lines --singer 7` from no built field."""
+            memo.cache_clear()
+            calls.clear()
+            code, out, _ = run(capsys, ["construct", "lines", "--singer", "7"])
+            assert code == EXIT_OK
+            return len(calls), out
+
+        once, out = mul_calls()
+        assert "field context: GF(7^3)/2,3,0,1" in out
+        monkeypatch.setattr(finite_algebra, "_gf_create", memo.__wrapped__)
+        twice, again = mul_calls()  # each gf_create call searches for the modulus again
+        assert again == out and 0 < once < twice
 
     def test_alltop(self, capsys):
         code, out, _ = run(capsys, ["construct", "mub", "--dim", "5", "--method", "alltop"])

@@ -409,6 +409,16 @@ def test_cover_adjacency_matches_loop_oracle(monkeypatch, G, D):
     assert np.array_equal(info.value.args[0], loop_cover_adjacency(G, D))
 
 
+@pytest.mark.parametrize("n", [7, 300])  # a path's diameter n - 1 passes 255 at n = 300
+def test_distance_labels_take_the_smallest_unsigned_type(n):
+    A = np.eye(n, k=1, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)
+    dist = groupcodes._distance_labels(A)
+    idx = np.arange(n)
+    assert np.array_equal(dist, np.abs(idx[:, None] - idx))
+    assert dist.dtype == np.min_scalar_type(n - 1)
+    assert groupcodes._distance_labels(cover_graph(*field_rds(5)[:2]).adjacency).dtype == np.uint8
+
+
 def test_octagon_is_double_cover_of_k22():
     g = cover_graph(AbelianGroup([4]), [(0,), (1,)], [(0,), (2,)])
     assert g.intersection_array == ([2, 1, 1, 1], [1, 1, 1, 2])

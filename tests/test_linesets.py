@@ -1,6 +1,7 @@
 """Line-set model: degree sets, design strength, certification, doubling."""
 
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -138,6 +139,15 @@ def test_json_matches_per_entry_writer_and_keeps_every_bit(make):
     assert lineset_to_json(Y) == text
 
 
+@pytest.mark.parametrize("make", [lambda: wf_mubs(16).to_lineset(),
+                                  lambda: alltop_mubs(13).to_lineset()], ids=["wf16", "alltop13"])
+def test_json_writer_holds_a_small_multiple_of_its_text(make):
+    X = make()
+    text, peak = traced_peak(lineset_to_json, X)
+    assert text == per_entry_json(X)
+    assert peak <= 4 * len(text)  # the text, its rows, and one row's floats
+
+
 @pytest.mark.parametrize("vectors", [[[[1.0, 0.0, 0.5], [0.0, 0.0, 0.5]]], [[[1.0], [0.0]]],
                                      [[[1.0, 0.0], [0.0]]], [], [[["1", "0"], ["0", "0"]]],
                                      [[[True, False], [False, False]]],
@@ -219,13 +229,30 @@ ORACLE_SETS = {
 
 
 def sorted_route_reference(X):
-    """The degree set by a stable argsort of the full angle matrix (reference)."""
+    """The degree set by a stable argsort of the full angle matrix (reference).
+
+    The angles are the exactly rounded means and the power sums the exactly
+    rounded sums (`math.fsum`) of the same values.
+    """
     A = X.angle_matrix()
     vals = A[np.triu_indices(X.n, k=1)]
     groups = gap_clusters(vals, X.tol) if vals.size else []
-    return ([float(vals[g].mean()) for g in groups], [len(g) for g in groups],
+    return ([math.fsum(vals[g]) / len(g) for g in groups], [len(g) for g in groups],
             [(float(vals[g].min()), float(vals[g].max())) for g in groups],
-            [float((A ** j).sum()) for j in range(5)])
+            [math.fsum((A ** j).ravel()) for j in range(5)])
+
+
+def assert_matches_sorted_route(rep, X):
+    """Spans and multiplicities exactly; each angle, a mean of m nonnegative
+    values, within m ulps-of-one of its exact mean, which bounds the rounding
+    of any summation order (m - 1 additions, one division); the power sums
+    within 1e-12 relative."""
+    angles, mult, spans, sums = sorted_route_reference(X)
+    assert rep.multiplicities == mult and rep.spans == spans and rep.s == len(mult)
+    assert rep.zero_present == bool(angles and angles[0] <= X.tol)
+    assert all(abs(a - b) <= m * np.finfo(float).eps * b
+               for a, b, m in zip(rep.angles, angles, mult, strict=True))
+    assert np.allclose(rep.power_sums, sums, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("name", list(ORACLE_SETS) + ["wf27"])
@@ -234,10 +261,48 @@ def test_degree_set_matches_sorted_route(name, block, monkeypatch):
     monkeypatch.setattr(linesets, "BLOCK_ENTRIES", block)
     X = wf_mubs(27).to_lineset() if name == "wf27" else ORACLE_SETS[name]()
     rep = gram_degree_set(X)
-    angles, mult, spans, sums = sorted_route_reference(X)
-    assert rep.angles == angles and rep.multiplicities == mult and rep.spans == spans
-    assert sum(mult) == X.n * (X.n - 1) // 2
-    assert np.allclose(rep.power_sums, sums, rtol=1e-12, atol=0)
+    assert_matches_sorted_route(rep, X)
+    assert sum(rep.multiplicities) == X.n * (X.n - 1) // 2
+
+
+def chained_lines(n, d, tol, seed):
+    """Random lines with a wide tol, so that clusters chain across row blocks."""
+    return LineSet(d, random_lines(n, d, seed).vectors, tol=tol)
+
+
+@pytest.mark.parametrize("make", [lambda: chained_lines(200, 4, 1e-4, 1),
+                                  lambda: chained_lines(120, 3, 3e-3, 2),
+                                  lambda: random_lines(40, 4, 5)],
+                         ids=["200x4-tol1e-4", "120x3-tol3e-3", "40x4"])
+@pytest.mark.parametrize("rows", [2, 3, 0])  # 0: the default blocks
+def test_degree_set_merges_runs_across_row_blocks(make, rows, monkeypatch):
+    X = make()
+    if rows:
+        monkeypatch.setattr(linesets, "BLOCK_ENTRIES", rows * X.n)
+    assert_matches_sorted_route(gram_degree_set(X), X)
+
+
+def test_chained_lines_have_clusters_across_blocks_and_single_runs():
+    rep = gram_degree_set(chained_lines(200, 4, 1e-4, 1))
+    assert 1 in rep.multiplicities and max(rep.multiplicities) > 200
+
+
+@pytest.mark.parametrize("rows", [2, 0])
+def test_duplicate_line_is_the_first_pair_in_row_major_order(rows, monkeypatch):
+    V = random_lines(8, 3, 4).vectors.copy()
+    V[5], V[4] = 1j * V[2], -V[3]  # (2, 5) and (3, 4), both in rows 2..3
+    X = LineSet(3, V)
+    if rows:
+        monkeypatch.setattr(linesets, "BLOCK_ENTRIES", rows * X.n)
+        assert linesets._row_blocks(X.n, linesets.BLOCK_ENTRIES)[1] == (2, 4)
+    A = X.angle_matrix()
+    iu, ju = np.triu_indices(X.n, k=1)
+    k = int(np.argmax(A[iu, ju] > 1 - X.tol))
+    with pytest.raises(ValueError) as err:
+        gram_degree_set(X)
+    assert (iu[k], ju[k]) == (2, 5)
+    assert str(err.value) == (f"vectors {iu[k]} and {ju[k]} span the same line "
+                              f"(angle {A[iu[k], ju[k]]:.12g})")
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 7, 8, 9, 17])
@@ -568,11 +633,13 @@ def traced_peak(f, *args):
         tracemalloc.stop()
 
 
-def test_degree_set_holds_its_pair_array_and_one_block():
-    X = scrambled(wf_mubs(27).to_lineset(), 7)  # n = 756: 8 row blocks
+def test_degree_set_holds_one_block_and_its_runs():
+    X = scrambled(wf_mubs(27).to_lineset(), 7)  # n = 756: 8 row blocks of 95 rows
     rep, peak = traced_peak(gram_degree_set, X)
     assert rep.multiplicities == [756 * 26 // 2, 756 * 729 // 2]
-    assert peak <= 8 * X.n * (X.n - 1) // 2 + 2.5 * 2**20  # no copy of the pair array
+    # the complex product of one block (1.15 MB), its angles and those of the
+    # block before, and 2 clusters x 8 blocks of runs; the pair array is 2.3 MB
+    assert peak <= 3 * 2**20
 
 
 def test_verify_mub_holds_one_block():

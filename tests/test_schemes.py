@@ -1,7 +1,9 @@
 """Scheme closure, zonal idempotents, Gram algebras, and Seidel spectra."""
 
 import json
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -360,10 +362,23 @@ def old_span_residual(product, basis):
     return float(np.linalg.norm(residual) / norm)
 
 
+def exact_span_residual(product, L, m):
+    """The span residual from exact integer class sums (reference): the
+    squared distance sum_k S2_k - S1_k^2 / |k| as a Fraction, one rounding
+    for the ratio and one for the root."""
+    P = product.astype(np.int64)
+    s1, s2 = [int(P[L == k].sum()) for k in range(m)], [int((P[L == k] ** 2).sum()) for k in range(m)]
+    dist = sum(Fraction(b * int((L == k).sum()) - a * a, int((L == k).sum()))
+               for k, (a, b) in enumerate(zip(s1, s2)))
+    return math.sqrt(dist / sum(s2))
+
+
 def dense_association_scheme(L):
     """The scheme kernel with one float64 GEMM per class pair (reference).
 
     Returns p, witness, closure residual and, when closed, P, Q and Krein.
+    The residual is exact (`exact_span_residual`); it agrees with the
+    projection on a complex copy (`old_span_residual`) to 1e-12.
     """
     L = np.asarray(L)
     n = L.shape[0]
@@ -383,7 +398,9 @@ def dense_association_scheme(L):
                 if witness is None:
                     x, y = np.unravel_index(np.argmax(bad), bad.shape)
                     witness = (int(x), int(y), int(L[x, y]))
-                closure = max(closure, old_span_residual(prod, A))
+                exact = exact_span_residual(prod, L, m)
+                assert abs(exact - old_span_residual(prod, A)) <= 1e-12
+                closure = max(closure, exact)
     if witness is not None:
         return p, witness, float(closure), None, None, None
     k = p[np.arange(m), np.arange(m), 0]
@@ -421,9 +438,25 @@ def random_labels(seed):
     return L.reshape(n, n)
 
 
+def sparse_labels(seed):
+    """Random labels whose classes 1 and 2 hold about 2 and 1 pairs per row,
+    few enough to be counted; some rows have none of them."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(40, 71))
+    L = np.triu(rng.integers(3, 6, size=(n, n)), 1)
+    u = rng.random((n, n))
+    L[np.triu(u < 2 / n, 1)] = 1
+    L[np.triu((u >= 2 / n) & (u < 3 / n), 1)] = 2
+    L = L + L.T
+    _, L = np.unique(L, return_inverse=True)
+    return L.reshape(n, n)
+
+
 SCHEME_LABELS = {
     **{f"lines-{name}": (lambda make=make: _angle_labels(make())[1])
        for name, make in LABEL_CASES.items()},
+    "lines-wf16": lambda: _angle_labels(wf_mubs(16).to_lineset())[1],  # the zero class is counted
+    **{f"sparse{seed}": (lambda seed=seed: sparse_labels(seed)) for seed in range(8)},
     **{f"cover-rds{q}": (lambda q=q: _distance_labels(cover_graph(*field_rds(q)).adjacency))
        for q in (3, 4, 5, 7)},
     **{f"random{seed}": (lambda seed=seed: random_labels(seed)) for seed in range(60)},
@@ -443,16 +476,45 @@ def test_kernel_matches_dense_float64_kernel_bit_for_bit(name):
         assert rep.krein.tobytes() == krein.tobytes()
 
 
-@pytest.mark.parametrize("name", ["lines-wf4", "cover-rds3",
-                                  *(f"random{seed}" for seed in range(0, 60, 6))])
-def test_kernel_matches_dense_kernel_over_small_row_blocks(name, monkeypatch):
+def assert_kernel_matches_dense_over_row_blocks(name, rows, monkeypatch):
     L = SCHEME_LABELS[name]()
-    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", 2 * L.shape[0])  # 2-row blocks
+    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", rows * L.shape[0] // 4)  # the kernel's 4x
+    blocks = linesets._row_blocks(L.shape[0], 4 * linesets.BLOCK_ENTRIES)
+    assert max(r1 - r0 for r0, r1 in blocks) <= rows + 1  # uneven: edges n k // count
     rep = association_scheme(L)
     p, witness, closure, *_ = dense_association_scheme(L)
     assert rep.witness == witness and rep.closure_residual == closure
     if rep.closed:
         assert np.array_equal(rep.intersection_numbers, p)
+
+
+@pytest.mark.parametrize("name", ["lines-wf4", "lines-wf16", "cover-rds3", "sparse0", "sparse5",
+                                  *(f"random{seed}" for seed in range(0, 60, 6))])
+def test_kernel_matches_dense_kernel_over_small_row_blocks(name, monkeypatch):
+    assert_kernel_matches_dense_over_row_blocks(name, 2, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["lines-wf16", "cover-rds7", "sparse2", "random3", "random33"])
+def test_kernel_matches_dense_kernel_over_uneven_row_blocks(name, monkeypatch):
+    assert_kernel_matches_dense_over_row_blocks(name, 5, monkeypatch)
+
+
+def test_sparse_labels_are_counted_and_irregular():
+    for L in map(sparse_labels, range(8)):
+        n = L.shape[0]
+        sizes = np.bincount(L.ravel())
+        assert all(16 * sizes[k] <= n * n for k in (1, 2))
+        assert ((L == 1).sum(axis=1) == 0).any() and np.ptp((L == 1).sum(axis=1)) >= 3
+    assert sum(not association_scheme(sparse_labels(seed)).closed for seed in range(8)) == 8
+
+
+def test_kernel_holds_nothing_n_by_n_beyond_the_labels(monkeypatch):
+    for L, rows in ((_angle_labels(scrambled(wf_mubs(27).to_lineset()))[1], 8),  # counted
+                    (_distance_labels(cover_graph(*field_rds(13)).adjacency), 2)):  # GEMM and counted
+        monkeypatch.setattr(linesets, "BLOCK_ENTRIES", rows * L.shape[0] // 4)
+        rep, peak = traced_peak(association_scheme, L)
+        assert rep.closed
+        assert peak <= L.size / 2  # half the bytes of the uint8 labels
 
 
 def test_random_labels_cover_open_irregular_spans():
@@ -481,7 +543,8 @@ class CountingNumpy:
     (lambda: wf_mubs(5).to_lineset(), 1),       # complete MUBs: 2 classes
     (lambda: diffset_lines(*singer_difference_set(4)), 0),  # one class
     (sic_lines, 0),
-    (lambda: _distance_labels(cover_graph(*field_rds(5)).adjacency), 6),  # 4 classes
+    (lambda: _distance_labels(cover_graph(*field_rds(5)).adjacency), 9),  # 3 x 3 ordered pairs
+    pytest.param(lambda: wf_mubs(16).to_lineset(), 0, id="wf16-counted"),  # 15 <= 272/16 per row
 ])
 def test_kernel_multiplies_only_the_classes_left_after_the_largest(make, gemms, monkeypatch):
     made = make()
