@@ -19,8 +19,6 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from linekit.finite_algebra import gf_create
 from linekit.groupcodes import (
     LinearCode,
@@ -50,6 +48,7 @@ from linekit.jacobi import absolute_bound, welch_bound
 from linekit.linesets import (
     LineSet,
     _angle_blocks,
+    _stack_pairs,
     design_strength,
     gram_degree_set,
     lineset_from_json,
@@ -70,7 +69,7 @@ from linekit.schemes import (
     CLOSURE_TOL,
     EIGENMATRIX_TOL,
     gram_algebra_check,
-    jacobi_idempotents,
+    idempotent_residuals,
     scheme_from_lineset,
     scheme_to_json,
 )
@@ -288,7 +287,10 @@ def _resolve_fiducial(args):
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read fiducial file {path}: {exc}") from exc
-        vec = np.array([complex(re, im) for re, im in data])
+        try:
+            vec = _stack_pairs([data])[0]  # the line-set loader's check of one row
+        except ValueError as exc:
+            raise UsageError(f"malformed fiducial in {path}: {exc}") from exc
         if vec.shape[0] != args.dim:
             raise UsageError(f"fiducial has length {vec.shape[0]}, expected {args.dim}")
         return FiducialCandidate(
@@ -311,7 +313,11 @@ def cmd_verify(args):
         except ValueError as exc:  # verify_mub: labels that are not bases
             checks.append((f"expect-{args.expect}", False, str(exc)))
         else:
-            section = {k: f"{v:.3g}" if k == "T1" else str(v) for k, v in verdict.items()}
+            section = {k: str(v) for k, v in verdict.items()}
+            if "T1" in verdict:
+                section["T1"] = f"{verdict['T1']:.3g}"
+            if "degree_set" in verdict:  # a set with more than one angle
+                section["degree_set"] = f"[{', '.join(f'{a:.3g}' for a in verdict['degree_set'])}]"
             if args.expect == "sic" and verdict["alpha"] is not None:
                 section["alpha"] = fmt_rational(verdict["alpha"])
             report[f"expect {args.expect}"] = section
@@ -361,7 +367,7 @@ def cmd_scheme(args):
     if args.gram:
         report["gram algebra"] = _gram_section(gram_algebra_check(X))
     if args.idempotents is not None:
-        idem = jacobi_idempotents(X, e=args.idempotents)
+        idem = idempotent_residuals(X, e=args.idempotents)
         report["idempotents"] = {
             "e": args.idempotents,
             "max residual": f"{idem['max_residual']:.3g}",

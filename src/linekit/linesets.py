@@ -14,9 +14,11 @@ test follow with no n x n array.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import pi
 
 import numpy as np
@@ -471,12 +473,12 @@ def phase_align_for_doubling(X):
 
 
 def lineset_to_json(X, path=None):
-    """Write the interchange format; returns the JSON string.
+    """The interchange format as a JSON string, also written to `path` if given.
 
     Each vector entry is written as its [re, im] pair of floats, read off a
     float64 (n, dim, 2) view of the vectors, one vector at a time: the text
     is that of `json.dumps` on the whole document, with no Python list of
-    all the entries.
+    all the entries.  `lineset_from_json` reads it back bit for bit.
     """
     head = json.dumps({"dim": X.dim, "field": X.field, "tol": X.tol})[:-1]
     pairs = np.ascontiguousarray(X.vectors).view(np.float64).reshape(X.n, X.dim, 2)
@@ -489,30 +491,137 @@ def lineset_to_json(X, path=None):
     return text
 
 
+#: rows of a "vectors" entry per float64 conversion in `lineset_from_json`
+ROW_BATCH = 64
+
+#: the whitespace JSON allows between tokens
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+_PAIRS = "each vector must be a list of [re, im] pairs of numbers, all of one length"
+
+
+def _first_leaf(row):
+    """The first scalar of a nested list, or the innermost empty list."""
+    while isinstance(row, list) and row:
+        row = row[0]
+    return row
+
+
+def _stack_pairs(rows):
+    """The complex (n, dim) array of an iterable of rows of [re, im] pairs.
+
+    The rows are stacked into float64 ROW_BATCH at a time, so no Python list
+    of all the entries is held.  Each batch must stack to a numeric array of
+    shape (rows, dim, 2), with the dim of the first batch.  Each row must also
+    be numeric on its own, since np.array reads a row of booleans among rows
+    of numbers as numbers: a row whose first entry is not an int or a float
+    is stacked alone as well.
+    """
+    try:
+        rows = iter(rows)
+    except TypeError:
+        raise ValueError(f"{_PAIRS}; the vectors are a {type(rows).__name__}") from None
+    parts, first = [], 0
+    while batch := list(islice(rows, ROW_BATCH)):
+        for k, row in enumerate(batch, start=first):
+            if type(_first_leaf(row)) not in (int, float):
+                alone = np.array(row)
+                if alone.dtype.kind not in "iuf":
+                    raise ValueError(f"{_PAIRS}; vector {k} is {alone.dtype}")
+        pairs = np.array(batch)
+        if (pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2
+                or parts and pairs.shape[1] != parts[0].shape[1]):
+            raise ValueError(f"{_PAIRS}; vectors {first}..{first + len(batch) - 1} stack to "
+                             f"shape {pairs.shape[1:]} of {pairs.dtype}")
+        parts.append(pairs.astype(np.float64, copy=False).view(complex)[..., 0])
+        first += len(batch)
+    if not parts:
+        raise ValueError(f"{_PAIRS}; got none")
+    return np.concatenate(parts)
+
+
+def _read_document(text):
+    """The top-level object of a JSON text, its "vectors" read row by row.
+
+    `json.JSONDecoder.raw_decode` reads each key and each other value whole,
+    and each row of the "vectors" array on its own, handing the rows to
+    `_stack_pairs` as they come.  Malformed JSON and trailing data raise the
+    `json.JSONDecodeError` of `json.loads`; a top level that is not an object
+    raises ValueError.
+    """
+    decode = json.JSONDecoder().raw_decode
+    i = _SPACE.match(text).end()
+
+    def step(token):
+        """Step past `token` and the space after it, if `token` is at i."""
+        nonlocal i
+        if not text.startswith(token, i):
+            return False
+        i = _SPACE.match(text, i + 1).end()
+        return True
+
+    def expect(token, message):
+        if not step(token):
+            raise json.JSONDecodeError(message, text, i)
+
+    def value():
+        nonlocal i
+        item, end = decode(text, i)
+        i = _SPACE.match(text, end).end()
+        return item
+
+    def rows():  # of the array whose "[" was just stepped past
+        if step("]"):
+            return
+        while True:
+            yield value()
+            if step("]"):
+                return
+            expect(",", "Expecting ',' delimiter")
+
+    if not step("{"):
+        raise ValueError("a line-set document must be a JSON object")
+    doc = {}
+    closed = step("}")
+    while not closed:
+        if not text.startswith('"', i):
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes",
+                                       text, i)
+        key = value()
+        expect(":", "Expecting ':' delimiter")
+        if key == "vectors":
+            doc[key] = _stack_pairs(rows() if step("[") else value())
+        else:
+            doc[key] = value()
+        closed = step("}")
+        if not closed:
+            expect(",", "Expecting ',' delimiter")
+    if i != len(text):
+        raise json.JSONDecodeError("Extra data", text, i)
+    return doc
+
+
 def lineset_from_json(source):
     """Accepts a JSON string, a parsed dict, or a file path.
 
-    The vectors must form an n x dim array of [re, im] pairs of numbers;
-    they are read as float64 and viewed as complex, so every bit (-0.0
-    too) survives a round trip.
+    A string or a file's text (read once) is walked by `_read_document`:
+    its "vectors" are decoded one row at a time and stacked into float64 in
+    batches, so no Python list of all the entries is made.  A dict's
+    "vectors" go through the same `_stack_pairs`.  The vectors must form an
+    n x dim array of [re, im] pairs of numbers, each row numeric on its own;
+    they are viewed as complex, so every bit (-0.0 too) survives a round
+    trip.
     """
     if isinstance(source, dict):
-        doc = source
+        doc = {**source, "vectors": _stack_pairs(source["vectors"])}
     elif isinstance(source, str) and source.lstrip().startswith("{"):
-        doc = json.loads(source)
+        doc = _read_document(source)
     else:
         with open(source) as fh:
-            doc = json.load(fh)
-    pairs = np.array(doc["vectors"])
-    if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
-        raise ValueError(
-            "vectors must be an n x dim array of [re, im] pairs of numbers, "
-            f"got shape {pairs.shape} of {pairs.dtype}"
-        )
-    vectors = pairs.astype(np.float64).view(complex)[..., 0]
+            doc = _read_document(fh.read())
     return LineSet(
         doc["dim"],
-        vectors,
+        doc["vectors"],
         field=doc.get("field", "complex"),
         basis_labels=doc.get("labels"),
         tol=doc.get("tol", DEFAULT_TOL),

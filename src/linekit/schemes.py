@@ -45,12 +45,14 @@ graph labels a pair of vertices by their distance.
   are q_ij^k = (1/n) sum_l Q_li Q_lj P_kl (Bannai-Ito 1984;
   Brouwer-Cohen-Neumaier 1989).
 
-The module also builds the zonal idempotent candidates of the g-basis,
+The module also checks the zonal idempotent candidates E_r of the g-basis,
 tests closure of the Gram-weighted classes A'_k = G o A_k, and computes
 Seidel spectra of real equiangular sets.  The first two hold no n x n
 complex matrix: they read row blocks of G = conj(V) V^T from the n x d
 vectors, and the Gram-weighted test fits each product on the span block
-by block (`gram_algebra_check`).
+by block (`gram_algebra_check`).  The idempotent check holds one real
+n x n E_j at a time and remakes the rows of the E_i before it from the
+angle rows (`idempotent_residuals`); `jacobi_idempotents` keeps them all.
 A lone kept class b squares from the factor: with
 D = diag(G), U = G - D - A'_b the dropped classes and M = G - U,
 A'_b A'_b = M^2 - DM - MD + D^2 and M^2 = G^2 - GU - UG + U^2, where the
@@ -356,57 +358,84 @@ def scheme_from_lineset(X):
     return out
 
 
-def jacobi_idempotents(X, fam=None, e=1):
-    """Zonal idempotent candidates E_0..E_e of a line set.
+def _zonal_rows(val, sq, coeffs, n):
+    """val = g(sq) / n for g with coefficients coeffs, by in-place Horner steps."""
+    val[:] = 0.0
+    for c in reversed(coeffs):
+        val *= sq
+        val += c
+    val /= n
+    return val
+
+
+def _square_norm(a):
+    a = a.ravel()
+    return a.dot(a)
+
+
+def idempotent_residuals(X, fam=None, e=1, keep=None):
+    """Residuals and traces of the zonal idempotent candidates E_0..E_e.
 
     (E_r)_{ab} = g_r(|<a,b>|^2) / n, taking the g-basis for the dimension of
-    X.  When the set is a 2e-design these are orthogonal idempotents; the
-    report carries the pairwise residuals ||E_i E_j - [i==j] E_i|| either
-    way, so a shortfall in design strength shows up as a large residual
-    rather than an error.  E_0 is always J/n (a read-only broadcast), and
-    trace(E_r) equals the degree-r harmonic dimension by the normalization
-    of the g-basis.  E_1..E_e are filled from `_angle_blocks` and the
-    products taken in row blocks: no n x n array beyond the E_r.
+    X; E_0 is J/n.  The residuals are ||E_i E_j - [i==j] E_i||, symmetric in
+    i and j.  One E_j is held at a time: it is filled from `_angle_blocks`,
+    then each row block R adds the squared norms of E_i[R] E_j for i <= j,
+    the rows of E_i for i < j made again from the same angle rows by the
+    same in-place Horner steps (so with the same bits), and then E_j is
+    appended to `keep` when a list is given, or dropped.  E_0 E_j is n
+    copies of the column sums of E_j over n.
     """
     if e < 0:
         raise ValueError("e must be nonnegative")
     if fam is None:
         fam = JacobiFamily(X.dim, max_k=max(e, 2))
     n = X.n
-    mats = [np.broadcast_to(1.0 / n, (n, n))] + [np.empty((n, n)) for _ in range(e)]
-    coeffs = [[float(c) for c in jacobi_poly(fam, r, kind="g")] for r in range(1, e + 1)]
-    for r0, sq in _angle_blocks(X):
-        for M, cs in zip(mats[1:], coeffs):
-            val = M[r0:r0 + len(sq)]
-            val[:] = 0.0
-            for c in reversed(cs):
-                val *= sq
-                val += c
-            val /= n
-    # E_0 = J/n has n equal rows, so E_0 E_j is n copies of one row, the
-    # column sums of E_j over n; E_j E_i = (E_i E_j)^T has the same norm.
+    coeffs = [None] + [[float(c) for c in jacobi_poly(fam, r, kind="g")] for r in range(1, e + 1)]
+    blocks = _row_blocks(n, linesets.BLOCK_ENTRIES)
     # Every matmul reads contiguous operands: a stride-0 one takes another path.
     e0 = np.full(n, 1.0 / n)
     row0 = np.zeros(n)
-    res = np.zeros((e + 1, e + 1))  # squared norms of the blocked products
-    for r0, r1 in _row_blocks(n, linesets.BLOCK_ENTRIES):
+    for r0, r1 in blocks:
         row0 += e0[r0:r1] @ np.full((r1 - r0, n), 1.0 / n)
-        for i in range(1, e + 1):
-            for j in range(i, e + 1):
-                product = np.matmul(mats[i][r0:r1], mats[j]).ravel()
-                if i == j:
-                    product -= mats[i][r0:r1].ravel()
-                res[i, j] += product.dot(product)
+    heads = [np.sqrt(n) * np.linalg.norm(row0 - e0)]  # ||E_0 E_j - [j == 0] E_0||
+    traces = [float(np.trace(np.broadcast_to(1.0 / n, (n, n))))]
+    res = np.zeros((e + 1, e + 1))  # squared norms of the blocked products
+    for j in range(1, e + 1):
+        E = np.empty((n, n))
+        for r0, sq in _angle_blocks(X):
+            _zonal_rows(E[r0:r0 + len(sq)], sq, coeffs[j], n)
+        for r0, r1 in blocks:
+            product = np.matmul(E[r0:r1], E)
+            product -= E[r0:r1]
+            res[j, j] += _square_norm(product)
+        for r0, sq in _angle_blocks(X) if j > 1 else ():
+            for i in range(1, j):  # rows and product die here, before the next block
+                res[i, j] += _square_norm(
+                    np.matmul(_zonal_rows(np.empty_like(sq), sq, coeffs[i], n), E))
+        heads.append(np.sqrt(n) * np.linalg.norm(e0 @ E))
+        traces.append(float(np.trace(E)))
+        if keep is not None:
+            keep.append(E)
+        del E
     res = np.sqrt(np.maximum(res, res.T))
-    for j in range(e + 1):
-        row = e0 @ mats[j] if j else row0 - e0
-        res[0, j] = res[j, 0] = np.sqrt(n) * np.linalg.norm(row)
-    return {
-        "idempotents": mats,
-        "residuals": res,
-        "max_residual": float(res.max()),
-        "traces": [float(np.trace(M)) for M in mats],
-    }
+    res[0, :] = res[:, 0] = heads
+    return {"residuals": res, "max_residual": float(res.max()), "traces": traces}
+
+
+def jacobi_idempotents(X, fam=None, e=1):
+    """Zonal idempotent candidates E_0..E_e of a line set, with their residuals.
+
+    When the set is a 2e-design these are orthogonal idempotents; the report
+    carries the pairwise residuals ||E_i E_j - [i==j] E_i|| either way, so a
+    shortfall in design strength shows up as a large residual rather than
+    an error.  E_0 is always J/n (a read-only broadcast), and trace(E_r)
+    equals the degree-r harmonic dimension by the normalization of the
+    g-basis.  The residuals and traces are those of `idempotent_residuals`,
+    which builds E_1..E_e one at a time; this keeps every one, so it holds
+    e n x n arrays, where the residuals alone need one.
+    """
+    mats = [np.broadcast_to(1.0 / X.n, (X.n, X.n))]
+    return {"idempotents": mats, **idempotent_residuals(X, fam, e, keep=mats)}
 
 
 def _class_inner(L, G, P, size):

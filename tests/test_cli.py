@@ -168,6 +168,34 @@ class TestConstructSic:
         assert code == EXIT_USAGE
         assert "length 3" in err
 
+    @pytest.mark.parametrize("data", [[["1", "0"], ["0", "0"]], [1, 0],
+                                      [[True, False], [False, False]], [[1.0, 0.0], [0.0]],
+                                      [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], {"re": 1},
+                                      [[[1.0, 0.0]], [[0.0, 0.0]]]],
+                             ids=["strings", "flat", "booleans", "ragged", "triples", "object",
+                                  "nested"])
+    def test_malformed_fiducial_file_is_a_usage_error(self, capsys, tmp_path, data):
+        fid_file = tmp_path / "fid.json"
+        fid_file.write_text(json.dumps(data))
+        code, _, err = run(capsys, ["construct", "sic", "--dim", "2", "--fiducial", f"file:{fid_file}"])
+        assert code == EXIT_USAGE
+        assert "malformed fiducial" in err
+
+    def test_fiducial_file_reads_every_bit(self, capsys, tmp_path, monkeypatch):
+        vec = builtin_fiducial(3).vector
+        fid_file = tmp_path / "fid.json"
+        fid_file.write_text(json.dumps([[z.real, z.imag] for z in vec]))
+        seen = []
+
+        def orbit(fid):
+            seen.append(fid)
+            return wh_orbit(fid)
+
+        monkeypatch.setattr(cli, "wh_orbit", orbit)
+        code, _, _ = run(capsys, ["construct", "sic", "--dim", "3", "--fiducial", f"file:{fid_file}"])
+        assert code == EXIT_OK
+        assert seen[0].vector.tobytes() == vec.tobytes()
+
     def test_binary_group_file_fiducial(self, capsys, tmp_path):
         fid_file = tmp_path / "fid8.json"
         vec = builtin_fiducial(8).vector
@@ -267,6 +295,18 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", str(path), "--expect", "mub"])
         assert code == EXIT_CERTIFICATION
         assert "result: fail" in out
+
+    def test_expect_equiangular_prints_each_angle_to_three_digits(self, capsys, tmp_path):
+        path = tmp_path / "tensor6.json"
+        run(capsys, ["construct", "mub", "--method", "tensor", "--factors", "2,3", "--dim", "6",
+                     "--out", str(path)])
+        code, out, _ = run(capsys, ["--format", "json", "verify", str(path),
+                                    "--expect", "equiangular"])
+        assert code == EXIT_CERTIFICATION
+        section = json.loads(out)["expect equiangular"]
+        angles = linesets.gram_degree_set(lineset_from_json(str(path))).angles
+        assert len(angles) == 2 and section["equiangular"] == "False"
+        assert section["degree_set"] == f"[{angles[0]:.3g}, 0.167]"
 
     def test_failure_list_is_machine_readable(self, capsys, mub_file):
         code, out, _ = run(
@@ -387,6 +427,21 @@ class TestSchemeCmd:
         report = json.loads(out_file.read_text())
         assert report["closed"] is True
         assert report["multiplicities"] == [1, 6]
+
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    def test_idempotents_report_the_keeping_route(self, capsys, tmp_path, monkeypatch, e):
+        path = tmp_path / "mub16.json"
+        run(capsys, ["construct", "mub", "--dim", "16", "--out", str(path)])
+        monkeypatch.setattr(linesets, "BLOCK_ENTRIES", 40 * 272)  # 6 row blocks at n = 272
+        code, out, _ = run(capsys, ["--format", "json", "scheme", str(path),
+                                    "--idempotents", str(e)])
+        assert code == EXIT_OK
+        kept = linekit.jacobi_idempotents(lineset_from_json(str(path)), e=e)
+        assert json.loads(out)["idempotents"] == {
+            "e": e,
+            "max residual": f"{kept['max_residual']:.3g}",
+            "traces": ", ".join(front.fmt_rational(t) for t in kept["traces"]),
+        }
 
     def test_open_scheme_reported(self, capsys, tmp_path):
         rng = np.random.default_rng(5)

@@ -148,14 +148,127 @@ def test_json_writer_holds_a_small_multiple_of_its_text(make):
     assert peak <= 4 * len(text)  # the text, its rows, and one row's floats
 
 
-@pytest.mark.parametrize("vectors", [[[[1.0, 0.0, 0.5], [0.0, 0.0, 0.5]]], [[[1.0], [0.0]]],
-                                     [[[1.0, 0.0], [0.0]]], [], [[["1", "0"], ["0", "0"]]],
-                                     [[[True, False], [False, False]]],
-                                     [[[1.0, None], [0.0, 0.0]]]],
-                         ids=["re-im-x", "re", "ragged", "empty", "strings", "booleans", "null"])
+NOT_PAIRS = {
+    "re-im-x": [[[1.0, 0.0, 0.5], [0.0, 0.0, 0.5]]],
+    "re": [[[1.0], [0.0]]],
+    "ragged": [[[1.0, 0.0], [0.0]]],
+    "empty": [],
+    "strings": [[["1", "0"], ["0", "0"]]],
+    "booleans": [[[True, False], [False, False]]],
+    "null": [[[1.0, None], [0.0, 0.0]]],
+    # np.array of both rows is float64: only the second row's own dtype shows it
+    "mixed-booleans": [[[1.0, 0.0], [0.0, 0.0]], [[True, False], [False, False]]],
+    "not-a-list": 5,
+}
+
+
+@pytest.mark.parametrize("vectors", NOT_PAIRS.values(), ids=NOT_PAIRS.keys())
 def test_json_rejects_entries_that_are_not_pairs(vectors):
     with pytest.raises(ValueError):
         lineset_from_json({"dim": 2, "vectors": vectors})
+
+
+def json_source(route, text, tmp_path):
+    """`text` as lineset_from_json's string or file source."""
+    if route == "string":
+        return text
+    path = tmp_path / "lines.json"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("route", ["string", "file"])
+@pytest.mark.parametrize("vectors", NOT_PAIRS.values(), ids=NOT_PAIRS.keys())
+def test_json_text_rejects_what_the_dict_route_rejects(vectors, route, tmp_path):
+    text = json.dumps({"dim": 2, "vectors": vectors})
+    with pytest.raises(ValueError):
+        lineset_from_json(json_source(route, text, tmp_path))
+
+
+@pytest.mark.parametrize("route", ["string", "file"])
+@pytest.mark.parametrize("text", [
+    '{"dim": 1, "vectors": [[[1, 0]]]} []',
+    '{"dim": 1, "vectors": [[[1, 0]]]}{}',
+    '{"dim": 1, "vectors": [[[1, 0]],]}',
+    '{"dim": 1, "vectors": [[[1, 0]]],}',
+    '{"dim": 1, "vectors": [[[1, 0]] [[0, 1]]]}',
+    '{"dim": 1 "vectors": [[[1, 0]]]}',
+    '{"dim": 1, "vectors": [[[1, 0]]]',
+    '{"dim": 1, "vectors": [[[1, 0]]',
+    '{dim: 1}',
+], ids=["trailing-array", "trailing-object", "comma-in-vectors", "comma-in-object",
+        "no-comma-in-vectors", "no-comma-in-object", "open-object", "open-vectors",
+        "bare-key"])
+def test_json_text_rejects_what_json_loads_rejects(text, route, tmp_path):
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(text)
+    with pytest.raises(json.JSONDecodeError):
+        lineset_from_json(json_source(route, text, tmp_path))
+
+
+@pytest.mark.parametrize("top", ['[{"dim": 1, "vectors": [[[1, 0]]]}]', "5", '"lines"'])
+def test_json_file_must_hold_an_object(top, tmp_path):
+    with pytest.raises(ValueError, match="JSON object"):
+        lineset_from_json(json_source("file", top, tmp_path))
+
+
+def whole_document_vectors(text):
+    """The vectors as one np.array of the json.loads document (reference)."""
+    return np.array(json.loads(text)["vectors"]).astype(np.float64).view(complex)[..., 0]
+
+
+@pytest.mark.parametrize("route", ["string", "file"])
+@pytest.mark.parametrize("batch", [linesets.ROW_BATCH, 5])
+@pytest.mark.parametrize("layout", ["compact", "pretty", "reordered"])
+def test_json_text_loads_every_bit_over_row_batches(layout, batch, route, tmp_path, monkeypatch):
+    monkeypatch.setattr(linesets, "ROW_BATCH", batch)
+    X = wf_mubs(16).to_lineset()  # 272 rows: 5 batches of 64, 55 of 5
+    doc = json.loads(lineset_to_json(X))
+    basis = [k for k, row in enumerate(X.vectors) if np.count_nonzero(row) == 1]
+    assert len(basis) == 16  # the standard basis: -0.0 for its zeros, integers for its ones
+    for k in basis:
+        doc["vectors"][k] = [[int(re), int(im)] if re else [-0.0, -0.0]
+                             for re, im in doc["vectors"][k]]
+    if layout == "reordered":
+        doc = {"labels": doc["labels"], "vectors": doc["vectors"], "tol": doc["tol"],
+               "dim": doc["dim"]}
+    text = json.dumps(doc, indent=2 if layout == "pretty" else None)
+    Y = lineset_from_json(json_source(route, text, tmp_path))
+    assert Y.vectors.tobytes() == whole_document_vectors(text).tobytes()
+    zeros = Y.vectors[basis][np.abs(X.vectors[basis]) == 0]
+    assert zeros.size == 16 * 15 and np.signbit(zeros.real).all() and np.signbit(zeros.imag).all()
+    assert Y.basis_labels == X.basis_labels and Y.tol == X.tol and Y.dim == 16
+
+
+@pytest.mark.parametrize("route", ["string", "file"])
+def test_json_rows_of_another_length_in_a_later_batch_are_rejected(route, tmp_path, monkeypatch):
+    monkeypatch.setattr(linesets, "ROW_BATCH", 2)
+    rows = [[[1.0, 0.0], [0.0, 0.0]]] * 2 + [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]] * 2
+    text = json.dumps({"dim": 2, "vectors": rows})
+    with pytest.raises(ValueError, match=r"vectors 2\.\.3"):
+        lineset_from_json(json_source(route, text, tmp_path))
+
+
+def test_json_writer_file_holds_its_text(tmp_path):
+    X = alltop_mubs(13).to_lineset()
+    path = tmp_path / "lines.json"
+    text = lineset_to_json(X, str(path))
+    assert text == lineset_to_json(X)
+    assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("make", [lambda: diffset_lines(*singer_difference_set(31)),
+                                  lambda: alltop_mubs(31).to_lineset()],
+                         ids=["singer31", "alltop31"])
+def test_json_file_load_holds_its_text_and_two_copies_of_the_vectors(make, tmp_path):
+    X = make()
+    path = tmp_path / "lines.json"
+    text = lineset_to_json(X, str(path))
+    Y, peak = traced_peak(lineset_from_json, str(path))
+    assert Y.vectors.tobytes() == X.vectors.tobytes()
+    # the text (and its bytes while it is read), the float64 batches and their
+    # concatenation, then LineSet's copy; a json.load of the file peaked at 4.7 texts
+    assert peak <= 2 * len(text) + 2 * X.vectors.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from linekit.schemes import (
     _angle_labels,
     association_scheme,
     gram_algebra_check,
+    idempotent_residuals,
     jacobi_idempotents,
     scheme_from_lineset,
     scheme_to_json,
@@ -856,6 +857,40 @@ def test_idempotents_hold_their_matrices_and_one_block(monkeypatch):
     out, peak = traced_peak(jacobi_idempotents, X, fam, 2)
     assert out["residuals"][:2, :2].max() <= 1e-8  # a complete MUB is a 2-design
     assert peak <= 2 * 8 * X.n**2 + 3 * 2**20  # E_1, E_2 and one block
+
+
+@pytest.mark.parametrize("make", [lambda: wf_mubs(5).to_lineset(), sic_lines, random_lines,
+                                  lambda: alltop_mubs(23).to_lineset()],
+                         ids=["wf5", "sic2", "random", "alltop23"])
+@pytest.mark.parametrize("e", [0, 1, 2, 3])
+def test_residual_route_is_bit_identical_to_both_keeping_routes(make, e):
+    X = make()
+    out = idempotent_residuals(X, e=e)
+    kept = jacobi_idempotents(make(), e=e)
+    assert out["residuals"].tobytes() == kept["residuals"].tobytes()
+    assert out["traces"] == kept["traces"] and out["max_residual"] == kept["max_residual"]
+    mats, res = out_of_place_idempotents(make(), e)
+    traces = [float(np.trace(M)) for M in mats]
+    if len(linesets._row_blocks(X.n, linesets.BLOCK_ENTRIES)) == 1:
+        assert out["residuals"].tobytes() == res.tobytes() and out["traces"] == traces
+    else:  # alltop23, n = 552 in 4 row blocks: the dense products sum in another order
+        assert np.abs(out["residuals"] - res).max() <= 1e-12 * max(1.0, res.max())
+        assert np.allclose(out["traces"], traces, rtol=1e-13, atol=0)
+
+
+def test_residual_route_holds_one_matrix_and_its_blocks(monkeypatch):
+    X = scrambled(wf_mubs(27).to_lineset())  # n = 756
+    fam = JacobiFamily(X.dim, max_k=2)
+
+    def no_gram(self):
+        raise AssertionError("idempotent_residuals formed the n x n Gram")
+
+    monkeypatch.setattr(LineSet, "gram", no_gram)
+    out, peak = traced_peak(idempotent_residuals, X, fam, 2)
+    assert out["residuals"][:2, :2].max() <= 1e-8
+    # E_2, the angle rows of one block with its complex product, and the rows
+    # of E_1 made again from them; keeping E_1 as well needs 16 n^2 bytes
+    assert peak <= 8 * X.n**2 + 4 * 2**20
 
 
 def test_labels_hold_their_matrix_and_one_block():
