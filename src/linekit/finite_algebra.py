@@ -67,6 +67,18 @@ def factorint(n):
     return out
 
 
+def _prime_power(q):
+    """Return (p, m) with q = p^m, or raise."""
+    q = int(q)
+    if q < 2:
+        raise ValueError(f"q must be a prime power >= 2, got {q}")
+    fac = factorint(q)
+    if len(fac) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    [(p, m)] = fac.items()
+    return int(p), int(m)
+
+
 def jacobi_symbol(a, n):
     """The Jacobi symbol (a|n) for odd n >= 1, by quadratic reciprocity."""
     if n < 1 or n % 2 == 0:

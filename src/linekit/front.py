@@ -1,10 +1,13 @@
 """Command-line front: the parser, the report emitter, `bounds` and `main`.
 
 This side never imports numpy or a layer module other than `jacobi`, whose
-bounds are exact `Fraction` arithmetic.  The CLI runs as a one-shot process,
-so `bounds` pays only for what it uses.  The subcommands that handle line
-sets (construct, verify, scheme, export) live in `linekit.cli`, which `main`
-imports only when one of them runs.
+bounds are exact `Fraction` arithmetic.  The CLI runs as a one-shot process
+that compiles every module it imports, so `bounds` pays only for what it
+uses.  The subcommands that handle line sets (construct, verify, scheme,
+export) live in `linekit.commands`, which `main` imports only when one of
+them runs, and which in turn imports only the layers that subcommand runs
+(its docstring lists them).  `linekit.cli` re-exports `main` with every layer
+loaded, for tools that rebind layer functions before a run.
 
 Every run resolves its arguments into a config block that is echoed at the
 top of the report, so a saved report is reproducible from its own header.
@@ -246,11 +249,11 @@ def _parse_angles(spec):
 
 
 def _line_set_command(args):
-    """Run construct, verify, scheme or export from `linekit.cli`, which
-    loads numpy and every layer; only these subcommands import it."""
-    from linekit import cli
+    """Run construct, verify, scheme or export from `linekit.commands`,
+    which loads numpy; only these subcommands import it."""
+    from linekit import commands
 
-    return getattr(cli, f"cmd_{args.subcommand}")(args)
+    return getattr(commands, f"cmd_{args.subcommand}")(args)
 
 
 def build_parser():

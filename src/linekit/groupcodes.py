@@ -17,6 +17,10 @@ character, the trivial one, has a zero pairing row on D.
 * linear codes over a prime field or Z4, with coset-graph spectra from dual
   weights and codeword-to-line maps (balanced, near-balanced, and Z4
   variants).
+
+`mubs` and `schemes` are imported inside the functions that use them
+(`field_rds`, `rds_to_mubs`, `cover_graph`), so a process that builds Singer
+lines or writes a planar difference set does not load them.
 """
 
 from __future__ import annotations
@@ -33,14 +37,13 @@ import numpy as np
 from .finite_algebra import (
     AbelianGroup,
     GroupAlgebraElement,
+    _prime_power,
     gf_create,
     gr_create,
     isprime,
     root_table,
 )
 from .linesets import LineSet, distinct_lines
-from .mubs import MubFamily, SemifieldTable, _phase_bases, _prime_power
-from .schemes import association_scheme
 
 __all__ = [
     "DifferenceSetReport",
@@ -201,6 +204,8 @@ def field_rds(q):
         D = sorted(R.teichmuller)
         N = sorted(itertools.product((0, 2), repeat=m))
         return G, D, N
+    from .mubs import SemifieldTable
+
     return semifield_rds(SemifieldTable.from_field(q))
 
 
@@ -233,6 +238,8 @@ def rds_to_mubs(G, D, N=None):
     exponent array E[coset, d, c] = G.pairing(D, coset) through _phase_bases,
     which prepends the standard basis.  Certification happens inside MubFamily.
     """
+    from .mubs import MubFamily, _phase_bases
+
     report = classify_difference_set(G, D, N)
     if report.kind != "relative":
         raise ValueError(f"classification gave {report.kind!r}, need a relative difference set")
@@ -367,6 +374,8 @@ def cover_graph(G=None, D=None, N=None, builtin=None):
         B = inD[np.ravel_multi_index(diff, G.cyclic_orders, mode="wrap")]  # wrap: mod order
         A = np.block([[np.zeros_like(B), B], [B.T, np.zeros_like(B)]])
         labels = [f"(0,{x})" for x in elems] + [f"(1,{y})" for y in elems]
+
+    from .schemes import association_scheme
 
     rep = association_scheme(_distance_labels(A))
     if not rep.closed:

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -45,16 +45,19 @@ class LineSet:
 
     vectors: (n, dim) complex array (real sets keep zero imaginary parts);
     basis_labels: length-n list partitioning the set into cells of size dim.
-    The vectors are a read-only copy of the input and tol is fixed here, so
-    the degree set that `gram_degree_set` stores on the line set, the verdict
-    that `verify_mub` stores, and the class labels that `schemes` cuts from
-    the degree set stay valid.
+    Every entry must be finite, and tol finite and positive.  The vectors are
+    a read-only copy of the input and tol is fixed here, so the degree set
+    that `gram_degree_set` stores on the line set, the verdict that
+    `verify_mub` stores, and the class labels that `schemes` cuts from the
+    degree set stay valid.
     """
 
     def __init__(self, dim, vectors, field="complex", basis_labels=None, tol=DEFAULT_TOL):
         self.dim = int(dim)
         self.field = field
         self.tol = float(tol)
+        if not (isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {tol!r}")
         if field not in ("complex", "real"):
             raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
         V = np.array(vectors, dtype=complex)
@@ -62,6 +65,9 @@ class LineSet:
             raise ValueError(f"vectors must be n x {self.dim}, got shape {V.shape}")
         if V.shape[0] < 1:
             raise ValueError("a line set needs at least one vector")
+        finite = np.isfinite(V).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"vector {int(finite.argmin())} has an entry that is not finite")
         norms = np.linalg.norm(V, axis=1)
         worst = int(np.abs(norms - 1).argmax())
         if abs(norms[worst] - 1) > _certify_atol(self):
@@ -472,19 +478,46 @@ def phase_align_for_doubling(X):
 # ---------------------------------------------------------------------------
 
 
+#: floats per batch of rows in `lineset_to_json`
+WRITE_BATCH = 1 << 10
+
+
+def _json_pieces(X):
+    """The text of `lineset_to_json` in pieces: the head, each batch of rows
+    of about WRITE_BATCH floats, and the tail.
+
+    Each distinct float of a batch, told apart by its bits so that -0.0
+    stays apart from 0.0, is formatted once by `float.__repr__`, as
+    `json.dumps` formats a finite float (LineSet holds no other), and the
+    batch's rows are filled from those words by one %-format.
+    """
+    head = json.dumps({"dim": X.dim, "field": X.field, "tol": X.tol})[:-1]
+    yield f'{head}, "vectors": ['
+    bits = np.ascontiguousarray(X.vectors).view(np.int64).reshape(X.n, 2 * X.dim)
+    row = "[" + ", ".join(["[%s, %s]"] * X.dim) + "]"
+    step = max(1, WRITE_BATCH // (2 * X.dim))
+    for r0 in range(0, X.n, step):
+        batch = bits[r0:r0 + step]
+        values, inverse = np.unique(batch, return_inverse=True)
+        words = np.array(list(map(float.__repr__, values.view(np.float64).tolist())),
+                         dtype=object)
+        rows = ", ".join([row] * len(batch))
+        yield (", " + rows if r0 else rows) % tuple(words[inverse.ravel()])
+    labels = "" if X.basis_labels is None else f', "labels": {json.dumps(list(X.basis_labels))}'
+    yield f"]{labels}}}"
+
+
 def lineset_to_json(X, path=None):
     """The interchange format as a JSON string, also written to `path` if given.
 
-    Each vector entry is written as its [re, im] pair of floats, read off a
-    float64 (n, dim, 2) view of the vectors, one vector at a time: the text
-    is that of `json.dumps` on the whole document, with no Python list of
-    all the entries.  `lineset_from_json` reads it back bit for bit.
+    Each vector entry is written as its [re, im] pair of floats: the text is
+    that of `json.dumps` on the whole document, with no Python list of all
+    the entries.  The rows are formatted in batches (`_json_pieces`), each
+    distinct float of a batch once; constructed sets repeat a few values, so
+    that formats far fewer floats than there are entries.
+    `lineset_from_json` reads the text back bit for bit.
     """
-    head = json.dumps({"dim": X.dim, "field": X.field, "tol": X.tol})[:-1]
-    pairs = np.ascontiguousarray(X.vectors).view(np.float64).reshape(X.n, X.dim, 2)
-    body = ", ".join(json.dumps(row.tolist()) for row in pairs)
-    tail = "" if X.basis_labels is None else f', "labels": {json.dumps(list(X.basis_labels))}'
-    text = f'{head}, "vectors": [{body}]{tail}}}'
+    text = "".join(_json_pieces(X))
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)

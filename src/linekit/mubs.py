@@ -15,20 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from linekit.finite_algebra import factorint, gf_create, gr_create, root_table
+from linekit.finite_algebra import _prime_power, gf_create, gr_create, root_table
 from linekit.linesets import LineSet, verify_mub
-
-
-def _prime_power(q):
-    """Return (p, m) with q = p^m, or raise."""
-    q = int(q)
-    if q < 2:
-        raise ValueError(f"q must be a prime power >= 2, got {q}")
-    fac = factorint(q)
-    if len(fac) != 1:
-        raise ValueError(f"q = {q} is not a prime power")
-    [(p, m)] = fac.items()
-    return int(p), int(m)
 
 
 @dataclass

@@ -22,7 +22,7 @@ ASSERT_LIMITS = {"jacobi": 0, "linesets": 0, "mubs": 0, "sics": 0}
 #: is the accessor itself, defined from gram
 GRAM_CALLERS = {("linesets", "angle_matrix"), ("linesets", "phase_align_for_doubling"),
                 ("schemes", "seidel_analysis")}
-TOLERANCE_LIMITS = {"cli": 1, "front": 1, "groupcodes": 3, "linesets": 6, "mubs": 4,
+TOLERANCE_LIMITS = {"commands": 1, "front": 1, "groupcodes": 3, "linesets": 6, "mubs": 4,
                     "schemes": 10, "sics": 5}
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import linekit
-from linekit import cli, finite_algebra, front, linesets
+from linekit import cli, finite_algebra, front, linesets, mubs, schemes, sics
 from linekit.cli import EXIT_CERTIFICATION, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from linekit.finite_algebra import gf_create, gr_create
 from linekit.linesets import LineSet, lineset_from_json, lineset_to_json
@@ -191,7 +192,7 @@ class TestConstructSic:
             seen.append(fid)
             return wh_orbit(fid)
 
-        monkeypatch.setattr(cli, "wh_orbit", orbit)
+        monkeypatch.setattr(sics, "wh_orbit", orbit)
         code, _, _ = run(capsys, ["construct", "sic", "--dim", "3", "--fiducial", f"file:{fid_file}"])
         assert code == EXIT_OK
         assert seen[0].vector.tobytes() == vec.tobytes()
@@ -337,7 +338,7 @@ class TestVerify:
     ])
     def test_deep_checks_fail_past_their_tolerance_and_on_nan(
             self, capsys, monkeypatch, mub_file, layer, field, value, check):
-        original = getattr(cli, layer)
+        original = getattr(schemes, layer)
 
         def bent(X, *, to):
             out = original(X)
@@ -345,12 +346,12 @@ class TestVerify:
                 return {**out, field: to}
             return dataclasses.replace(out, **{field: to})
 
-        monkeypatch.setattr(cli, layer, lambda X: bent(X, to=value))
+        monkeypatch.setattr(schemes, layer, lambda X: bent(X, to=value))
         code, out, _ = run(capsys, ["--format", "json", "verify", mub_file, "--deep"])
         assert code == EXIT_CERTIFICATION
         assert [f["check"] for f in json.loads(out)["failures"]] == [check]
         # a NaN residual is within no tolerance
-        monkeypatch.setattr(cli, layer, lambda X: bent(X, to=float("nan")))
+        monkeypatch.setattr(schemes, layer, lambda X: bent(X, to=float("nan")))
         code, out, _ = run(capsys, ["--format", "json", "verify", mub_file, "--deep"])
         assert code == EXIT_CERTIFICATION
         assert [f["check"] for f in json.loads(out)["failures"]] == [check]
@@ -359,6 +360,35 @@ class TestVerify:
         code, _, err = run(capsys, ["verify", "/nonexistent/x.json"])
         assert code == EXIT_USAGE
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_entry_that_is_not_finite_is_malformed(self, capsys, tmp_path, mub_file, entry):
+        data = json.loads(open(mub_file).read())
+        data["vectors"][7][3][1] = entry
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, _, err = run(capsys, ["verify", str(bad)])
+        assert code == EXIT_USAGE
+        assert f"malformed line set in {bad}: vector 7 has an entry that is not finite" in err
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("source", ["option", "file"])
+    def test_tolerance_that_is_not_finite_and_positive_is_a_usage_error(
+            self, capsys, monkeypatch, tmp_path, mub_file, tol, source):
+        passes = []
+        monkeypatch.setattr(linesets, "_angle_blocks", lambda X: passes.append(X) or iter(()))
+        if source == "option":
+            argv = ["--tol", str(tol), "verify", mub_file, "--expect", "mub"]
+        else:
+            data = json.loads(open(mub_file).read())
+            data["tol"] = tol
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(data))
+            argv = ["verify", str(bad), "--expect", "mub"]
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_USAGE and out == ""
+        assert f"tol must be finite and positive, got {tol!r}" in err
+        assert passes == []  # refused before any pass over the angles
 
 
 class TestBounds:
@@ -531,6 +561,12 @@ class TestExport:
         assert "words: 4" in out
         assert out_file.read_text().startswith("gf,2")
 
+    def test_angles_need_a_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["export", "angles", "--out", str(tmp_path / "a.csv")])
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: export angles needs a line-set FILE\n"
+        assert not (tmp_path / "a.csv").exists()
+
     def test_diffset_needs_exactly_one_source(self, capsys, tmp_path):
         code, _, err = run(
             capsys, ["export", "diffset", "--out", str(tmp_path / "x.json")]
@@ -565,16 +601,18 @@ class TestReportContract:
         assert report["summary"]["n"] == 6
 
     def test_layer_functions_are_called_through_module_names(self, capsys, monkeypatch, tmp_path):
-        # tools that rebind a layer function in linekit.cli (the benchmark
+        # tools that rebind a layer function in its home module (the benchmark
         # tracer) see every call; a table holding the function would not
-        names = ("verify_mub", "verify_sic", "verify_equiangular", "scheme_from_lineset",
-                 "gram_algebra_check", "wf_mubs", "alltop_mubs")
+        homes = {"verify_mub": linesets, "verify_sic": sics, "verify_equiangular": linesets,
+                 "scheme_from_lineset": schemes, "gram_algebra_check": schemes,
+                 "wf_mubs": mubs, "alltop_mubs": mubs}
+        names = tuple(homes)
         called = set()
         for name in names:
-            def counting(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            def counting(*args, _name=name, _original=getattr(homes[name], name), **kwargs):
                 called.add(_name)
                 return _original(*args, **kwargs)
-            monkeypatch.setattr(cli, name, counting)
+            monkeypatch.setattr(homes[name], name, counting)
         path = tmp_path / "sic3.json"
         assert main(["construct", "mub", "--dim", "4"]) == EXIT_OK
         assert main(["construct", "mub", "--dim", "5", "--method", "alltop"]) == EXIT_OK
@@ -635,6 +673,72 @@ class TestColdStart:
 
     def test_cli_main_is_the_front_main(self):
         assert main is front.main
+
+    @pytest.mark.parametrize("argv, code, layers", [
+        (["verify", "MUB", "--expect", "mub"], EXIT_OK, {"linesets", "jacobi"}),
+        (["verify", "MUB", "--deep", "--expect", "mub"], EXIT_OK,
+         {"linesets", "jacobi", "schemes"}),
+        (["verify", "MUB", "--expect", "sic"], EXIT_CERTIFICATION,
+         {"linesets", "jacobi", "sics", "finite_algebra"}),
+        (["scheme", "MUB"], EXIT_OK, {"linesets", "jacobi", "schemes"}),
+        (["export", "angles", "MUB", "--out", "a.csv"], EXIT_OK, {"linesets", "jacobi"}),
+        (["construct", "mub", "--dim", "5"], EXIT_OK,
+         {"linesets", "jacobi", "mubs", "finite_algebra"}),
+        (["construct", "sic", "--dim", "3"], EXIT_OK,
+         {"linesets", "jacobi", "sics", "finite_algebra"}),
+        (["construct", "lines", "--singer", "3"], EXIT_OK,
+         {"linesets", "jacobi", "groupcodes", "finite_algebra"}),
+        (["export", "diffset", "--singer", "3", "--out", "d.json"], EXIT_OK,
+         {"linesets", "jacobi", "groupcodes", "finite_algebra"}),
+    ], ids=["verify", "verify-deep", "verify-sic", "scheme", "export-angles", "construct-mub",
+            "construct-sic", "construct-lines", "export-diffset"])
+    def test_each_subcommand_loads_only_the_layers_it_runs(self, tmp_path, argv, code, layers):
+        lineset_to_json(wf_mubs(5).to_lineset(), path=str(tmp_path / "mub5.json"))
+        argv = [str(tmp_path / "mub5.json") if a == "MUB" else a for a in argv]
+        script = ("import sys\n"
+                  "from linekit.front import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print(*sorted(m for m in sys.modules if m.startswith('linekit.')),"
+                  " file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path,
+                              timeout=60)
+        assert proc.returncode == code, proc.stderr
+        loaded = set(proc.stderr.split())
+        assert loaded & LAYERS == {f"linekit.{m}" for m in layers}
+        assert loaded - LAYERS == {"linekit.front", "linekit.commands"}
+
+
+def load_tracer(monkeypatch):
+    """The benchmark's tracer module, loaded from its file without writing bytecode."""
+    path = Path(__file__).resolve().parents[1] / "linebench" / "tracer.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("linebench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sees_every_layer_call_of_a_deep_verify(capsys, monkeypatch, tmp_path):
+    # the tracer rebinds functions in the namespaces that hold them; the
+    # commands call each layer through its home module, so it sees them all
+    tracer = load_tracer(monkeypatch)
+    path = tmp_path / "mub5.json"
+    lineset_to_json(wf_mubs(5).to_lineset(), path=str(path))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        code = cli.main(["verify", str(path), "--deep", "--expect", "mub"])
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert code == EXIT_OK
+    spans = tracer.self_times(t.spans)
+    for metric in ("linesets.gram_degree_set_s", "linesets.verify_mub_s",
+                   "schemes.scheme_from_lineset_s", "schemes.gram_algebra_check_s",
+                   "cli.main_self_s"):
+        assert spans[metric] > 0, metric
 
 
 class TestLazyPackage:

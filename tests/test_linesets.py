@@ -88,6 +88,26 @@ def test_lineset_validation():
     assert X.n == 3 and X.dim == 3
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, complex(0, math.nan)],
+                         ids=["nan", "inf", "-inf", "nan-imaginary"])
+def test_lineset_rejects_entries_that_are_not_finite(entry):
+    # abs(nan - 1) > atol is False: the unit-norm check alone lets NaN through
+    with pytest.raises(ValueError, match="vector 1 has an entry that is not finite"):
+        LineSet(2, [[1, 0], [entry, 0], [0, 1]])
+    with pytest.raises(ValueError, match="vector 0 has an entry that is not finite"):
+        lineset_from_json({"dim": 2, "vectors": [[[math.nan, 0.0], [0.0, 0.0]]]})
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+def test_lineset_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        LineSet(2, np.eye(2), tol=tol)
+    text = json.dumps({"dim": 2, "tol": tol, "vectors": [[[1.0, 0.0], [0.0, 0.0]]]})
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        lineset_from_json(text)
+    assert LineSet(2, np.eye(2), tol=1e-300).tol == 1e-300
+
+
 def test_json_roundtrip():
     X = mub_triple_c2()
     Y = lineset_from_json(lineset_to_json(X))
@@ -139,8 +159,21 @@ def test_json_matches_per_entry_writer_and_keeps_every_bit(make):
     assert lineset_to_json(Y) == text
 
 
+@pytest.mark.parametrize("make", [mub_triple_c2, signed_zero_lines, lambda: wf_mubs(4).to_lineset(),
+                                  lambda: scrambled(wf_mubs(3).to_lineset(), 1)],
+                         ids=["mub-triple", "signed-zeros", "wf4", "scrambled-wf3"])
+@pytest.mark.parametrize("batch", [1, 2, 3, 8, 1 << 20])
+def test_json_writer_is_one_text_over_any_row_batch(make, batch, monkeypatch):
+    X = make()
+    monkeypatch.setattr(linesets, "WRITE_BATCH", batch)
+    assert lineset_to_json(X) == per_entry_json(X)
+
+
 @pytest.mark.parametrize("make", [lambda: wf_mubs(16).to_lineset(),
-                                  lambda: alltop_mubs(13).to_lineset()], ids=["wf16", "alltop13"])
+                                  lambda: alltop_mubs(13).to_lineset(),
+                                  lambda: scrambled(wf_mubs(16).to_lineset(), 3),
+                                  lambda: scrambled(alltop_mubs(13).to_lineset(), 4)],
+                         ids=["wf16", "alltop13", "scrambled-wf16", "scrambled-alltop13"])
 def test_json_writer_holds_a_small_multiple_of_its_text(make):
     X = make()
     text, peak = traced_peak(lineset_to_json, X)
