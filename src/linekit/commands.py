@@ -7,7 +7,8 @@ subcommand imports only the layer modules it runs, inside its branch:
 - every subcommand here loads `linesets` (with `jacobi`) and numpy, which is
   all a plain `verify` and `export angles` need;
 - `verify --deep` and `scheme` add `schemes`;
-- `verify --expect sic` and `construct sic` add `sics` (with `finite_algebra`);
+- `verify --expect sic` and `construct sic` add `sics` (and `finite_algebra`
+  only for `--fiducial appleby`);
 - `construct mub` adds `mubs` (with `finite_algebra`);
 - `construct lines` and the other `export` targets add `groupcodes` (with
   `finite_algebra`), which loads `mubs` only for `--rds` and `schemes` only
@@ -257,7 +258,7 @@ def _construct_mub(args):
 def _resolve_fiducial(args):
     from linekit import sics
 
-    source = args.fiducial
+    source = "builtin" if args.fiducial is None else args.fiducial
     if source == "builtin":
         return sics.builtin_fiducial(args.dim)
     if source == "appleby":

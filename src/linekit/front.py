@@ -250,9 +250,12 @@ def _parse_angles(spec):
 
 def _line_set_command(args):
     """Run construct, verify, scheme or export from `linekit.commands`,
-    which loads numpy; only these subcommands import it."""
-    from linekit import commands
+    which loads numpy; only these subcommands import it.  --tol is checked
+    by `LineSet`'s own rule before anything is read or built."""
+    from linekit import commands, linesets
 
+    if args.tol is not None:
+        linesets._checked_tol(args.tol)
     return getattr(commands, f"cmd_{args.subcommand}")(args)
 
 
@@ -285,7 +288,7 @@ def build_parser():
     c.add_argument("--factors", default=None, help="A,B with A*B = dim (tensor method)")
     c.add_argument("--table", default=None, help="semifield multiplication CSV")
     c.add_argument(
-        "--fiducial", default="builtin", help="builtin, appleby, or file:PATH (sic)"
+        "--fiducial", default=None, help="builtin (the default), appleby, or file:PATH (sic)"
     )
     c.add_argument(
         "--group", choices=tuple(GROUP_KINDS), default="cyclic",
@@ -346,8 +349,9 @@ def _run_config(args):
     if fiducial and fiducial.startswith("file:"):
         inputs.append(fiducial[5:])
     options = {}
-    for name in ("what", "dim", "method", "singer", "rds", "expect", "deep",
-                 "s", "angles", "n", "real", "gram", "idempotents", "factors", "group"):
+    for name in ("what", "dim", "method", "singer", "rds", "expect", "deep", "s", "angles",
+                 "n", "real", "gram", "idempotents", "factors", "fiducial", "group",
+                 "tank_trap", "alphabet", "generator"):
         value = getattr(args, name, None)
         if value not in (None, False):
             options[name] = value

@@ -5,10 +5,14 @@ finite abelian group.  Every character value is an index into one root table:
 chi_a(g) = G.roots[G.pairing(a, g)], the integer pairing taken mod the exponent
 L of G, and code alphabets read root_table(q) at the codeword letters.  The
 same pairing decides generation exactly: D generates G when exactly one
-character, the trivial one, has a zero pairing row on D.
+character, the trivial one, has a zero pairing row on D.  Group arithmetic
+goes through one difference table, `_differences(G, X, Y)[i, j]` = the index
+of Y[j] - X[i]: it counts D * D^(-1), tests subgroups, lays out the cover's
+bipartite block and lists the cosets of the RDS route.  Code duals come from
+one kernel over Z_q, q prime or 4, a Smith-style diagonalization (`_kernel`).
 
-* difference sets and relative difference sets — classification by direct
-  convolution, character-row line sets, Singer sets from planes, and the
+* difference sets and relative difference sets — classification by counting
+  differences, character-row line sets, Singer sets from planes, and the
   relative-difference-set route to mutually unbiased bases;
 * distance-regular antipodal covers of complete bipartite graphs, built
   either from a relative difference set or as the explicit 36-vertex
@@ -30,7 +34,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,27 +48,6 @@ from .finite_algebra import (
     root_table,
 )
 from .linesets import LineSet, distinct_lines
-
-__all__ = [
-    "DifferenceSetReport",
-    "GraphWithSpectrum",
-    "LinearCode",
-    "classify_difference_set",
-    "code_to_lines",
-    "code_weights",
-    "coset_spectrum",
-    "cover_graph",
-    "diffset_from_json",
-    "diffset_lines",
-    "diffset_to_json",
-    "dual_code",
-    "field_rds",
-    "linear_code_from_csv",
-    "linear_code_to_csv",
-    "rds_to_mubs",
-    "semifield_rds",
-    "singer_difference_set",
-]
 
 _ENUM_CAP = 2**20
 _DESK_GROUP_CAP = 512
@@ -90,38 +73,43 @@ class DifferenceSetReport:
     difference_multiset: GroupAlgebraElement
 
 
+def _differences(G, X, Y):
+    """[i, j] is the index in G.elements() of Y[j] - X[i]."""
+    r = len(G.cyclic_orders)
+    X = np.asarray(X, dtype=np.int64).reshape(-1, r).T
+    Y = np.asarray(Y, dtype=np.int64).reshape(-1, r).T
+    diff = tuple(Y[:, None] - X[:, :, None])  # [c, i, j]: coordinate c of Y[j] - X[i]
+    return np.ravel_multi_index(diff, G.cyclic_orders, mode="wrap")  # wrap: mod order
+
+
 def _is_subgroup(G, elems):
-    s = set(elems)
-    if G.identity not in s:
-        return False
-    for a in s:
-        if G.inverse(a) not in s:
-            return False
-        for b in s:
-            if G.op(a, b) not in s:
-                return False
-    return True
+    """A nonempty subset, each element listed once, is a subgroup exactly
+    when it holds every a - b."""
+    members = [G.index_of(g) for g in elems]
+    closed = np.isin(_differences(G, elems, elems), members).all()
+    return 0 < len(members) == len(set(members)) and bool(closed)
 
 
 def classify_difference_set(G, D, N=None):
     """Match D * D^(-1) against k*1 + lam*(G - 1) and k*1 + lam*(G - N).
 
-    The relative template forces N to be the zero-coefficient support plus
-    the identity, so no subgroup search is needed: that candidate either is
-    a subgroup with constant coefficients outside it, or nothing works.
+    The coefficients of D * D^(-1) are counts over the table of differences
+    of D.  The relative template forces N to be the zero-coefficient support
+    plus the identity, so no subgroup search is needed: that candidate either
+    is a subgroup with constant coefficients outside it, or nothing works.
     When N is supplied it is verified instead of inferred.
     """
     Dt = [tuple(g) for g in D]
     if not Dt:
         raise ValueError("D is empty")
-    if len(set(Dt)) != len(Dt):
+    if len({G.index_of(g) for g in Dt}) != len(Dt):  # (8,) repeats (1,) in Z7
         raise ValueError("D has repeated elements")
     k = len(Dt)
-    el = GroupAlgebraElement.from_subset(G, Dt)
-    diffs = el * el.inverse_support()
-    ident = G.identity
     elems = G.elements()
-    zeros = sorted(g for g in elems if g != ident and diffs[g] == 0)
+    counts = np.bincount(_differences(G, Dt, Dt).ravel(), minlength=G.order)
+    diffs = GroupAlgebraElement(G, {elems[i]: counts[i] for i in np.flatnonzero(counts)})
+    ident = G.identity
+    zeros = [elems[i] for i in np.flatnonzero(counts == 0)]
 
     if N is not None:
         Nt = sorted(tuple(g) for g in N)
@@ -132,23 +120,23 @@ def classify_difference_set(G, D, N=None):
             f"|G| = {G.order} > {_DESK_GROUP_CAP}: supply the excluded subgroup N"
         )
     else:
-        cand = sorted(zeros + [ident])
+        cand = [ident] + zeros
         Nt = cand if _is_subgroup(G, cand) else None
 
-    # plain: every non-identity coefficient equal and positive
-    off_vals = {diffs[g] for g in elems if g != ident}
-    if not zeros and len(off_vals) == 1 and (N is None or Nt == [ident]):
-        return DifferenceSetReport("plain", (G.order, k, off_vals.pop()), None, diffs)
+    # plain: every non-identity coefficient equal and positive (index 0 is the identity)
+    off = counts[1:]
+    if off.size and off.min() == off.max() > 0 and (N is None or Nt == [ident]):
+        return DifferenceSetReport("plain", (G.order, k, int(off[0])), None, diffs)
 
     # relative: zero exactly on N minus identity, constant lam outside N
     if Nt is not None and len(Nt) > 1:
-        nset = set(Nt)
-        if all(diffs[g] == 0 for g in Nt if g != ident):
-            outside = {diffs[g] for g in elems if g not in nset}
-            if len(outside) == 1 and 0 not in outside:
-                n_ = len(Nt)
-                params = (G.order // n_, n_, k, outside.pop())
-                return DifferenceSetReport("relative", params, Nt, diffs)
+        inN = np.zeros(G.order, dtype=bool)
+        inN[[G.index_of(g) for g in Nt]] = True
+        outside = counts[~inN]
+        if not counts[inN][1:].any() and outside.size and outside.min() == outside.max() > 0:
+            n_ = len(Nt)
+            params = (G.order // n_, n_, k, int(outside[0]))
+            return DifferenceSetReport("relative", params, Nt, diffs)
 
     return DifferenceSetReport("none", None, None, diffs)
 
@@ -246,19 +234,14 @@ def rds_to_mubs(G, D, N=None):
     m_, n_, k, lam = report.params
     if m_ != k:
         raise ValueError(f"({m_},{n_},{k},{lam}) is not semi-regular (need m = k)")
-    Nt = report.excluded_subgroup
     Dt = sorted(tuple(g) for g in D)
 
-    H = [a for a in G.elements() if G.character_trivial_on(a, Nt)]
-    seen, E = set(), []
-    for a in G.elements():
-        if a in seen:
-            continue
-        coset = sorted(G.op(a, h) for h in H)
-        seen.update(coset)
-        E.append(G.pairing(Dt, coset))
-    return MubFamily(k, _phase_bases(np.array(E), G.exponent),
-                     provenance=("rds", f"k={k},n={n_}"))
+    elems = np.array(G.elements())
+    H = elems[~G.pairing(elems, report.excluded_subgroup).any(axis=1)]
+    # the cosets y - H as index columns, each sorted, ordered by their smallest element
+    cosets = np.unique(np.sort(_differences(G, H, elems), axis=0), axis=1).T
+    E = np.array([G.pairing(Dt, elems[c]) for c in cosets])
+    return MubFamily(k, _phase_bases(E, G.exponent), provenance=("rds", f"k={k},n={n_}"))
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +352,7 @@ def cover_graph(G=None, D=None, N=None, builtin=None):
         elems = G.elements()
         inD = np.zeros(len(elems), dtype=np.int64)
         inD[[G.index_of(g) for g in D]] = 1
-        C = np.array(elems).T
-        diff = tuple(C[:, None] - C[:, :, None])  # [c, i, j]: coordinate c of y_j - x_i
-        B = inD[np.ravel_multi_index(diff, G.cyclic_orders, mode="wrap")]  # wrap: mod order
+        B = inD[_differences(G, elems, elems)]
         A = np.block([[np.zeros_like(B), B], [B.T, np.zeros_like(B)]])
         labels = [f"(0,{x})" for x in elems] + [f"(1,{y})" for y in elems]
 
@@ -437,13 +418,10 @@ class LinearCode:
         self._codewords = None
 
     def size(self):
-        """|C| = q^n / |dual| without enumerating: p^rank over GF(p); over Z4
-        the dual's independent generators from the Smith diagonal have order 2
-        (every entry even) or 4, which gives 4^k1 2^k2."""
-        if self.kind == "gf":
-            return self.q ** (self.n - len(_gf_nullspace(self.generators, self.q)))
-        kernel = _z4_kernel(self.generators)
-        return 4**self.n // math.prod(2 if not (k % 2).any() else 4 for k in kernel)
+        """|C| = q^n / prod_k (q / gcd(q, k)) over the kernel generators k of
+        the dual, which are independent: nothing is enumerated."""
+        q, kernel = self.q, _kernel(self.generators, self.q)
+        return q**self.n // math.prod(q // math.gcd(q, *k.tolist()) for k in kernel)
 
     def codewords(self):
         if self._codewords is None:
@@ -476,10 +454,7 @@ class LinearCode:
         return int(wts[wts > 0].min()) if len(wts) > 1 else None
 
     def dual(self):
-        if self.kind == "gf":
-            kernel = _gf_nullspace(self.generators, self.q)
-        else:
-            kernel = _z4_kernel(self.generators)
+        kernel = _kernel(self.generators, self.q)
         if len(kernel) == 0:
             kernel = np.zeros((1, self.n), dtype=np.int64)
         return LinearCode(kernel, "z4" if self.kind == "z4" else self.q)
@@ -499,91 +474,42 @@ def code_weights(C):
     return dict(sorted(Counter(int(w) for w in C._weights(C.codewords())).items()))
 
 
-def _gf_nullspace(M, p):
-    M = M.copy() % p
-    m, n = M.shape
-    pivots = []
-    r = 0
-    for col in range(n):
-        pr = next((i for i in range(r, m) if M[i, col] % p), None)
-        if pr is None:
-            continue
-        M[[r, pr]] = M[[pr, r]]
-        M[r] = (M[r] * pow(int(M[r, col]), -1, p)) % p
-        for i in range(m):
-            if i != r and M[i, col]:
-                M[i] = (M[i] - M[i, col] * M[r]) % p
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    basis = []
-    for free in (col for col in range(n) if col not in pivots):
-        v = np.zeros(n, dtype=np.int64)
-        v[free] = 1
-        for i, col in enumerate(pivots):
-            v[col] = (-M[i, free]) % p
-        basis.append(v)
-    return np.array(basis, dtype=np.int64) if basis else np.zeros((0, n), dtype=np.int64)
+def _kernel(M, q):
+    """Generators of {x : M x = 0 over Z_q}, q prime or 4, by Smith-style
+    diagonalization.
 
-
-def _z4_kernel(M):
-    """Generators of {x : M x = 0 over Z4} by Smith-style diagonalization.
-
-    Row operations leave the kernel alone; column operations are tracked in
-    Q so that solutions of the diagonal system map back via x = Q y.  Pivots
-    are units when available, otherwise 2; leftover columns are free.
+    Each step takes the first unit entry left, in row-major order (over GF(p)
+    any nonzero entry), else a 2 (Z4 only), and clears the pivot's row and
+    column.  Row operations leave the kernel alone; column operations are
+    tracked in Q so that solutions of the diagonal system map back via
+    x = Q y.  A pivot d that is not a unit gives the generator q/d Q[:, k];
+    leftover columns of Q are free.
     """
-    A = np.array(M, dtype=np.int64) % 4
+    A = np.array(M, dtype=np.int64) % q
     m, n = A.shape
     Q = np.eye(n, dtype=np.int64)
     diag = []
     for k in range(min(m, n)):
-        pos = None
-        for unit_pass in (True, False):
-            for i in range(k, m):
-                for j in range(k, n):
-                    if (A[i, j] % 2 == 1) if unit_pass else (A[i, j] != 0):
-                        pos = (i, j)
-                        break
-                if pos:
-                    break
-            if pos:
-                break
-        if pos is None:
+        rest = A[k:, k:]
+        units = np.flatnonzero(np.gcd(rest, q) == 1)
+        picks = units if units.size else np.flatnonzero(rest)
+        if not picks.size:
             break
-        i, j = pos
+        i, j = np.add(np.unravel_index(picks[0], rest.shape), k)
         A[[k, i]] = A[[i, k]]
         A[:, [k, j]] = A[:, [j, k]]
         Q[:, [k, j]] = Q[:, [j, k]]
-        piv = A[k, k] % 4
-        if piv % 2 == 1:
-            inv = piv if piv == 1 else 3  # 3*3 = 9 = 1 mod 4
-            A[k] = (A[k] * inv) % 4
-            for i in range(m):
-                if i != k and A[i, k]:
-                    A[i] = (A[i] - A[i, k] * A[k]) % 4
-            for j in range(n):
-                if j != k and A[k, j]:
-                    Q[:, j] = (Q[:, j] - A[k, j] * Q[:, k]) % 4
-                    A[:, j] = (A[:, j] - A[k, j] * A[:, k]) % 4
-        else:
-            # pivot 2: every remaining entry in its row/column is 0 or 2
-            for i in range(m):
-                if i != k and A[i, k]:
-                    A[i] = (A[i] - A[k]) % 4
-            for j in range(n):
-                if j != k and A[k, j]:
-                    Q[:, j] = (Q[:, j] - Q[:, k]) % 4
-                    A[:, j] = (A[:, j] - A[:, k]) % 4
-        diag.append(int(A[k, k] % 4))
-    basis = []
-    for idx, d in enumerate(diag):
-        if d == 2:
-            basis.append((2 * Q[:, idx]) % 4)
-    for j in range(len(diag), n):
-        basis.append(Q[:, j] % 4)
-    return np.array(basis, dtype=np.int64) if basis else np.zeros((0, n), dtype=np.int64)
+        if units.size:
+            A[k] = A[k] * pow(int(A[k, k]), -1, q) % q
+        d = int(A[k, k])
+        rows, cols = A[:, k] // d, A[k] // d  # exact: a 2 pivot sees only 0 and 2
+        rows[k] = cols[k] = 0
+        A = (A - np.outer(rows, A[k])) % q
+        Q = (Q - np.outer(Q[:, k], cols)) % q
+        A[k, k + 1:] = 0  # what the column operations, kept in Q, do to A
+        diag.append(d)
+    basis = [q // d * Q[:, k] % q for k, d in enumerate(diag) if d != 1]
+    return np.array(basis + list(Q[:, len(diag):].T), dtype=np.int64).reshape(-1, n)
 
 
 def coset_spectrum(C):

@@ -40,6 +40,14 @@ def _certify_atol(X):
     return max(X.tol, 1e-12) * 10
 
 
+def _checked_tol(tol):
+    """float(tol); a ValueError unless it is finite and positive."""
+    value = float(tol)
+    if not (isfinite(value) and value > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    return value
+
+
 class LineSet:
     """n unit vectors in dimension dim, optionally partitioned into bases.
 
@@ -55,9 +63,7 @@ class LineSet:
     def __init__(self, dim, vectors, field="complex", basis_labels=None, tol=DEFAULT_TOL):
         self.dim = int(dim)
         self.field = field
-        self.tol = float(tol)
-        if not (isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {tol!r}")
+        self.tol = _checked_tol(tol)
         if field not in ("complex", "real"):
             raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
         V = np.array(vectors, dtype=complex)

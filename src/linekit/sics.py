@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from linekit.finite_algebra import jacobi_symbol
 from linekit.linesets import LineSet, design_strength, distinct_lines, gram_degree_set
 
 
@@ -202,6 +201,8 @@ def appleby_candidates(d):
     wh_orbit) share the first one's record.  Only d = 3, 7
     and 19 are expected to produce a verified maximal set.
     """
+    from linekit.finite_algebra import jacobi_symbol
+
     d = int(d)
     if d < 3 or d % 2 == 0:
         raise ValueError(f"need odd d >= 3, got {d}")

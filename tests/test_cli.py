@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface via main()."""
 
+import argparse
 import csv
 import dataclasses
 import importlib.util
@@ -372,13 +373,15 @@ class TestVerify:
         assert f"malformed line set in {bad}: vector 7 has an entry that is not finite" in err
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
-    @pytest.mark.parametrize("source", ["option", "file"])
+    @pytest.mark.parametrize("source", ["option", "file", "construct"])
     def test_tolerance_that_is_not_finite_and_positive_is_a_usage_error(
             self, capsys, monkeypatch, tmp_path, mub_file, tol, source):
         passes = []
         monkeypatch.setattr(linesets, "_angle_blocks", lambda X: passes.append(X) or iter(()))
         if source == "option":
             argv = ["--tol", str(tol), "verify", mub_file, "--expect", "mub"]
+        elif source == "construct":  # MubFamily certifies what it builds
+            argv = ["--tol", str(tol), "construct", "mub", "--dim", "5"]
         else:
             data = json.loads(open(mub_file).read())
             data["tol"] = tol
@@ -589,6 +592,19 @@ class TestReportContract:
         _, out, _ = run(capsys, ["--format", "csv", "bounds", "--dim", "2"])
         assert out.splitlines()[0].startswith("config,subcommand,bounds")
 
+    def test_header_echoes_every_option(self):
+        # a saved report reproduces its run: every option is echoed, is an
+        # input or the output, or is one of the front's own keys
+        parser = front.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        own = {"func", "subcommand", "format", "tol", "seed"}
+        for name, p in sub.choices.items():
+            dests = {a.dest for a in p._actions if a.dest != "help"}
+            args = argparse.Namespace(**{d: f"<{d}>" for d in dests | own})
+            config = front._run_config(args).as_dict()
+            header = {str(v) for v in config.values()} | set(config["inputs"])
+            assert {d for d in dests - own if f"<{d}>" not in header} == set(), name
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["construct", "mub", "--dim", "3", "--frobnicate"])
@@ -679,13 +695,12 @@ class TestColdStart:
         (["verify", "MUB", "--deep", "--expect", "mub"], EXIT_OK,
          {"linesets", "jacobi", "schemes"}),
         (["verify", "MUB", "--expect", "sic"], EXIT_CERTIFICATION,
-         {"linesets", "jacobi", "sics", "finite_algebra"}),
+         {"linesets", "jacobi", "sics"}),
         (["scheme", "MUB"], EXIT_OK, {"linesets", "jacobi", "schemes"}),
         (["export", "angles", "MUB", "--out", "a.csv"], EXIT_OK, {"linesets", "jacobi"}),
         (["construct", "mub", "--dim", "5"], EXIT_OK,
          {"linesets", "jacobi", "mubs", "finite_algebra"}),
-        (["construct", "sic", "--dim", "3"], EXIT_OK,
-         {"linesets", "jacobi", "sics", "finite_algebra"}),
+        (["construct", "sic", "--dim", "3"], EXIT_OK, {"linesets", "jacobi", "sics"}),
         (["construct", "lines", "--singer", "3"], EXIT_OK,
          {"linesets", "jacobi", "groupcodes", "finite_algebra"}),
         (["export", "diffset", "--singer", "3", "--out", "d.json"], EXIT_OK,

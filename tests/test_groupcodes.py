@@ -32,7 +32,7 @@ from linekit.groupcodes import (
     singer_difference_set,
 )
 from linekit.linesets import design_strength, gram_degree_set, verify_equiangular, verify_mub
-from linekit.mubs import SemifieldTable, wf_mubs
+from linekit.mubs import SemifieldTable, _phase_bases, wf_mubs
 
 FANO = [(1,), (2,), (4,)]
 Z7 = AbelianGroup([7])
@@ -75,8 +75,10 @@ def test_classify_semifield_gf3():
 
 def test_classify_supplied_n_must_be_subgroup():
     G = AbelianGroup([4])
-    with pytest.raises(ValueError, match="not a subgroup"):
-        classify_difference_set(G, [(0,), (1,)], N=[(0,), (1,)])
+    # no inverse, empty, not closed, one element twice (also as 4 = 0)
+    for N in [[(0,), (1,)], [], [(0,), (1,), (3,)], [(0,), (0,)], [(0,), (2,), (4,)]]:
+        with pytest.raises(ValueError, match="not a subgroup"):
+            classify_difference_set(G, [(0,), (1,)], N=N)
 
 
 def test_classify_supplied_n_mismatch_gives_none():
@@ -88,17 +90,11 @@ def test_classify_supplied_n_mismatch_gives_none():
 def test_classify_input_validation():
     with pytest.raises(ValueError, match="empty"):
         classify_difference_set(Z7, [])
-    with pytest.raises(ValueError, match="repeated"):
-        classify_difference_set(Z7, [(1,), (1,)])
+    for D in [[(1,), (1,)], [(1,), (2,), (8,)]]:  # 8 = 1 in Z7
+        with pytest.raises(ValueError, match="repeated"):
+            classify_difference_set(Z7, D)
     with pytest.raises(ValueError, match="supply"):
         classify_difference_set(AbelianGroup([625]), [(0,), (1,)])
-
-
-def test_difference_multiset_mass():
-    rep = classify_difference_set(Z7, FANO)
-    diffs = rep.difference_multiset
-    assert diffs[(0,)] == 3
-    assert sum(diffs.coefficients.values()) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +226,17 @@ RDS_CASES = [pytest.param(*field_rds(q), id=f"field{q}") for q in [2, 3, 4, 5, 8
 ]
 
 
+def test_difference_multiset_mass():
+    # the convolution D * D^(-1) is the oracle for the counted differences
+    cases = [(Z7, FANO, None)] + [(*singer_difference_set(q), None) for q in [2, 3, 4, 5]]
+    for G, D, N in cases + [p.values for p in RDS_CASES]:
+        diffs = classify_difference_set(G, D, N).difference_multiset
+        el = GroupAlgebraElement.from_subset(G, D)
+        assert diffs == el * el.inverse_support()
+        assert diffs[G.identity] == len(D)
+        assert sum(diffs.coefficients.values()) == len(D) ** 2
+
+
 @pytest.mark.parametrize("G,D", DIFFSET_CASES)
 def test_diffset_lines_match_cmath_oracle(G, D):
     Dt = sorted(set(tuple(g) for g in D))
@@ -240,9 +247,10 @@ def test_diffset_lines_match_cmath_oracle(G, D):
 
 @pytest.mark.parametrize("G,D,N", RDS_CASES)
 def test_rds_bases_match_cmath_oracle(G, D, N):
+    # the coset loop is also the oracle for the exponents, compared bit for bit
     k = len(D)
     H = [a for a in G.elements() if all(abs(_cmath_character(G, a, g) - 1) < 1e-9 for g in N)]
-    want, seen = [np.eye(k)], set()
+    want, seen, E = [np.eye(k)], set(), []
     for a in G.elements():
         if a in seen:
             continue
@@ -250,10 +258,12 @@ def test_rds_bases_match_cmath_oracle(G, D, N):
         seen.update(coset)
         B = [[_cmath_character(G, c, d) for c in coset] for d in sorted(D)]
         want.append(np.array(B) / np.sqrt(k))
+        E.append(G.pairing(sorted(D), coset))
     fam = rds_to_mubs(G, D, N)
     assert len(fam.bases) == len(want)
-    for B, W in zip(fam.bases, want):
+    for B, W, O in zip(fam.bases, want, _phase_bases(np.array(E), G.exponent)):
         assert np.abs(B - W).max() < 1e-12
+        assert np.array_equal(B, O)
 
 
 @pytest.mark.parametrize(
@@ -486,32 +496,75 @@ def test_enumeration_cap():
         LinearCode(np.eye(21, dtype=int), 2).codewords()
 
 
-@pytest.mark.parametrize("alphabet", [2, 3, "z4"])
+def random_generators(rng, q, rows, cols):
+    """Random rows over Z_q, about a quarter of them all-zero."""
+    M = rng.integers(0, q, size=(rng.integers(*rows), rng.integers(*cols)))
+    M[rng.random(len(M)) < 0.25] = 0
+    return M
+
+
+@pytest.mark.parametrize("alphabet", [2, 3, 5, 7, "z4"])
 def test_size_formula_matches_enumeration(alphabet):
     q = 4 if alphabet == "z4" else alphabet
     rng = np.random.default_rng(2024 + q)
     for _ in range(25):
-        k, n = rng.integers(1, 5), rng.integers(1, 7)
-        C = LinearCode(rng.integers(0, q, size=(k, n)), alphabet)
+        C = LinearCode(random_generators(rng, q, (1, 9), (1, 7)), alphabet)  # tall ones too
         assert C.size() == len(C.codewords())
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_gf_dual_involution(q):
     rng = np.random.default_rng(101 + q)
     for _ in range(8):
-        C = LinearCode(rng.integers(0, q, size=(rng.integers(1, 4), rng.integers(2, 7))), q)
+        C = LinearCode(random_generators(rng, q, (1, 8), (2, 7)), q)
         Cd = C.dual()
         assert not ((C.codewords() @ Cd.codewords().T) % q).any()
         assert len(C) * len(Cd) == q**C.n
         assert Cd.dual().codewords().tolist() == C.codewords().tolist()
 
 
+def loop_z4_kernel(M):
+    """Generators of {x : M x = 0 over Z4}, one Smith-style pivot at a time.
+
+    Pivots are the first unit in row-major order, else the first 2; row and
+    column clearing go entry by entry, and Q records the column operations.
+    """
+    A = np.array(M, dtype=np.int64) % 4
+    m, n = A.shape
+    Q = np.eye(n, dtype=np.int64)
+    diag = []
+    for k in range(min(m, n)):
+        cells = [(i, j) for i in range(k, m) for j in range(k, n)]
+        pos = next((c for c in cells if A[c] % 2), next((c for c in cells if A[c]), None))
+        if pos is None:
+            break
+        i, j = pos
+        A[[k, i]] = A[[i, k]]
+        A[:, [k, j]] = A[:, [j, k]]
+        Q[:, [k, j]] = Q[:, [j, k]]
+        if A[k, k] % 2:
+            A[k] = A[k] * A[k, k] % 4  # 1 and 3 are their own inverses
+        d = A[k, k]
+        for i in range(m):
+            if i != k and A[i, k]:
+                A[i] = (A[i] - A[i, k] // d * A[k]) % 4
+        for j in range(n):
+            if j != k and A[k, j]:
+                Q[:, j] = (Q[:, j] - A[k, j] // d * Q[:, k]) % 4
+                A[:, j] = (A[:, j] - A[k, j] // d * A[:, k]) % 4
+        diag.append(int(d))
+    basis = [2 * Q[:, k] % 4 for k, d in enumerate(diag) if d == 2]
+    basis += [Q[:, j] for j in range(len(diag), n)]
+    return np.array(basis, dtype=np.int64).reshape(-1, n)
+
+
 def test_z4_dual_involution():
     rng = np.random.default_rng(7)
     for _ in range(12):
-        C = LinearCode(rng.integers(0, 4, size=(rng.integers(1, 4), rng.integers(2, 7))), "z4")
+        C = LinearCode(random_generators(rng, 4, (1, 8), (2, 7)), "z4")
         Cd = C.dual()
+        oracle = loop_z4_kernel(C.generators)
+        assert np.array_equal(Cd.generators, oracle if len(oracle) else np.zeros((1, C.n)))
         assert not ((C.codewords() @ Cd.codewords().T) % 4).any()
         assert len(C) * len(Cd) == 4**C.n
         assert Cd.dual().codewords().tolist() == C.codewords().tolist()
