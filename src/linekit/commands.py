@@ -34,9 +34,9 @@ from linekit.front import (
     GROUP_KINDS,
     UsageError,
     _annihilator_relative_bound,
-    _snap,
     fmt_rational,
 )
+from linekit.tolerance import EIGENMATRIX_TOL, certify_tol, snap
 
 # ---------------------------------------------------------------------------
 # shared line-set reporting
@@ -44,22 +44,19 @@ from linekit.front import (
 
 
 def _annihilator_bound(X, report):
-    """Relative bound from the degree-set annihilator, if its hypotheses hold.
-
-    Returns (bound, all_hypotheses_ok), or None when the degree set is empty
-    or c_0 = 0; a negative c_0 fails the "c_0 > 0" hypothesis.  Angles are
-    snapped to rationals so the arithmetic is exact.
+    """Relative bound from the degree-set annihilator when all its hypotheses
+    hold, else None (also for an empty degree set or c_0 = 0; a negative c_0
+    fails "c_0 > 0").  Exact: each angle is snapped at X.tol, or taken at its
+    float value where it does not snap.
     """
     if not report.angles:
         return None
-    angles = []
-    for a in report.angles:
-        f = _snap(a)
-        angles.append(f if f is not None else Fraction(float(a)).limit_denominator(10**12))
+    snapped = [snap(a, X.tol) for a in report.angles]
+    angles = [Fraction(a) if f is None else f for a, f in zip(report.angles, snapped)]
     out = _annihilator_relative_bound(X.dim, angles)
-    if out is None:
-        return None
-    return out["bound"], all(out["hypotheses_ok"].values())
+    if out is not None and all(out["hypotheses_ok"].values()):
+        return out["bound"]
+    return None
 
 
 def _met_phrase(n, bound):
@@ -74,7 +71,7 @@ def _lineset_sections(X):
     report = linesets.gram_degree_set(X)
     strength = linesets.design_strength(X).strength
     degree = ", ".join(
-        f"{fmt_rational(a)} (x {m})" for a, m in zip(report.angles, report.multiplicities)
+        f"{fmt_rational(a, X.tol)} (x {m})" for a, m in zip(report.angles, report.multiplicities)
     ) or "(single line)"
     summary = {
         "n": X.n,
@@ -92,15 +89,15 @@ def _lineset_sections(X):
     absval = jacobi.absolute_bound(X.dim, report.s, zero_in_A=report.zero_present)
     rows = [{"bound": "absolute", "value": fmt_rational(absval),
              "status": _met_phrase(X.n, absval)}]
-    ann = _annihilator_bound(X, report)
-    if ann is not None and ann[1]:
-        rows.append({"bound": "relative", "value": fmt_rational(ann[0]),
-                     "status": _met_phrase(X.n, ann[0])})
+    relative = _annihilator_bound(X, report)
+    if relative is not None:
+        rows.append({"bound": "relative", "value": fmt_rational(relative),
+                     "status": _met_phrase(X.n, relative)})
     if X.n > X.dim:
         floor = jacobi.welch_bound(X.dim, X.n)
         top = max(report.angles) if report.angles else 0.0
-        status = ("largest angle meets the floor" if abs(float(floor) - float(top)) <= 1e-9
-                  else f"largest angle {fmt_rational(top)} above the floor")
+        status = ("largest angle meets the floor" if abs(float(floor) - float(top)) <= X.tol
+                  else f"largest angle {fmt_rational(top, X.tol)} above the floor")
         rows.append({"bound": "welch floor", "value": fmt_rational(floor), "status": status})
     if X.basis_labels is not None:
         cap, got = X.dim + 1, len(set(X.basis_labels))
@@ -135,12 +132,12 @@ def _certify(kind, X):
     return getattr(import_module(f"linekit.{module}"), name)(X)
 
 
-def _scheme_section(rep):
-    """The `[scheme]` body of a `scheme_from_lineset` report."""
+def _scheme_section(rep, tol):
+    """The `[scheme]` body of a `scheme_from_lineset` report on a set at tol."""
     body = {
         "n": rep.n,
         "classes": rep.classes,
-        "angles": ", ".join(fmt_rational(a) for a in rep.angles),
+        "angles": ", ".join(fmt_rational(a, tol) for a in rep.angles),
         "closed": "yes" if rep.closed else "no",
         "closure residual": f"{rep.closure_residual:.3g}",
     }
@@ -216,7 +213,7 @@ def cmd_construct(args):
         verdict = _certify(target, X)
         summary[row] = "yes" if verdict[key] else "no"
         if verdict["alpha"] is not None:
-            summary["alpha"] = fmt_rational(verdict["alpha"])
+            summary["alpha"] = fmt_rational(verdict["alpha"], X.tol)
         if "max_deviation" in verdict:
             summary["max deviation"] = f"{verdict['max_deviation']:.3g}"
     report = {"summary": summary, "bounds": bound_rows}
@@ -282,7 +279,7 @@ def _resolve_fiducial(args):
         if vec.shape[0] != args.dim:
             raise UsageError(f"fiducial has length {vec.shape[0]}, expected {args.dim}")
         return sics.FiducialCandidate(
-            d=args.dim, vector=vec, source=("file", path), group=GROUP_KINDS[args.group]
+            d=args.dim, vector=vec, source=("file", path), group=GROUP_KINDS[args.group or "cyclic"]
         )
     raise UsageError("--fiducial must be builtin, appleby, or file:PATH")
 
@@ -307,7 +304,7 @@ def cmd_verify(args):
             if "degree_set" in verdict:  # a set with more than one angle
                 section["degree_set"] = f"[{', '.join(f'{a:.3g}' for a in verdict['degree_set'])}]"
             if args.expect == "sic" and verdict["alpha"] is not None:
-                section["alpha"] = fmt_rational(verdict["alpha"])
+                section["alpha"] = fmt_rational(verdict["alpha"], X.tol)
             report[f"expect {args.expect}"] = section
             checks.append((f"expect-{args.expect}", verdict[key], detail(verdict)))
 
@@ -316,7 +313,7 @@ def cmd_verify(args):
 
         scheme = schemes.scheme_from_lineset(X)
         gram = schemes.gram_algebra_check(X)
-        body, gram_body = _scheme_section(scheme), _gram_section(gram)
+        body, gram_body = _scheme_section(scheme, X.tol), _gram_section(gram)
         deep = {"scheme closed": body["closed"]}
         deep.update((k, body[k]) for k in ("closure residual", "pq residual", "krein minimum")
                     if k in body)
@@ -326,13 +323,13 @@ def cmd_verify(args):
         report["deep"] = deep
         # written `x <= tol` so that a NaN residual fails its check
         if scheme.closed:
-            checks.append(("scheme-pq", scheme.pq_residual <= schemes.EIGENMATRIX_TOL * scheme.n,
+            checks.append(("scheme-pq", scheme.pq_residual <= EIGENMATRIX_TOL * scheme.n,
                            f"PQ deviates from vI by {scheme.pq_residual:.3g}"))
-            checks.append(("scheme-krein", scheme.krein_min >= -schemes.EIGENMATRIX_TOL,
+            checks.append(("scheme-krein", scheme.krein_min >= -EIGENMATRIX_TOL,
                            f"negative parameter {scheme.krein_min:.3g}"))
         residual = gram["mub_identity_residual"]
         if residual is not None:
-            checks.append(("gram-square", residual <= schemes.CLOSURE_TOL,
+            checks.append(("gram-square", residual <= certify_tol(X.tol),
                            f"G^2 = (n/d) G off by {residual:.3g}"))
 
     failures = [{"check": name, "detail": text} for name, ok, text in checks if not ok]
@@ -346,7 +343,7 @@ def cmd_scheme(args):
 
     X = _load_lineset(args.file, args.tol)
     rep = schemes.scheme_from_lineset(X)
-    report = {"scheme": _scheme_section(rep)}
+    report = {"scheme": _scheme_section(rep, X.tol)}
     if args.gram:
         report["gram algebra"] = _gram_section(schemes.gram_algebra_check(X))
     if args.idempotents is not None:
@@ -354,7 +351,7 @@ def cmd_scheme(args):
         report["idempotents"] = {
             "e": args.idempotents,
             "max residual": f"{idem['max_residual']:.3g}",
-            "traces": ", ".join(fmt_rational(t) for t in idem["traces"]),
+            "traces": ", ".join(fmt_rational(t, X.tol) for t in idem["traces"]),
         }
     if args.out:
         schemes.scheme_to_json(rep, path=args.out)

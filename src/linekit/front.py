@@ -1,13 +1,13 @@
 """Command-line front: the parser, the report emitter, `bounds` and `main`.
 
 This side never imports numpy or a layer module other than `jacobi`, whose
-bounds are exact `Fraction` arithmetic.  The CLI runs as a one-shot process
-that compiles every module it imports, so `bounds` pays only for what it
-uses.  The subcommands that handle line sets (construct, verify, scheme,
-export) live in `linekit.commands`, which `main` imports only when one of
-them runs, and which in turn imports only the layers that subcommand runs
-(its docstring lists them).  `linekit.cli` re-exports `main` with every layer
-loaded, for tools that rebind layer functions before a run.
+bounds are exact `Fraction` arithmetic, and the `tolerance` table.  The CLI
+runs as a one-shot process that compiles every module it imports, so `bounds`
+pays only for what it uses.  The subcommands that handle line sets (construct,
+verify, scheme, export) live in `linekit.commands`, which `main` imports only
+when one of them runs, and which in turn imports only the layers that
+subcommand runs (its docstring lists them).  `linekit.cli` re-exports `main`
+with every layer loaded, for tools that rebind layer functions before a run.
 
 Every run resolves its arguments into a config block that is echoed at the
 top of the report, so a saved report is reproducible from its own header.
@@ -39,6 +39,7 @@ from linekit.jacobi import (
     relative_bound,
     welch_bound,
 )
+from linekit.tolerance import DEFAULT_TOL, snap
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -84,17 +85,9 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _snap(x, den=10**6, tol=1e-9):
-    """Nearest small-denominator rational if one is within tol, else None."""
-    if isinstance(x, (Fraction, int)):
-        return Fraction(x)
-    f = Fraction(float(x)).limit_denominator(den)
-    return f if abs(float(f) - float(x)) <= tol else None
-
-
-def fmt_rational(x):
-    """Exact values as 'p/q (approx float)'; integers plain; floats as-is."""
-    f = x if isinstance(x, Fraction) else _snap(x)
+def fmt_rational(x, tol=DEFAULT_TOL):
+    """What `snap` makes exact at tol as 'p/q (approx float)', integers plain; floats as-is."""
+    f = snap(x, tol)
     if f is not None:
         if f.denominator == 1:
             return str(f.numerator)
@@ -264,7 +257,8 @@ def build_parser():
         prog="linekit",
         description="Construct and certify line sets with few angles.",
     )
-    parser.add_argument("--tol", type=float, default=None, help="override the line-set tolerance")
+    parser.add_argument("--tol", type=float, default=None, help="override the line-set "
+                        "tolerance; every certificate threshold follows from it")
     parser.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", help="report format"
     )
@@ -291,8 +285,8 @@ def build_parser():
         "--fiducial", default=None, help="builtin (the default), appleby, or file:PATH (sic)"
     )
     c.add_argument(
-        "--group", choices=tuple(GROUP_KINDS), default="cyclic",
-        help="displacement group for file fiducials",
+        "--group", choices=tuple(GROUP_KINDS), default=None,
+        help="cyclic (the default) or binary: displacement group for file fiducials",
     )
     c.add_argument("--singer", type=int, default=None, help="prime power q (lines)")
     c.add_argument("--out", default=None, help="write the line set JSON here")

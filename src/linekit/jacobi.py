@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt
 
+from linekit.tolerance import SIGN_SLACK
+
 # ---------------------------------------------------------------------------
 # dimension formulas
 # ---------------------------------------------------------------------------
@@ -265,10 +267,6 @@ def expand_in_basis(fam, poly, kind="g"):
 # bound evaluators
 # ---------------------------------------------------------------------------
 
-#: slack absorbed when checking sign hypotheses at evaluation boundaries, so
-#: that an angle known only as a float does not flip a true zero
-_SIGN_SLACK = Fraction(1, 10**9)
-
 
 @dataclass
 class BoundQuery:
@@ -311,8 +309,7 @@ def relative_bound(query):
 
     Nothing is decided here: the caller gets the value and the flag vector and
     applies the theorem only if every flag it needs is set.  Sign checks
-    tolerate violations up to 1e-9 to absorb float noise in measured angles;
-    c_0 > 0 is exact.
+    tolerate violations up to SIGN_SLACK; c_0 > 0 is exact.
     """
     c = query.F_coeffs
     if not c or c[0] == 0:
@@ -333,17 +330,17 @@ def relative_bound(query):
         if weighted:
             val = a * val
         name = f"{'aF' if weighted else 'F'}({float(a):.6g}) {'<= 0' if upper else '>= 0'}"
-        flags[name] = (val <= _SIGN_SLACK) if upper else (val >= -_SIGN_SLACK)
+        flags[name] = (val <= SIGN_SLACK) if upper else (val >= -SIGN_SLACK)
     if upper:
         for r in range(1, len(c)):
-            flags[f"c_{r} >= 0"] = c[r] >= -_SIGN_SLACK
+            flags[f"c_{r} >= 0"] = c[r] >= -SIGN_SLACK
     else:
         flags["F(1) > 0"] = F1 > 0
         start = (query.t if query.t is not None else 0) + (1 if kind == "g" else 0)
         start = max(start, 1)
         for r in range(1, len(c)):
             if r >= start:
-                flags[f"c_{r} <= 0"] = c[r] <= _SIGN_SLACK
+                flags[f"c_{r} <= 0"] = c[r] <= SIGN_SLACK
     flags["c_0 > 0"] = c[0] > 0
     return {"bound": bound, "hypotheses_ok": flags}
 

@@ -24,20 +24,7 @@ from math import isfinite, pi
 import numpy as np
 
 from linekit.jacobi import JacobiFamily, dim_harm, jacobi_poly
-
-#: relative tolerance on the Jacobi pair sums T_r when deciding design strength
-EPS_DESIGN = 1e-8
-
-#: largest denominator considered when snapping a measured angle to a rational
-SNAP_DENOMINATOR = 10**6
-
-#: LineSet's tolerance unless a caller sets its own
-DEFAULT_TOL = 1e-9
-
-
-def _certify_atol(X):
-    """The one absolute tolerance of the unit-norm and MUB certificates."""
-    return max(X.tol, 1e-12) * 10
+from linekit.tolerance import DEFAULT_TOL, certify_tol, snap
 
 
 def _checked_tol(tol):
@@ -76,11 +63,9 @@ class LineSet:
             raise ValueError(f"vector {int(finite.argmin())} has an entry that is not finite")
         norms = np.linalg.norm(V, axis=1)
         worst = int(np.abs(norms - 1).argmax())
-        if abs(norms[worst] - 1) > _certify_atol(self):
-            raise ValueError(
-                f"vector {worst} is not unit norm (|v| = {norms[worst]:.6g})"
-            )
-        if field == "real" and np.abs(V.imag).max() > self.tol * 10:
+        if abs(norms[worst] - 1) > certify_tol(self.tol):
+            raise ValueError(f"vector {worst} is not unit norm (|v| = {norms[worst]:.6g})")
+        if field == "real" and np.abs(V.imag).max() > certify_tol(self.tol):
             raise ValueError("field='real' but vectors have imaginary parts")
         V.flags.writeable = False
         self.vectors = V
@@ -258,13 +243,14 @@ class DesignReport:
     epsilon: float
 
 
-def design_strength(X, fam=None, t_max=4, epsilon=EPS_DESIGN):
+def design_strength(X, fam=None, t_max=4, epsilon=None):
     """Pair-sum design test: X is a t-design when T_r vanishes for r = 1..t.
 
     Each T_r is nonnegative up to roundoff; "vanishes" means
-    T_r <= epsilon * g_r(1) / n.  With g_r = sum_j c_rj x^j, T_r is
-    (1/n^2) sum_j c_rj P_j over the power sums P_j that `gram_degree_set`
-    stores (Delsarte-Goethals-Seidel 1977), so no n x n array is formed.
+    T_r <= epsilon * g_r(1) / n, epsilon certify_tol(X.tol) unless given.
+    With g_r = sum_j c_rj x^j, T_r is (1/n^2) sum_j c_rj P_j over the power
+    sums P_j that `gram_degree_set` stores (Delsarte-Goethals-Seidel 1977),
+    so no n x n array is formed.
     Those sums stop at j = 4, so t_max above 4 raises ValueError.
     """
     if t_max > 4:
@@ -273,6 +259,7 @@ def design_strength(X, fam=None, t_max=4, epsilon=EPS_DESIGN):
         fam = JacobiFamily(X.dim, max_k=4)
     if fam.d != X.dim:
         raise ValueError(f"family dimension {fam.d} != line set dimension {X.dim}")
+    epsilon = certify_tol(X.tol) if epsilon is None else epsilon
     sums = gram_degree_set(X).power_sums
     n = X.n
     T = []
@@ -297,7 +284,7 @@ def verify_mub(X):
     """Certify a labeled line set as mutually unbiased bases.
 
     One pass over the row blocks of the angle matrix (`_angle_blocks`)
-    with atol = `_certify_atol(X)`.  Off the diagonal of each label cell,
+    with atol = `certify_tol(X.tol)`.  Off the diagonal of each label cell,
     |<a,b>| <= atol, or the cells are not orthonormal bases (ValueError);
     LineSet checked the unit diagonal at the same atol.  The set is unbiased
     when every cross-cell angle is within atol of 1/dim; alpha is their mean.
@@ -310,7 +297,7 @@ def verify_mub(X):
     labels = sorted(set(X.basis_labels))
     index = {lab: k for k, lab in enumerate(labels)}
     cell = np.array([index[lab] for lab in X.basis_labels])
-    atol = _certify_atol(X)
+    atol = certify_tol(X.tol)
     target = 1.0 / X.dim
     not_orthonormal = np.zeros(len(labels), dtype=bool)
     worst, total, count = 0.0, 0.0, 0
@@ -336,9 +323,9 @@ def verify_mub(X):
 def verify_equiangular(X, fam=None):
     """Certify a one-angle line set and test the d(1-a)/(1-da) bound equality.
 
-    The measured angle is snapped to the nearest rational with denominator
-    <= 10^6 so that bound equality is decided exactly; the 1-design pair sum
-    T_1 independently certifies the same equality, and a mismatch between the
+    The angle is snapped at X.tol so that bound equality is decided exactly
+    (none if it does not snap or is at least 1/d); the 1-design pair sum T_1
+    independently certifies the same equality, and a mismatch between the
     two certificates triggers a warning.
     """
     report = gram_degree_set(X)
@@ -346,23 +333,18 @@ def verify_equiangular(X, fam=None):
         return {"equiangular": False, "alpha": None, "relative_equality": False,
                 "degree_set": report.angles}
     alpha = report.angles[0]
-    snapped = Fraction(alpha).limit_denominator(SNAP_DENOMINATOR)
+    snapped = snap(alpha, X.tol)
     d, n = X.dim, X.n
-    if snapped >= Fraction(1, d):
-        equality = False
-        bound = None
-    else:
+    bound = None
+    if snapped is not None and snapped < Fraction(1, d):
         bound = Fraction(d) * (1 - snapped) / (1 - d * snapped)
-        equality = bound == n
+    equality = bound == n
     des = design_strength(X, fam, t_max=1)
     t1_zero = des.strength >= 1
     if bound is not None and equality != t1_zero:
-        warnings.warn(
-            f"bound-equality certificate ({equality}) disagrees with the "
-            f"1-design pair sum T_1 = {des.T[0]:.3g} ({t1_zero}); the snapped "
-            f"angle {snapped} may be wrong",
-            stacklevel=2,
-        )
+        warnings.warn(f"bound-equality certificate ({equality}) disagrees with the 1-design "
+                      f"pair sum T_1 = {des.T[0]:.3g} ({t1_zero}); the snapped angle "
+                      f"{snapped} may be wrong", stacklevel=2)
     return {"equiangular": True, "alpha": alpha, "alpha_snapped": snapped,
             "relative_equality": bool(equality), "bound": bound, "T1": des.T[0]}
 
@@ -428,9 +410,9 @@ def phase_align_for_doubling(X):
 
     The doubled images of u, v make four equal angles exactly when the inner
     product u*v has argument pi/4 modulo pi/2 (equal real and imaginary
-    magnitude).  Phases are propagated along a spanning tree of the
-    non-orthogonality graph, working modulo pi/2; every non-tree edge is then
-    checked, and an inconsistent edge raises with the offending pair.
+    magnitude).  Phases are propagated along a spanning tree of the graph of
+    pairs at angle above X.tol, working modulo pi/2; every non-tree edge is
+    then checked, and an inconsistent edge raises with the offending pair.
     Orthogonal pairs are unaffected by any phasing.
 
     No rephasing changes the argument of <u,v><v,w><w,u>, and once every
@@ -445,7 +427,7 @@ def phase_align_for_doubling(X):
     adj = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(G[i, j]) > X.tol:
+            if abs(G[i, j]) ** 2 > X.tol:
                 adj[i].append(j)
                 adj[j].append(i)
     phase = [None] * n

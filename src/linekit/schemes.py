@@ -53,19 +53,18 @@ vectors, and the Gram-weighted test fits each product on the span block
 by block (`gram_algebra_check`).  The idempotent check holds one real
 n x n E_j at a time and remakes the rows of the E_i before it from the
 angle rows (`idempotent_residuals`); `jacobi_idempotents` keeps them all.
-A lone kept class b squares from the factor: with
-D = diag(G), U = G - D - A'_b the dropped classes and M = G - U,
-A'_b A'_b = M^2 - DM - MD + D^2 and M^2 = G^2 - GU - UG + U^2, where the
-rows of G^2 = conj(V) core V^T come from the d x d core = V^T conj(V) and
-GU + UG from the d x n product V^T U.  U^2 is left out: each of the K
-dropped classes has ||A'_k||_F <= 1e-12 n, so ||U^2||_F <= ||U||_F^2 <=
-K 1e-24 n^2, while the Hermitian A'_b has ||A'_b^2||_F >= ||A'_b||_F^2 /
-sqrt(n), and the relative residual moves by at most 2 K 1e-24 n^2.5 /
-||A'_b||_F^2.  G^2 is fitted on the spectrum alone: I, G and G^2 share
-eigenvectors, so ||G^2 - xI - yG||_F^2 = sum_k |mu_k^2 - x - y mu_k|^2 over
-the eigenvalues mu of G, the d of core and n - d zeros (the n largest of
-core when n < d).  The products that matter at size go through `np.matmul`,
-where a test can count them.
+A lone kept class b squares from the factor: with D = diag(G), U = G - D -
+A'_b the dropped zero-angle class and M = G - U, A'_b A'_b = M^2 - DM - MD +
+D^2 and M^2 = G^2 - GU - UG + U^2, where the rows of G^2 = conj(V) core V^T
+come from the d x d core = V^T conj(V) and GU + UG from the d x n product
+V^T U.  U^2 is left out: ||U^2||_F <= ||U||_F^2 = 2 m_0 a_0 over the m_0
+pairs of the zero class at mean angle a_0, while ||A'_b^2||_F >=
+||A'_b||_F^2 / sqrt(n), so the relative residual moves by at most 4 m_0 a_0
+sqrt(n) / ||A'_b||_F^2.  G^2 is fitted on the spectrum alone: I, G and G^2
+share eigenvectors, so ||G^2 - xI - yG||_F^2 = sum_k |mu_k^2 - x - y mu_k|^2
+over the eigenvalues mu of G, the d of core and n - d zeros (the n largest
+of core when n < d).  The products that matter at size go through
+`np.matmul`, where a test can count them.
 """
 
 from __future__ import annotations
@@ -80,11 +79,7 @@ import numpy as np
 from linekit.jacobi import JacobiFamily, jacobi_poly
 from linekit import linesets
 from linekit.linesets import _angle_blocks, _row_blocks, gap_clusters, gram_degree_set
-
-#: Frobenius-residual threshold below which the Gram-weighted span counts as closed
-CLOSURE_TOL = 1e-8
-#: PQ = n I within EIGENMATRIX_TOL n, and no Krein parameter below -EIGENMATRIX_TOL
-EIGENMATRIX_TOL = 1e-8
+from linekit.tolerance import EIGEN_GAP, certify_tol
 
 
 @dataclass
@@ -313,7 +308,7 @@ def association_scheme(L):
                 refined.append(U)
                 continue
             vals, vecs = np.linalg.eigh(U.T @ Si @ U)
-            refined += [U @ vecs[:, g] for g in gap_clusters(vals, 1e-7 * max(1.0, n))]
+            refined += [U @ vecs[:, g] for g in gap_clusters(vals, EIGEN_GAP * max(1.0, n))]
         spaces = refined
     if len(spaces) != m:
         raise RuntimeError(
@@ -450,11 +445,11 @@ def gram_algebra_check(X):
     """Closure test for the Gram-weighted classes A'_i = G o A_i.
 
     Their span can close even when the 0/1 span does not.  The basis is
-    diag(G) = I and every class of norm above 1e-12 n; the dropped classes
-    still enter every product.  Each A'_i is Hermitian, so the unordered
-    pairs decide closure.  Each product P is fitted block by block: a
-    bincount of the labels gives c_k = sum_{L=k} conj(G) P / S_k, with
-    S_k = sum_{L=k} |G|^2, ||P - c[L] G||^2 is summed directly after one
+    diag(G) = I and every class but the degree set's zero angle, which still
+    enters every product.  Each A'_i is Hermitian, so the unordered pairs
+    decide closure, at certify_tol(X.tol).  Each product P is fitted block by
+    block: a bincount of the labels gives c_k = sum_{L=k} conj(G) P / S_k,
+    with S_k = sum_{L=k} |G|^2, ||P - c[L] G||^2 is summed directly after one
     refining step of c, and the blocks merge with the exact term
     sum_R S_R |c_R - c|^2 (the expanded ||P||^2 - |c|^2 S would cancel down
     to sqrt(eps)).  Classes that meet at no vertex have product 0, a lone
@@ -462,16 +457,15 @@ def gram_algebra_check(X):
     are blocked GEMMs.  The distance of G^2 from span{I, G} (zero for
     unbiased bases and tight equiangular sets) is the least-squares line
     through the points (mu, mu^2) over the n eigenvalues mu of G, fitted
-    centred and its misfit summed directly; for the {0, 1/d} angles of
-    unbiased bases, that from (n/d) G is ||mu^2 - (n/d) mu|| (0 for a tight
-    frame, V^H V = (n/d) I), both over ||G^2||_F = ||mu^2||.
+    centred and its misfit summed directly; for the angles {0, 1/d} (within
+    X.tol) of unbiased bases, that from (n/d) G is ||mu^2 - (n/d) mu|| (0 for
+    a tight frame, V^H V = (n/d) I), both over ||G^2||_F = ||mu^2||.
     """
     report, L = _angle_labels(X)
     n, d, s, V, Vc = X.n, X.dim, report.s, X.vectors, X.vectors.conj()
     D = np.einsum("ij,ij->i", Vc, V)  # diag(G)
     core = np.matmul(V.T, Vc)  # G^2 = conj(V) core V^T, and G has the eigenvalues of core
-    keep = [k for k, (m, a) in enumerate(zip(report.multiplicities, report.angles), 1)
-            if 2 * m * a > (1e-12 * n) ** 2]  # ||A'_k||^2 = 2 m a
+    keep = range(1 + report.zero_present, s + 1)
     labels = np.arange(s + 1)
     basis = np.isin(labels, [0, *keep])
     factor = len(keep) == 1
@@ -488,9 +482,9 @@ def gram_algebra_check(X):
         Gr = np.matmul(Vc[r0:r1], V.T) if Gr is None else Gr
         return Gr * np.take(member, L[r0:r1])
 
-    # V^T U for the dropped classes U = G - diag(G) - A'_b of the lone class b
+    # V^T U for the dropped zero class U = G - diag(G) - A'_b of the lone class b
     VTU = np.zeros((V.shape[1], n), dtype=complex)
-    for r0, r1 in blocks if factor and not basis.all() else []:
+    for r0, r1 in blocks if factor and report.zero_present else []:
         if (Ur := rows(r0, r1, ~basis)).any():
             VTU += np.matmul(V[r0:r1].T, Ur)
     GU = (np.hstack([Vc, VTU.conj().T]), np.vstack([VTU, V.T])) if VTU.any() else None
@@ -506,9 +500,8 @@ def gram_algebra_check(X):
         W = rows(r0, r1, labels == i, Gr)
         return sum(np.matmul(W[:, c0:c1], rows(c0, c1, labels == j)) for c0, c1 in blocks)
 
-    nonzero = [a for a in report.angles if a > 1e-9]
-    mub = (report.zero_present and len(nonzero) == 1 and X.n % X.dim == 0
-           and abs(nonzero[0] - 1.0 / X.dim) <= 1e-9)
+    mub = (report.zero_present and s == 2 and n % d == 0
+           and abs(report.angles[1] - 1.0 / d) <= X.tol)
     closure = 0.0
     for i, j in products:
         weight, coef, res2, norm2 = np.zeros(s + 1), np.zeros(s + 1, dtype=complex), 0.0, 0.0
@@ -536,7 +529,7 @@ def gram_algebra_check(X):
     misfit = dq - np.vdot(dm, dq) / (np.vdot(dm, dm) or 1.0) * dm  # mu^2 - x - y mu; 0 if G = I
     gsq_norm = np.linalg.norm(mu**2)
     return {
-        "closed": closure <= CLOSURE_TOL,
+        "closed": closure <= certify_tol(X.tol),
         "closure_residual": float(closure),
         "span_dimension": len(keep) + 1,
         "zero_class_dropped": bool(report.zero_present),
@@ -577,7 +570,7 @@ def seidel_analysis(X):
         raise ValueError(f"off-diagonal entries miss +-1 by {dev:.3g}")
     S = np.where(off, np.sign(S), 0.0)
     vals = np.linalg.eigvalsh(S)
-    groups = gap_clusters(vals, 1e-7 * max(1.0, float(np.abs(vals).max())))
+    groups = gap_clusters(vals, EIGEN_GAP * max(1.0, float(np.abs(vals).max())))
     spectrum = [(float(np.mean(vals[g])), len(g)) for g in reversed(groups)]
 
     denom = 1.0 - d * angle

@@ -1,0 +1,37 @@
+"""The tolerance policy: each entry, the decision it makes, and its readers.
+
+A line set carries one tol, DEFAULT_TOL unless `LineSet`, a file or --tol
+sets it.  Measured angles are compared at tol itself: one cluster, the zero
+angle, a line twice (linesets); the welch floor, 1/d and 1/(d+1) (commands,
+schemes, sics).  Every other threshold on tol is derived from it here; the
+rest bound float error on exact data.  No numpy, so the front reads it too.
+
+certify_tol(tol)  unit norm, real parts, orthonormal cells, unbiased angles and
+                  the pair sums T_r (linesets); Gram-weighted closure and
+                  G^2 = (n/d) G (schemes, commands).  1e-8 at DEFAULT_TOL
+EIGENMATRIX_TOL   PQ = nI and Krein parameters >= 0 on exact p_ij^k (commands)
+EIGEN_GAP         eigenspace gap, times max(1, eigenvalue scale) (schemes)
+snap(x, tol)      a measured value as the nearest rational of denominator
+                  <= SNAP_DENOMINATOR within tol (front, linesets, commands)
+SIGN_SLACK        sign hypotheses at snapped angles (jacobi)
+"""
+
+from fractions import Fraction
+
+DEFAULT_TOL = 1e-9
+EIGENMATRIX_TOL = 1e-8
+EIGEN_GAP = 1e-7
+SNAP_DENOMINATOR = 10**6
+SIGN_SLACK = Fraction(1, 10**9)
+
+
+def certify_tol(tol):
+    return 10 * max(tol, 1e-12)
+
+
+def snap(x, tol):
+    """A Fraction or an int exactly; a float as the table says, else None."""
+    if isinstance(x, (Fraction, int)):
+        return Fraction(x)
+    f = Fraction(float(x)).limit_denominator(SNAP_DENOMINATOR)
+    return f if abs(float(f) - float(x)) <= tol else None

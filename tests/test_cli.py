@@ -252,6 +252,28 @@ class TestVerify:
         assert code == EXIT_OK
         assert "result: pass" in out
 
+    def test_tol_moves_every_threshold_together(self, capsys, tmp_path):
+        # the last basis of wf_mubs(5) moved by 4e-7: its cells are orthonormal
+        # to about 4e-7, its cross angles miss 1/5 by about 1e-6 and G^2 misses
+        # (n/d) G by about 2e-7, all within certify_tol(1e-5) = 1e-4 and none
+        # within certify_tol(1e-9) = 1e-8
+        X = wf_mubs(5).to_lineset()
+        rng = np.random.default_rng(0)
+        V = X.vectors.copy()
+        V[-5:] += 4e-7 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        path = tmp_path / "moved.json"
+        lineset_to_json(LineSet(5, V, basis_labels=X.basis_labels), path=str(path))
+        argv = ["verify", str(path), "--deep", "--expect", "mub"]
+        code, out, _ = run(capsys, ["--tol", "1e-5", "--format", "json", *argv])
+        assert code == EXIT_OK, out
+        report = json.loads(out)
+        assert report["summary"]["degree set"] == "0 (x 60), 1/5 (≈ 0.2) (x 375)"
+        assert report["deep"]["gram algebra closed"] == "yes"
+        assert float(report["deep"]["gram square identity residual"]) > 1e-8
+        code, _, _ = run(capsys, argv)
+        assert code == EXIT_CERTIFICATION
+
     def test_corrupted_norm_names_index(self, capsys, tmp_path, mub_file):
         data = json.loads(open(mub_file).read())
         data["vectors"][4] = [[1.1 * re, 1.1 * im] for re, im in data["vectors"][4]]
@@ -664,7 +686,8 @@ class TestColdStart:
                                     "--s", "2", "--angles", "0,1/27", "--real")
         assert proc.returncode == EXIT_OK and "756" in proc.stdout
         assert "numpy" not in names
-        assert {n for n in names if n.startswith("linekit.")} == {"linekit.front", "linekit.jacobi"}
+        assert {n for n in names if n.startswith("linekit.")} == {
+            "linekit.front", "linekit.jacobi", "linekit.tolerance"}
 
     def test_import_linekit_loads_nothing(self):
         proc, names = child_imports("-c", "import linekit; linekit.__version__")
@@ -722,7 +745,7 @@ class TestColdStart:
         assert proc.returncode == code, proc.stderr
         loaded = set(proc.stderr.split())
         assert loaded & LAYERS == {f"linekit.{m}" for m in layers}
-        assert loaded - LAYERS == {"linekit.front", "linekit.commands"}
+        assert loaded - LAYERS == {"linekit.front", "linekit.commands", "linekit.tolerance"}
 
 
 def load_tracer(monkeypatch):

@@ -35,6 +35,7 @@ from linekit.mubs import (
     wf_mubs,
 )
 from linekit.sics import DisplacementGroup, appleby_candidates, builtin_fiducial, wh_orbit
+from linekit.tolerance import DEFAULT_TOL, certify_tol
 
 ISQ2 = 1 / np.sqrt(2)
 
@@ -580,8 +581,14 @@ def test_family_dimension_mismatch():
         design_strength(standard_basis(3), JacobiFamily(4))
 
 
-def polyval_design_strength(X, t_max=4, epsilon=linesets.EPS_DESIGN):
+def test_the_default_tol_certifies_at_1e_8():
+    assert certify_tol(DEFAULT_TOL) == 1e-8
+    assert design_strength(wf_mubs(3).to_lineset()).epsilon == 1e-8
+
+
+def polyval_design_strength(X, t_max=4):
     """T_r as one n x n polyval per r, summed over the angle matrix (reference)."""
+    epsilon = certify_tol(X.tol)
     fam = JacobiFamily(X.dim, max_k=4)
     A = X.angle_matrix()
     n = X.n
@@ -892,6 +899,19 @@ def test_aligned_doubling_gives_real_mubs():
     out = verify_mub(Y)
     assert out["unbiased"] and out["count"] == 3
     assert abs(out["alpha"] - 1 / 4) < 1e-9
+
+
+def test_alignment_reads_angles_at_tol():
+    # 1e-9 noise leaves |<u,v>| near 1.4e-9 > tol on orthogonal pairs, but
+    # their angle near 2e-18 is the degree set's zero angle, so no phase
+    # is propagated along them
+    X = mub_triple_c2()
+    rng = np.random.default_rng(1)
+    V = X.vectors + 1e-9 * (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
+    X = LineSet(2, V / np.linalg.norm(V, axis=1, keepdims=True), basis_labels=X.basis_labels)
+    assert gram_degree_set(X).s == 2 and gram_degree_set(X).zero_present
+    out = verify_mub(real_doubling(phase_align_for_doubling(X)))
+    assert out["unbiased"] and out["count"] == 3
 
 
 def test_alignment_preserves_angles():
