@@ -304,7 +304,7 @@ def hadamard6(family, s=None, t=None, u=None):
           result is rejected unless |u| = 1 (the closure constraint
           s t u + s + t + u + 2 = 0 with all parameters unimodular)
 
-    Every return value is certified: H* H = 6 I within 1e-9.
+    Every return value is certified: max |H* H - 6 I| < 1e-8, or RuntimeError.
     """
     if family == "sym":
         if t is None:

@@ -13,8 +13,8 @@ graph labels a pair of vertices by their distance.
   each class k, and that constant is the intersection number p_ij^k, read
   at the first pair of class k in row-major order.  Constancy is tested
   block by block, and the first pair that breaks it is kept as a witness.
-  Nothing n x n is held beyond L: the left factor A_i[R] and the columns of
-  the right factor A_j are made from L as each GEMM needs them.
+  Nothing n x n is held beyond L: the left operand A_i[R] and the columns
+  of the right operand A_j are made from L as each GEMM needs them.
 * The largest class is eliminated.  Let s be the class with the most pairs.
   Since A_0 + ... + A_s = J and A_0 = I, for any label matrix
   A_i[R] A_s = r_i[R] 1^T - A_i[R] - sum_l A_i[R] A_l and
@@ -48,30 +48,23 @@ graph labels a pair of vertices by their distance.
 The module also checks the zonal idempotent candidates E_r of the g-basis,
 tests closure of the Gram-weighted classes A'_k = G o A_k, and computes
 Seidel spectra of real equiangular sets.  The first two hold no n x n
-complex matrix: they read row blocks of G = conj(V) V^T from the n x d
-vectors, and the Gram-weighted test fits each product on the span block
-by block (`gram_algebra_check`).  The idempotent check holds one real
-n x n E_j at a time and remakes the rows of the E_i before it from the
-angle rows (`idempotent_residuals`); `jacobi_idempotents` keeps them all.
-A lone kept class b squares from the factor: with D = diag(G), U = G - D -
-A'_b the dropped zero-angle class and M = G - U, A'_b A'_b = M^2 - DM - MD +
-D^2 and M^2 = G^2 - GU - UG + U^2, where the rows of G^2 = conj(V) core V^T
-come from the d x d core = V^T conj(V) and GU + UG from the d x n product
-V^T U.  U^2 is left out: ||U^2||_F <= ||U||_F^2 = 2 m_0 a_0 over the m_0
-pairs of the zero class at mean angle a_0, while ||A'_b^2||_F >=
-||A'_b||_F^2 / sqrt(n), so the relative residual moves by at most 4 m_0 a_0
-sqrt(n) / ||A'_b||_F^2.  G^2 is fitted on the spectrum alone: I, G and G^2
-share eigenvectors, so ||G^2 - xI - yG||_F^2 = sum_k |mu_k^2 - x - y mu_k|^2
-over the eigenvalues mu of G, the d of core and n - d zeros (the n largest
-of core when n < d).  The products that matter at size go through
-`np.matmul`, where a test can count them.
+complex matrix.  The idempotent check holds one real n x n E_j at a time
+and remakes the rows of the E_i before it from the angle rows
+(`idempotent_residuals`); `jacobi_idempotents` keeps them all.  The
+Gram-weighted test reads the eigenvalues mu of G off the d x d core =
+V^T conj(V) (its d and n - d zeros, or its n largest when n < d): I, G and
+G^2 share eigenvectors, so ||G^2 - xI - yG||_F^2 = sum_k |mu_k^2 - x -
+y mu_k|^2.  A lone kept class closes from that spectrum alone
+(`_lone_class_closure`); every other span is fitted product by product on
+row blocks of G = conj(V) V^T.  The products that matter at size go
+through `np.matmul`, where a test can count them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -79,7 +72,7 @@ import numpy as np
 from linekit.jacobi import JacobiFamily, jacobi_poly
 from linekit import linesets
 from linekit.linesets import _angle_blocks, _row_blocks, gap_clusters, gram_degree_set
-from linekit.tolerance import EIGEN_GAP, certify_tol
+from linekit.tolerance import EIGEN_GAP, certify_tol, float_error
 
 
 @dataclass
@@ -441,73 +434,69 @@ def _class_inner(L, G, P, size):
     return np.bincount(keys, w.real.ravel(), size) + 1j * np.bincount(keys, w.imag.ravel(), size)
 
 
-def gram_algebra_check(X):
-    """Closure test for the Gram-weighted classes A'_i = G o A_i.
+def _gram_spectrum(X):
+    """mu, x, y, misfit: the n eigenvalues of G, largest first, and the line
+    x + y mu through the points (mu, mu^2) by least squares, fitted centred
+    and its misfit mu^2 - x - y mu summed directly (y = 0 when G = I)."""
+    core = np.matmul(X.vectors.T, X.vectors.conj())
+    mu = np.pad(np.linalg.eigvalsh(core)[::-1][:X.n], (0, max(X.n - X.dim, 0)))
+    dm, dq = mu - mu.mean(), mu**2 - (mu**2).mean()
+    y = np.vdot(dm, dq) / (np.vdot(dm, dm) or 1.0)
+    return mu, (mu**2).mean() - y * mu.mean(), y, dq - y * dm
 
-    Their span can close even when the 0/1 span does not.  The basis is
-    diag(G) = I and every class but the degree set's zero angle, which still
-    enters every product.  Each A'_i is Hermitian, so the unordered pairs
-    decide closure, at certify_tol(X.tol).  Each product P is fitted block by
-    block: a bincount of the labels gives c_k = sum_{L=k} conj(G) P / S_k,
-    with S_k = sum_{L=k} |G|^2, ||P - c[L] G||^2 is summed directly after one
-    refining step of c, and the blocks merge with the exact term
-    sum_R S_R |c_R - c|^2 (the expanded ||P||^2 - |c|^2 S would cancel down
-    to sqrt(eps)).  Classes that meet at no vertex have product 0, a lone
-    class squares from the factor (module docstring), and the other products
-    are blocked GEMMs.  The distance of G^2 from span{I, G} (zero for
-    unbiased bases and tight equiangular sets) is the least-squares line
-    through the points (mu, mu^2) over the n eigenvalues mu of G, fitted
-    centred and its misfit summed directly; for the angles {0, 1/d} (within
-    X.tol) of unbiased bases, that from (n/d) G is ||mu^2 - (n/d) mu|| (0 for
-    a tight frame, V^H V = (n/d) I), both over ||G^2||_F = ||mu^2||.
+
+def _lone_class_closure(X, mu, x, y, misfit):
+    """(r0, B): the closure residual of a lone kept class from the spectrum
+    of G, and a bound on its distance from the residual of the class itself.
+
+    The class is A - E: A = G - I, E = (D - I) + U with D = diag(G) and U the
+    dropped zero class.  As A^2 - (x + y - 1) I - (y - 2) A = G^2 - xI - yG,
+    r0 = ||misfit|| / ||A^2||.  E moves A^2 by delta = 2 ||A||_2 ||E|| +
+    ||E||^2 at most, and the span by ||D - I|| and ||E|| times the fit's
+    coefficients or their bounds ||A^2|| / ||D||, ||A^2|| / ||A - E||.  Norms
+    are Frobenius but ||A||_2; ||E||^2 = ||D - I||^2 + 2 m_0 a_0.
     """
+    report = gram_degree_set(X)
+    a = mu - 1  # the spectrum of A
+    sq, a_norm = np.linalg.norm(a**2), np.linalg.norm(a)
+    r0 = float(np.linalg.norm(misfit) / (sq or 1.0))
+    D = np.einsum("ij,ij->i", X.vectors.conj(), X.vectors).real
+    e_diag = np.linalg.norm(D - 1)
+    u2 = 2 * report.multiplicities[0] * report.angles[0] if report.zero_present else 0.0
+    e = math.sqrt(e_diag**2 + u2)
+    delta = 2 * np.abs(a).max() * e + e * e
+    if sq <= delta or a_norm <= e:
+        return r0, math.inf
+    span = (max(abs(x + y - 1), sq / np.linalg.norm(D)) * e_diag
+            + max(abs(y - 2), sq / (a_norm - e)) * e)
+    return r0, float(((1 + r0) * delta + span) / (sq - delta))
+
+
+def _product_closure(X, keep):
+    """The closure residual of the kept classes from their blocked products."""
     report, L = _angle_labels(X)
-    n, d, s, V, Vc = X.n, X.dim, report.s, X.vectors, X.vectors.conj()
-    D = np.einsum("ij,ij->i", Vc, V)  # diag(G)
-    core = np.matmul(V.T, Vc)  # G^2 = conj(V) core V^T, and G has the eigenvalues of core
-    keep = range(1 + report.zero_present, s + 1)
+    n, s, V, Vc = X.n, report.s, X.vectors, X.vectors.conj()
     labels = np.arange(s + 1)
     basis = np.isin(labels, [0, *keep])
-    factor = len(keep) == 1
+    # a GEMM remakes its right operand's rows for each row block, so its blocks are larger
+    blocks = _row_blocks(n, 4 * linesets.BLOCK_ENTRIES)
     touch = np.zeros((s + 1, n), bool)  # classes at each vertex
-    for r0, r1 in _row_blocks(n, 4 * linesets.BLOCK_ENTRIES) if len(keep) > 1 else []:
+    for r0, r1 in blocks if len(keep) > 1 else []:
         touch[L[r0:r1], np.arange(r0, r1)[:, None]] = True
     meet = touch @ touch.T  # classes meeting at no vertex have product 0
     products = [(i, j) for a, i in enumerate(keep) for j in keep[a:] if i == j or meet[i, j]]
-    # a GEMM remakes its right factor's rows for each row block, so its blocks are larger
-    blocks = _row_blocks(n, linesets.BLOCK_ENTRIES // 2 if factor else 4 * linesets.BLOCK_ENTRIES)
 
-    def rows(r0, r1, member, Gr=None):
+    def rows(r0, r1, member):
         """Rows r0:r1 of the sum of the weighted classes k with member[k]."""
-        Gr = np.matmul(Vc[r0:r1], V.T) if Gr is None else Gr
-        return Gr * np.take(member, L[r0:r1])
+        return np.matmul(Vc[r0:r1], V.T) * np.take(member, L[r0:r1])
 
-    # V^T U for the dropped zero class U = G - diag(G) - A'_b of the lone class b
-    VTU = np.zeros((V.shape[1], n), dtype=complex)
-    for r0, r1 in blocks if factor and report.zero_present else []:
-        if (Ur := rows(r0, r1, ~basis)).any():
-            VTU += np.matmul(V[r0:r1].T, Ur)
-    GU = (np.hstack([Vc, VTU.conj().T]), np.vstack([VTU, V.T])) if VTU.any() else None
-
-    def product(i, j, r0, r1, Gr):
-        """Rows r0:r1 of A'_i A'_j."""
-        if factor:  # M^2 - DM - MD + D^2, M^2 = G^2 - GU - UG with U conj(V) = (V^T U)^H
-            P = np.matmul(Vc[r0:r1] @ core, V.T) - (D[r0:r1, None] + D) * rows(r0, r1, basis, Gr)
-            P[np.arange(r1 - r0), np.arange(r0, r1)] += D[r0:r1] ** 2
-            if GU is not None:
-                P -= np.matmul(GU[0][r0:r1], GU[1])
-            return P
-        W = rows(r0, r1, labels == i, Gr)
-        return sum(np.matmul(W[:, c0:c1], rows(c0, c1, labels == j)) for c0, c1 in blocks)
-
-    mub = (report.zero_present and s == 2 and n % d == 0
-           and abs(report.angles[1] - 1.0 / d) <= X.tol)
     closure = 0.0
     for i, j in products:
         weight, coef, res2, norm2 = np.zeros(s + 1), np.zeros(s + 1, dtype=complex), 0.0, 0.0
         for r0, r1 in blocks:  # fit P on these rows alone, then merge with the rows before
             Lr, Gr = L[r0:r1], np.matmul(Vc[r0:r1], V.T)
-            P = product(i, j, r0, r1, Gr)
+            W = Gr * np.take(labels == i, Lr)
+            P = sum(np.matmul(W[:, c0:c1], rows(c0, c1, labels == j)) for c0, c1 in blocks)
             S = np.bincount(Lr.ravel(), (Gr.real**2 + Gr.imag**2).ravel(), s + 1) * basis
             inv = np.divide(1.0, S, out=np.zeros(s + 1), where=S > 0)
             c = _class_inner(Lr, Gr, P, s + 1) * inv
@@ -520,20 +509,45 @@ def gram_algebra_check(X):
             coef += share * (c - coef)
             weight += S
             norm2 += np.vdot(P, P).real
-            Gr = P = F = None  # freed before the next block is allocated
+            Gr = W = P = F = None  # freed before the next block is allocated
         if norm2 > 0:
             closure = max(closure, np.sqrt(max(res2, 0.0) / norm2))
+    return closure
 
-    mu = np.pad(np.linalg.eigvalsh(core)[::-1][:n], (0, max(n - d, 0)))  # the spectrum of G
-    dm, dq = mu - mu.mean(), mu**2 - (mu**2).mean()  # centred: x = mean(mu^2) - y mean(mu)
-    misfit = dq - np.vdot(dm, dq) / (np.vdot(dm, dm) or 1.0) * dm  # mu^2 - x - y mu; 0 if G = I
+
+def gram_algebra_check(X):
+    """Closure test for the Gram-weighted classes A'_i = G o A_i.
+
+    Their span can close even when the 0/1 span does not.  The basis is
+    diag(G) and every class but the degree set's zero angle, which still
+    enters every product.  Each A'_i is Hermitian, so the unordered pairs
+    decide closure, at certify_tol(X.tol).  A lone class closes from the
+    spectrum when its bound is at most float_error(n); otherwise each
+    product P is fitted block by block: a bincount of the labels gives c_k =
+    sum_{L=k} conj(G) P / S_k, with S_k = sum_{L=k} |G|^2, ||P - c[L] G||^2
+    is summed directly after one refining step of c, and the blocks merge
+    with the exact term sum_R S_R |c_R - c|^2 (the expanded ||P||^2 -
+    |c|^2 S would cancel down to sqrt(eps)).  The distance of G^2 from
+    span{I, G} (zero for unbiased bases and tight equiangular sets) is the
+    misfit over ||G^2||_F = ||mu^2||; for the angles {0, 1/d} (within X.tol)
+    of unbiased bases, that from (n/d) G is ||mu^2 - (n/d) mu|| over the
+    same (0 for a tight frame, V^H V = (n/d) I).
+    """
+    report = gram_degree_set(X)
+    n, d, s = X.n, X.dim, report.s
+    keep = range(1 + report.zero_present, s + 1)
+    mu, *fit = _gram_spectrum(X)
+    r0, bound = _lone_class_closure(X, mu, *fit) if len(keep) == 1 else (0.0, math.inf)
+    closure = r0 if bound <= float_error(n) else _product_closure(X, keep)
+    mub = (report.zero_present and s == 2 and n % d == 0
+           and abs(report.angles[1] - 1.0 / d) <= X.tol)
     gsq_norm = np.linalg.norm(mu**2)
     return {
         "closed": closure <= certify_tol(X.tol),
         "closure_residual": float(closure),
         "span_dimension": len(keep) + 1,
         "zero_class_dropped": bool(report.zero_present),
-        "gram_square_residual": float(np.linalg.norm(misfit) / gsq_norm),
+        "gram_square_residual": float(np.linalg.norm(fit[2]) / gsq_norm),
         "mub_identity_residual": (float(np.linalg.norm(mu**2 - n // d * mu) / gsq_norm)
                                   if mub else None),
     }
@@ -543,14 +557,14 @@ def seidel_analysis(X):
     """Seidel matrix S = (G - I)/a of a real equiangular line set.
 
     Here a is the common magnitude |<u,v>| of the raw inner products — the
-    square root of the angle as the degree set reports it.  The entries of S
-    must land on 0 (diagonal) and +-1 within tolerance, otherwise the set is
-    not honestly equiangular and a ValueError explains the deviation.  Real
-    lines only, and a must be nonzero: pairwise-orthogonal lines admit no
-    Seidel normalization.
+    square root of the angle as the degree set reports it.  S must be +-1
+    off the diagonal: every pair's angle within certify_tol(X.tol) of a^2,
+    or a ValueError gives the deviation.  Real lines only, and a must be
+    nonzero: pairwise-orthogonal lines admit no Seidel normalization.
 
     The report flags whether S has exactly two eigenvalues, states the bound
-    d(1-a^2)/(1-d a^2), and when the set meets it compares the spectrum with
+    d(1-a^2)/(1-d a^2) of `verify_equiangular` (inf unless the angle snaps
+    below 1/d), and when the set meets it exactly compares the spectrum with
     the forced {-1/a^(n-d), ((n-d)/(d a))^(d)}.
     """
     if X.field != "real":
@@ -561,62 +575,40 @@ def seidel_analysis(X):
     angle = float(report.angles[0])
     if angle <= X.tol:
         raise ValueError("pairwise orthogonal lines: angle 0 admits no Seidel matrix")
-    a = angle**0.5
-    n, d = X.n, X.dim
-    S = (X.gram().real - np.eye(n)) / a
+    a, n, d = angle**0.5, X.n, X.dim
+    G = X.gram().real
     off = ~np.eye(n, dtype=bool)
-    dev = float(np.abs(np.abs(S[off]) - 1.0).max())
-    if dev > max(100 * X.tol, 1e-7):
-        raise ValueError(f"off-diagonal entries miss +-1 by {dev:.3g}")
-    S = np.where(off, np.sign(S), 0.0)
+    dev = float(np.abs(G[off] ** 2 - angle).max())
+    if dev > certify_tol(X.tol):
+        raise ValueError(f"pair angles miss {angle:.6g} by {dev:.3g}: S is not +-1 off the diagonal")
+    S = np.where(off, np.sign(G), 0.0)
     vals = np.linalg.eigvalsh(S)
     groups = gap_clusters(vals, EIGEN_GAP * max(1.0, float(np.abs(vals).max())))
     spectrum = [(float(np.mean(vals[g])), len(g)) for g in reversed(groups)]
 
-    denom = 1.0 - d * angle
-    bound = d * (1.0 - angle) / denom if denom > 1e-12 else float("inf")
-    tight = bool(np.isfinite(bound) and abs(bound - n) <= 1e-6 * n)
-    resid = None
+    verdict = linesets.verify_equiangular(X)
+    tight, bound = verdict["relative_equality"], verdict["bound"]
     if tight:
         expected = np.sort(np.array([-1.0 / a] * (n - d) + [(n - d) / (d * a)] * d))
-        resid = float(np.abs(np.sort(vals) - expected).max())
+    resid = float(np.abs(np.sort(vals) - expected).max()) if tight else None
     return SeidelReport(
         matrix=S.astype(int),
         spectrum=spectrum,
         two_eigenvalue=len(spectrum) == 2,
         inner_product=a,
-        relative_bound=float(bound),
+        relative_bound=float("inf") if bound is None else float(bound),
         tight=tight,
         tight_spectrum_residual=resid,
     )
 
 
 def scheme_to_json(rep, path=None):
-    """Serialize a SchemeReport to JSON (arrays become nested lists).
-
-    Returns the JSON text; if `path` is given the text is also written there.
+    """Serialize a SchemeReport but its witness to JSON (arrays become nested
+    lists).  Returns the JSON text; if `path` is given it is also written there.
     """
 
-    def listify(x):
-        return None if x is None else np.asarray(x).tolist()
-
-    payload = {
-        "n": rep.n,
-        "classes": rep.classes,
-        "angles": rep.angles,
-        "closed": rep.closed,
-        "closure_residual": rep.closure_residual,
-        "valencies": rep.valencies,
-        "multiplicities": rep.multiplicities,
-        "P": listify(rep.P),
-        "Q": listify(rep.Q),
-        "intersection_numbers": listify(rep.intersection_numbers),
-        "krein": listify(rep.krein),
-        "pq_residual": rep.pq_residual,
-        "krein_min": rep.krein_min,
-        "reconstruction_residual": rep.reconstruction_residual,
-    }
-    text = json.dumps(payload, indent=2)
+    payload = {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "witness"}
+    text = json.dumps(payload, indent=2, default=lambda x: np.asarray(x).tolist())
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

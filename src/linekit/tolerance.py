@@ -14,8 +14,11 @@ EIGEN_GAP         eigenspace gap, times max(1, eigenvalue scale) (schemes)
 snap(x, tol)      a measured value as the nearest rational of denominator
                   <= SNAP_DENOMINATOR within tol (front, linesets, commands)
 SIGN_SLACK        sign hypotheses at snapped angles (jacobi)
+float_error(n)    n eps, the rounding of n-term float sums: a lone Gram-weighted
+                  class closes from the spectrum of G within it (schemes)
 """
 
+import sys
 from fractions import Fraction
 
 DEFAULT_TOL = 1e-9
@@ -27,6 +30,10 @@ SIGN_SLACK = Fraction(1, 10**9)
 
 def certify_tol(tol):
     return 10 * max(tol, 1e-12)
+
+
+def float_error(n):
+    return n * sys.float_info.epsilon
 
 
 def snap(x, tol):

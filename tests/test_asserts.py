@@ -22,7 +22,7 @@ ASSERT_LIMITS = {"jacobi": 0, "linesets": 0, "mubs": 0, "sics": 0}
 #: is the accessor itself, defined from gram
 GRAM_CALLERS = {("linesets", "angle_matrix"), ("linesets", "phase_align_for_doubling"),
                 ("schemes", "seidel_analysis")}
-TOLERANCE_LIMITS = {"groupcodes": 3, "linesets": 3, "mubs": 4, "schemes": 3, "sics": 5,
+TOLERANCE_LIMITS = {"groupcodes": 3, "linesets": 3, "mubs": 4, "schemes": 0, "sics": 5,
                     "tolerance": 4}
 
 

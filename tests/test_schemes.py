@@ -36,7 +36,7 @@ from linekit.schemes import (
     seidel_analysis,
 )
 from linekit.sics import builtin_fiducial, wh_orbit
-from linekit.tolerance import certify_tol
+from linekit.tolerance import certify_tol, float_error
 
 PHI = (1 + 5**0.5) / 2
 
@@ -675,10 +675,25 @@ def assert_matches_dense_oracle(out, ref):
         assert abs(out["mub_identity_residual"] - ref["mub_identity_residual"]) <= 1e-12
 
 
+def assert_lone_class_bound_holds(X, ref):
+    """On a lone kept class, the spectral residual r0 is within its bound B
+    of the dense oracle, plus the n eps rounding of the oracle's own sums where
+    B is at most n eps; there gram_algebra_check reports r0."""
+    r0, bound = schemes._lone_class_closure(X, *schemes._gram_spectrum(X))
+    spectral = bound <= float_error(X.n)
+    slack = float_error(X.n) if spectral else 0.0
+    assert abs(r0 - ref["closure_residual"]) <= bound + slack
+    return spectral, r0
+
+
 @pytest.mark.parametrize("name", list(GRAM_ORACLE_SETS))
 def test_gram_algebra_matches_dense_oracle(name):
     X = GRAM_ORACLE_SETS[name]()
-    assert_matches_dense_oracle(gram_algebra_check(X), dense_gram_algebra_check(X))
+    out, ref = gram_algebra_check(X), dense_gram_algebra_check(X)
+    assert_matches_dense_oracle(out, ref)
+    if out["span_dimension"] == 2:
+        spectral, r0 = assert_lone_class_bound_holds(X, ref)
+        assert spectral and out["closure_residual"] == r0
 
 
 @pytest.mark.parametrize("name", ["wf4", "singer3", "partial-wf3", "random-9x3",
@@ -705,13 +720,17 @@ def perturbed_wf(q, eps, seed=1):
 @pytest.mark.parametrize("q, eps", [(3, 1e-13), (5, 1e-12), (5, 1e-11), (8, 1e-10)])
 def test_a_dropped_class_near_its_bound_enters_the_square(q, eps):
     X = perturbed_wf(q, eps)
-    report = _angle_labels(X)[0]
+    report = gram_degree_set(X)
     assert report.zero_present and report.angles[0] > 0  # U != 0
-    out, ref = gram_algebra_check(X), dense_gram_algebra_check(X)
+    out = gram_algebra_check(X)
+    assert X._labels is not None  # the product route ran: U moves r0 past n eps
+    ref = dense_gram_algebra_check(X)
     assert_matches_dense_oracle(out, ref)
     assert out["closed"] and out["zero_class_dropped"] and out["span_dimension"] == 2
-    # the residual is of the size of GU + UG, so the absolute check cannot see that term
-    assert abs(out["closure_residual"] - ref["closure_residual"]) <= 1e-3 * ref["closure_residual"]
+    assert not assert_lone_class_bound_holds(X, ref)[0]
+    # the residual is of the size of GU + UG, so the absolute check cannot see that
+    # term; the product route holds U^2 as well, so it meets the oracle closely
+    assert abs(out["closure_residual"] - ref["closure_residual"]) <= 1e-6 * ref["closure_residual"]
 
 
 def test_many_classes_match_the_dense_oracle():
@@ -733,17 +752,18 @@ def test_classes_meeting_at_no_vertex_skip_their_product(seed, monkeypatch):
 
 
 def test_gram_algebra_holds_no_n_by_n_complex_matrix(monkeypatch):
-    X = diffset_lines(*singer_difference_set(16))  # 273 lines in C^17
-    _angle_labels(X)
-    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", 2 * 8 * X.n)  # 8-row blocks
-    tracemalloc.start()
-    try:
-        out = gram_algebra_check(X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out["closed"]
-    assert peak < 16 * X.n**2  # below one complex n x n matrix
+    # 273 lines in C^17 close from the spectrum, 272 lines in C^16 from the products
+    for X in diffset_lines(*singer_difference_set(16)), perturbed_wf(16, 1e-10):
+        _angle_labels(X)
+        monkeypatch.setattr(linesets, "BLOCK_ENTRIES", 2 * X.n)  # the products take 8-row blocks
+        tracemalloc.start()
+        try:
+            out = gram_algebra_check(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out["closed"]
+        assert peak < 16 * X.n**2  # below one complex n x n matrix
 
 
 @pytest.mark.parametrize("X", [LineSet(3, np.eye(3)), LineSet(2, [[1, 0]])],
@@ -756,11 +776,11 @@ def test_gram_square_fit_when_g_is_the_identity(X):
 
 
 @pytest.mark.parametrize("make, products", [
-    (lambda: wf_mubs(5).to_lineset(), 0),  # one kept class: all from the factor
+    (lambda: wf_mubs(5).to_lineset(), 0),  # one kept class: from the spectrum
     (lambda: diffset_lines(*singer_difference_set(4)), 0),
     # 15 classes, one pair each: the 15 squares and the 60 pairs that meet
     (lambda: random_lines(n=6, d=4, seed=3), 15 + 60),
-    # a lone class next to a dense zero class also squares from the factor
+    # a lone class next to a dense zero class also closes from the spectrum
     (lambda: LineSet(7, wf_mubs(7).to_lineset().vectors[:21]), 0),
 ])
 def test_gram_square_needs_no_n_by_n_product(make, products, monkeypatch):
@@ -771,6 +791,9 @@ def test_gram_square_needs_no_n_by_n_product(make, products, monkeypatch):
     square = [(a, b) for _, a, b in counting.calls if a == b == (X.n, X.n)]
     assert len(square) == products  # the weighted-class products, nothing for G^2 or the fits
     assert all(dt == complex for dt, *_ in counting.calls)
+    # a lone class forms no row of G, and so needs no labels
+    assert (X._labels is None) == (products == 0)
+    assert products or all(a[0] != X.n for _, a, _ in counting.calls)
 
 
 def dense_idempotent_residuals(X, e):
