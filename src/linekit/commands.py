@@ -395,13 +395,13 @@ def cmd_export(args):
             graph = groupcodes.cover_graph(group, diffset, N=excluded)
         else:
             raise UsageError("export graph needs --tank-trap or --rds Q")
+        edges = graph.edge_list()
         with open(args.out, "w", encoding="utf-8") as fh:
-            for u, v in graph.edge_list():
-                fh.write(f"{graph.labels[u]}\t{graph.labels[v]}\n")
+            fh.writelines(f"{graph.labels[u]}\t{graph.labels[v]}\n" for u, v in edges)
         arr = graph.intersection_array
         body = {
             "vertices": len(graph.labels),
-            "edges": len(graph.edge_list()),
+            "edges": len(edges),
             "intersection array": f"{{{','.join(map(str, arr[0]))};{','.join(map(str, arr[1]))}}}",
             "wrote": args.out,
         }

@@ -8,7 +8,9 @@ block's pair values are sorted and cut into runs, and the runs of all
 blocks merge into exactly the clusters of the sorted n(n-1)/2 values, with
 no array of those values (`gram_degree_set`).  The same pass keeps the
 power sums of the angles, from which the Jacobi pair sums of the design
-test follow with no n x n array.
+test follow with no n x n array, and for a set labelled into bases the
+cross-cell and in-cell statistics that `verify_mub` reads: one angle pass
+certifies a labelled set.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -42,9 +45,9 @@ class LineSet:
     basis_labels: length-n list partitioning the set into cells of size dim.
     Every entry must be finite, and tol finite and positive.  The vectors are
     a read-only copy of the input and tol is fixed here, so the degree set
-    that `gram_degree_set` stores on the line set, the verdict that
-    `verify_mub` stores, and the class labels that `schemes` cuts from the
-    degree set stay valid.
+    (with the cell statistics of `verify_mub`) that `gram_degree_set` stores
+    on the line set, and the class labels that `schemes` cuts from the degree
+    set stay valid.
     """
 
     def __init__(self, dim, vectors, field="complex", basis_labels=None, tol=DEFAULT_TOL):
@@ -70,16 +73,12 @@ class LineSet:
         V.flags.writeable = False
         self.vectors = V
         self._degree_set = None
-        self._mub_verdict = None
         self._labels = None
         if basis_labels is not None:
             basis_labels = list(basis_labels)
             if len(basis_labels) != V.shape[0]:
                 raise ValueError("basis_labels must have one entry per vector")
-            cells = {}
-            for lab in basis_labels:
-                cells[lab] = cells.get(lab, 0) + 1
-            bad = {lab: c for lab, c in cells.items() if c != self.dim}
+            bad = {lab: c for lab, c in Counter(basis_labels).items() if c != self.dim}
             if bad:
                 raise ValueError(f"label cells must have size {self.dim}, got {bad}")
         self.basis_labels = basis_labels
@@ -124,6 +123,9 @@ class DegreeSetReport:
     zero_present: bool
     spans: list | None = None  # (min, max) of each cluster, aligned with angles
     power_sums: list | None = None  # P_j = sum over all n^2 (a, b) of |<a,b>|^(2j), j = 0..4
+    same_line: tuple | None = None  # (i, j, angle) of the first pair above 1 - tol, row-major
+    cross: tuple | None = None  # labelled: (max |angle - 1/dim|, sum, count) of cross-cell pairs
+    in_cell: dict | None = None  # labelled: cell label -> largest off-diagonal angle inside it
 
 
 #: entries per row block of the angle matrix (1 MB of complex128)
@@ -168,6 +170,70 @@ def _power_sums(x):
     return [x.size, x.sum(), sq.sum(), sq @ x, sq @ sq]
 
 
+def _cell_stats(A, r0, cell, target, cross, in_cell):
+    """Add row block A (rows r0..) to cross = [max |angle - target|, sum, count] of
+    the cross-cell pairs, each once with the row's cell first, and to in_cell,
+    each cell's largest angle off the diagonal, which A loses."""
+    rows = cell[r0:r0 + len(A)]
+    values = A[rows[:, None] < cell]
+    if values.size:
+        cross[0] = max(cross[0], float(values.max()) - target, target - float(values.min()))
+        cross[1:] = cross[1] + float(values.sum()), cross[2] + values.size
+    A[np.arange(len(A)), np.arange(r0, r0 + len(A))] = 0.0
+    np.maximum.at(in_cell, rows, np.where(rows[:, None] == cell, A, 0.0).max(axis=1))
+
+
+def _angle_pass(X):
+    """The one pass over the row blocks of the angle matrix that `gram_degree_set`
+    and `verify_mub` read; computed once and stored on X."""
+    if X._degree_set is not None:
+        return X._degree_set
+    n, tol = X.n, X.tol
+    diag = np.empty(n)
+    pair_sums = np.zeros(5)
+    runs = [np.empty((4, 0))]  # rows: min, max, count, sum of each run
+    same_line = cross = in_cell = None
+    if X.basis_labels is not None:
+        labels = sorted(set(X.basis_labels))
+        index = {lab: k for k, lab in enumerate(labels)}
+        cell = np.array([index[lab] for lab in X.basis_labels])
+        cross, in_cell = [0.0, 0.0, 0], np.zeros(len(labels))
+    for r0, A in _angle_blocks(X):
+        diag[r0:r0 + len(A)] = A[np.arange(len(A)), np.arange(r0, r0 + len(A))]
+        vals = np.concatenate([row[i + 1:] for i, row in enumerate(A, start=r0)])
+        if same_line is None and vals.size and vals.max() > 1 - tol:
+            i, j = np.argwhere(np.triu(A, r0 + 1) > 1 - tol)[0]
+            same_line = (r0 + int(i), int(j), float(A[i, j]))
+        if vals.size:
+            pair_sums += _power_sums(vals)
+            vals.sort()
+            starts = np.r_[0, _gap_breaks(vals, tol)]
+            ends = np.r_[starts[1:], vals.size]
+            runs.append([vals[starts], vals[ends - 1], ends - starts,
+                         np.add.reduceat(vals, starts)])
+        if cross is not None:
+            _cell_stats(A, r0, cell, 1.0 / X.dim, cross, in_cell)
+    lo, hi, count, total = np.hstack(runs)
+    order = np.argsort(lo)
+    lo, hi, count, total = lo[order], np.maximum.accumulate(hi[order]), count[order], total[order]
+    starts = np.flatnonzero(np.r_[lo.size > 0, lo[1:] - hi[:-1] > tol])
+    ends = np.r_[starts[1:], lo.size]
+    sizes = np.add.reduceat(count, starts)
+    angles = [float(t / c) for t, c in zip(np.add.reduceat(total, starts), sizes)]
+    X._degree_set = DegreeSetReport(
+        angles=angles,
+        multiplicities=[int(c) for c in sizes],
+        s=len(angles),
+        zero_present=bool(angles and angles[0] <= tol),
+        spans=[(float(lo[a]), float(hi[b - 1])) for a, b in zip(starts, ends)],
+        power_sums=[float(d + 2 * p) for d, p in zip(_power_sums(diag), pair_sums)],
+        same_line=same_line,
+        cross=None if cross is None else tuple(cross),
+        in_cell=None if cross is None else dict(zip(labels, in_cell.tolist())),
+    )
+    return X._degree_set
+
+
 def gram_degree_set(X):
     """Cluster the n(n-1)/2 pairwise angles |<a,b>|^2 into the degree set A.
 
@@ -185,49 +251,17 @@ def gram_degree_set(X):
     one per pair for a set of distinct angles.
 
     A pair with angle above 1 - tol means two copies of the same projective
-    line: error, naming the first such pair in row-major order.  The report
-    also holds the power sums P_j of all n^2 angles, the diagonal included,
-    for the Jacobi pair sums of `design_strength`, summed in the same pass.
-    It is computed once and stored on X; later calls return it.
+    line: error, naming the first such pair in row-major order.  The same
+    pass (`_angle_pass`) sums the power sums P_j of all n^2 angles, the
+    diagonal included, for the Jacobi pair sums of `design_strength`, and
+    the cell statistics of `verify_mub` for a labelled set.  It runs once
+    and is stored on X; later calls read it.
     """
-    if X._degree_set is not None:
-        return X._degree_set
-    n, tol = X.n, X.tol
-    diag = np.empty(n)
-    pair_sums = np.zeros(5)
-    runs = [np.empty((4, 0))]  # rows: min, max, count, sum of each run
-    for r0, A in _angle_blocks(X):
-        diag[r0:r0 + len(A)] = A[np.arange(len(A)), np.arange(r0, r0 + len(A))]
-        upper = [row[i + 1:] for i, row in enumerate(A, start=r0)]
-        vals = np.concatenate(upper)
-        if vals.size and vals.max() > 1 - tol:
-            i = next(i for i, u in enumerate(upper) if u.size and u.max() > 1 - tol)
-            j = int(np.argmax(upper[i] > 1 - tol))
-            raise ValueError(f"vectors {r0 + i} and {r0 + i + 1 + j} span the same line "
-                             f"(angle {upper[i][j]:.12g})")
-        if vals.size:
-            pair_sums += _power_sums(vals)
-            vals.sort()
-            starts = np.r_[0, _gap_breaks(vals, tol)]
-            ends = np.r_[starts[1:], vals.size]
-            runs.append([vals[starts], vals[ends - 1], ends - starts,
-                         np.add.reduceat(vals, starts)])
-    lo, hi, count, total = np.hstack(runs)
-    order = np.argsort(lo)
-    lo, hi, count, total = lo[order], np.maximum.accumulate(hi[order]), count[order], total[order]
-    starts = np.flatnonzero(np.r_[lo.size > 0, lo[1:] - hi[:-1] > tol])
-    ends = np.r_[starts[1:], lo.size]
-    sizes = np.add.reduceat(count, starts)
-    angles = [float(t / c) for t, c in zip(np.add.reduceat(total, starts), sizes)]
-    X._degree_set = DegreeSetReport(
-        angles=angles,
-        multiplicities=[int(c) for c in sizes],
-        s=len(angles),
-        zero_present=bool(angles and angles[0] <= tol),
-        spans=[(float(lo[a]), float(hi[b - 1])) for a, b in zip(starts, ends)],
-        power_sums=[float(d + 2 * p) for d, p in zip(_power_sums(diag), pair_sums)],
-    )
-    return X._degree_set
+    report = _angle_pass(X)
+    if report.same_line is not None:
+        i, j, angle = report.same_line
+        raise ValueError(f"vectors {i} and {j} span the same line (angle {angle:.12g})")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +296,10 @@ def design_strength(X, fam=None, t_max=4, epsilon=None):
     epsilon = certify_tol(X.tol) if epsilon is None else epsilon
     sums = gram_degree_set(X).power_sums
     n = X.n
-    T = []
-    for r in range(1, t_max + 1):
-        coeffs = [float(c) for c in jacobi_poly(fam, r, "g")]
-        T.append(sum(c * p for c, p in zip(coeffs, sums)) / (n * n))
-    strength = 0
-    for r in range(1, t_max + 1):
-        if T[r - 1] <= epsilon * dim_harm(X.dim, r, r) / n:
-            strength = r
-        else:
-            break
+    T = [sum(float(c) * p for c, p in zip(jacobi_poly(fam, r, "g"), sums)) / (n * n)
+         for r in range(1, t_max + 1)]
+    vanishes = [T[r - 1] <= epsilon * dim_harm(X.dim, r, r) / n for r in range(1, t_max + 1)]
+    strength = (vanishes + [False]).index(False)  # T_1 .. T_strength vanish
     return DesignReport(T=T, strength=strength, t_max=t_max, epsilon=epsilon)
 
 
@@ -283,41 +311,23 @@ def design_strength(X, fam=None, t_max=4, epsilon=None):
 def verify_mub(X):
     """Certify a labeled line set as mutually unbiased bases.
 
-    One pass over the row blocks of the angle matrix (`_angle_blocks`)
+    Reads the cell statistics of the degree set's pass (`gram_degree_set`),
     with atol = `certify_tol(X.tol)`.  Off the diagonal of each label cell,
     |<a,b>| <= atol, or the cells are not orthonormal bases (ValueError);
     LineSet checked the unit diagonal at the same atol.  The set is unbiased
     when every cross-cell angle is within atol of 1/dim; alpha is their mean.
-    The verdict is stored on X like the degree set; later calls return it.
+    Two vectors on one line do not raise here: their angle, 1, is not 1/dim.
     """
-    if X._mub_verdict is not None:
-        return X._mub_verdict
     if X.basis_labels is None:
         raise ValueError("verify_mub needs basis_labels partitioning the vectors")
-    labels = sorted(set(X.basis_labels))
-    index = {lab: k for k, lab in enumerate(labels)}
-    cell = np.array([index[lab] for lab in X.basis_labels])
+    report = _angle_pass(X)
     atol = certify_tol(X.tol)
-    target = 1.0 / X.dim
-    not_orthonormal = np.zeros(len(labels), dtype=bool)
-    worst, total, count = 0.0, 0.0, 0
-    for r0, A in _angle_blocks(X):
-        rows = cell[r0:r0 + len(A)]
-        cross = A[rows[:, None] < cell]  # each cross-cell pair once
-        if cross.size:
-            worst = max(worst, float(np.abs(cross - target).max()))
-            total += float(cross.sum())
-            count += cross.size
-        A[np.arange(len(A)), np.arange(r0, r0 + len(A))] = 0.0
-        inside = (rows[:, None] == cell) & (A > atol * atol)
-        not_orthonormal[rows[inside.any(axis=1)]] = True
-    bad = [labels[k] for k in np.flatnonzero(not_orthonormal)]
+    bad = [lab for lab, top in report.in_cell.items() if top > atol * atol]
     if bad:
         raise ValueError(f"cells {bad} are not orthonormal bases")
-    alpha = total / count if count else target
-    X._mub_verdict = {"unbiased": worst <= atol, "alpha": alpha,
-                      "count": len(labels), "max_deviation": worst}
-    return X._mub_verdict
+    worst, total, count = report.cross
+    return {"unbiased": worst <= atol, "alpha": total / count if count else 1.0 / X.dim,
+            "count": len(report.in_cell), "max_deviation": worst}
 
 
 def verify_equiangular(X, fam=None):
@@ -392,17 +402,13 @@ def real_doubling(X):
     if X.field != "complex":
         raise ValueError("real_doubling expects a complex line set")
     n, d = X.n, X.dim
-    out = np.zeros((2 * n, 2 * d))
-    for i, v in enumerate(X.vectors):
-        a, b = v.real, v.imag
-        out[2 * i, 0::2] = a
-        out[2 * i, 1::2] = b
-        out[2 * i + 1, 0::2] = b
-        out[2 * i + 1, 1::2] = -a
+    a, b = X.vectors.real, X.vectors.imag
+    out = np.stack([np.stack([a, b], axis=2), np.stack([b, -a], axis=2)], axis=1)
     labels = None
     if X.basis_labels is not None:
         labels = [lab for lab in X.basis_labels for _ in range(2)]
-    return LineSet(2 * d, out, field="real", basis_labels=labels, tol=X.tol)
+    return LineSet(2 * d, out.reshape(2 * n, 2 * d), field="real", basis_labels=labels,
+                   tol=X.tol)
 
 
 def phase_align_for_doubling(X):
@@ -422,16 +428,11 @@ def phase_align_for_doubling(X):
     pi/2, such as wf_mubs(4), raises.
     """
     G = X.gram()
-    n = X.n
     halfpi = pi / 2
-    adj = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(G[i, j]) ** 2 > X.tol:
-                adj[i].append(j)
-                adj[j].append(i)
-    phase = [None] * n
-    for root in range(n):
+    edges = np.triu(np.abs(G) ** 2 > X.tol, 1)  # each pair once, row-major
+    adj = [np.flatnonzero(row).tolist() for row in edges | edges.T]
+    phase = [None] * X.n
+    for root in range(X.n):
         if phase[root] is not None:
             continue
         phase[root] = 0.0
@@ -445,18 +446,13 @@ def phase_align_for_doubling(X):
                     stack.append(v)
     rotated = X.vectors * np.exp(1j * np.array(phase))[:, None]
     Gr = rotated.conj() @ rotated.T
-    for i in range(n):
-        for j in adj[i]:
-            if j < i:
-                continue
-            theta = np.angle(Gr[i, j]) % halfpi
-            dev = min(abs(theta - pi / 4), abs(theta - pi / 4 + halfpi),
-                      abs(theta - pi / 4 - halfpi))
-            if dev > 1e-7:
-                raise ValueError(
-                    f"no consistent phase assignment: pair ({i},{j}) has "
-                    f"residual argument deviation {dev:.3g}"
-                )
+    iu, ju = np.nonzero(edges)
+    theta = np.angle(Gr[iu, ju]) % halfpi - pi / 4
+    dev = np.minimum.reduce([abs(theta), abs(theta + halfpi), abs(theta - halfpi)])
+    bad = np.flatnonzero(dev > 1e-7)
+    if bad.size:  # name the first pair in row-major order
+        raise ValueError(f"no consistent phase assignment: pair ({iu[bad[0]]},{ju[bad[0]]}) "
+                         f"has residual argument deviation {dev[bad[0]]:.3g}")
     return LineSet(X.dim, rotated, field="complex",
                    basis_labels=X.basis_labels, tol=X.tol)
 
@@ -640,10 +636,5 @@ def lineset_from_json(source):
     else:
         with open(source) as fh:
             doc = _read_document(fh.read())
-    return LineSet(
-        doc["dim"],
-        doc["vectors"],
-        field=doc.get("field", "complex"),
-        basis_labels=doc.get("labels"),
-        tol=doc.get("tol", DEFAULT_TOL),
-    )
+    return LineSet(doc["dim"], doc["vectors"], field=doc.get("field", "complex"),
+                   basis_labels=doc.get("labels"), tol=doc.get("tol", DEFAULT_TOL))

@@ -11,8 +11,8 @@ certify_tol(tol)  unit norm, real parts, orthonormal cells, unbiased angles and
                   G^2 = (n/d) G (schemes, commands).  1e-8 at DEFAULT_TOL
 EIGENMATRIX_TOL   PQ = nI and Krein parameters >= 0 on exact p_ij^k (commands)
 EIGEN_GAP         eigenspace gap, times max(1, eigenvalue scale) (schemes)
-snap(x, tol)      a measured value as the nearest rational of denominator
-                  <= SNAP_DENOMINATOR within tol (front, linesets, commands)
+snap(x, tol)      a measured value as the one rational within tol of denominator
+                  <= snap_denominator(tol), 22360 at DEFAULT_TOL (front, linesets, commands)
 SIGN_SLACK        sign hypotheses at snapped angles (jacobi)
 float_error(n)    n eps, the rounding of n-term float sums: a lone Gram-weighted
                   class closes from the spectrum of G within it (schemes)
@@ -20,11 +20,11 @@ float_error(n)    n eps, the rounding of n-term float sums: a lone Gram-weighted
 
 import sys
 from fractions import Fraction
+from math import ceil, isqrt
 
 DEFAULT_TOL = 1e-9
 EIGENMATRIX_TOL = 1e-8
 EIGEN_GAP = 1e-7
-SNAP_DENOMINATOR = 10**6
 SIGN_SLACK = Fraction(1, 10**9)
 
 
@@ -36,9 +36,15 @@ def float_error(n):
     return n * sys.float_info.epsilon
 
 
+def snap_denominator(tol):
+    """The largest Q (at least 1) with 1/Q^2 > 2 tol: two fractions of
+    denominator at most Q differ by at least 1/Q^2, so one lies within tol."""
+    return max(1, isqrt(ceil(1 / (2 * Fraction(tol))) - 1))
+
+
 def snap(x, tol):
     """A Fraction or an int exactly; a float as the table says, else None."""
     if isinstance(x, (Fraction, int)):
         return Fraction(x)
-    f = Fraction(float(x)).limit_denominator(SNAP_DENOMINATOR)
+    f = Fraction(float(x)).limit_denominator(snap_denominator(tol))
     return f if abs(float(f) - float(x)) <= tol else None

@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import linekit
-from linekit import cli, finite_algebra, front, linesets, mubs, schemes, sics
+from linekit import cli, finite_algebra, front, groupcodes, linesets, mubs, schemes, sics
 from linekit.cli import EXIT_CERTIFICATION, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from linekit.finite_algebra import gf_create, gr_create
 from linekit.linesets import LineSet, lineset_from_json, lineset_to_json
@@ -35,6 +36,16 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_angle_passes(monkeypatch):
+    """The list that gets the line set of each `_angle_blocks` pass from now on,
+    in `linesets` and in `schemes`, which imports it by name."""
+    passes = []
+    blocks = linesets._angle_blocks
+    for module in (linesets, schemes):
+        monkeypatch.setattr(module, "_angle_blocks", lambda X: passes.append(X) or blocks(X))
+    return passes
 
 
 class TestConstructMub:
@@ -116,19 +127,17 @@ class TestConstructMub:
         assert "bases: 3" in out
 
     def test_one_certificate_pass_per_line_set(self, capsys, monkeypatch):
-        # MubFamily's verify_mub verdict is stored on the line set that the
-        # report reuses: one degree-set pass and one MUB pass in all
-        passes = []
-        blocks = linesets._angle_blocks
-        monkeypatch.setattr(linesets, "_angle_blocks", lambda X: passes.append(X) or blocks(X))
+        # MubFamily's verify_mub reads the degree set's pass, which is stored
+        # on the line set that the report reuses: one pass in all
+        passes = count_angle_passes(monkeypatch)
         code, out, _ = run(capsys, ["construct", "mub", "--dim", "5"])
         assert code == EXIT_OK and "unbiased: yes" in out
-        assert len(passes) == 2 and passes[0] is passes[1]
+        assert len(passes) == 1
         # --tol makes a new line set, which is certified afresh
         passes.clear()
         code, out, _ = run(capsys, ["--tol", "1e-6", "construct", "mub", "--dim", "5"])
         assert code == EXIT_OK and "unbiased: yes" in out
-        assert len(passes) == 3 and passes[1] is passes[2] is not passes[0]
+        assert len(passes) == 2 and passes[0] is not passes[1]
 
     def test_semifield_from_csv(self, capsys, tmp_path):
         table_file = tmp_path / "gf3.csv"
@@ -252,11 +261,17 @@ class TestVerify:
         assert code == EXIT_OK
         assert "result: pass" in out
 
-    def test_tol_moves_every_threshold_together(self, capsys, tmp_path):
-        # the last basis of wf_mubs(5) moved by 4e-7: its cells are orthonormal
-        # to about 4e-7, its cross angles miss 1/5 by about 1e-6 and G^2 misses
-        # (n/d) G by about 2e-7, all within certify_tol(1e-5) = 1e-4 and none
-        # within certify_tol(1e-9) = 1e-8
+    @pytest.mark.parametrize("deep", [[], ["--deep"]], ids=["plain", "deep"])
+    def test_one_angle_pass_per_certificate(self, capsys, monkeypatch, mub_file, deep):
+        # the degree set and verify_mub share one pass; --deep adds the class labels'
+        passes = count_angle_passes(monkeypatch)
+        code, out, _ = run(capsys, ["verify", mub_file, *deep, "--expect", "mub"])
+        assert code == EXIT_OK and "result: pass" in out
+        assert len(passes) == 1 + len(deep) and len(set(map(id, passes))) == 1
+
+    @staticmethod
+    def moved_wf5(tmp_path):
+        """The file of wf_mubs(5) with its last basis moved by 4e-7."""
         X = wf_mubs(5).to_lineset()
         rng = np.random.default_rng(0)
         V = X.vectors.copy()
@@ -264,7 +279,14 @@ class TestVerify:
         V /= np.linalg.norm(V, axis=1, keepdims=True)
         path = tmp_path / "moved.json"
         lineset_to_json(LineSet(5, V, basis_labels=X.basis_labels), path=str(path))
-        argv = ["verify", str(path), "--deep", "--expect", "mub"]
+        return str(path)
+
+    def test_tol_moves_every_threshold_together(self, capsys, tmp_path):
+        # the last basis of wf_mubs(5) moved by 4e-7: its cells are orthonormal
+        # to about 4e-7, its cross angles miss 1/5 by about 1e-6 and G^2 misses
+        # (n/d) G by about 2e-7, all within certify_tol(1e-5) = 1e-4 and none
+        # within certify_tol(1e-9) = 1e-8
+        argv = ["verify", self.moved_wf5(tmp_path), "--deep", "--expect", "mub"]
         code, out, _ = run(capsys, ["--tol", "1e-5", "--format", "json", *argv])
         assert code == EXIT_OK, out
         report = json.loads(out)
@@ -273,6 +295,17 @@ class TestVerify:
         assert float(report["deep"]["gram square identity residual"]) > 1e-8
         code, _, _ = run(capsys, argv)
         assert code == EXIT_CERTIFICATION
+
+    def test_noise_does_not_snap_to_a_fraction(self, capsys, tmp_path):
+        # at the default tol the moved angles stay floats: only 0 and the
+        # unmoved 1/5 are exact, where a denominator bound of 10^6 printed
+        # noise as fractions such as 152671/763358
+        argv = ["--format", "json", "verify", self.moved_wf5(tmp_path), "--expect", "mub"]
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_CERTIFICATION and "152671/763358" not in out
+        degree = json.loads(out)["summary"]["degree set"]
+        assert degree.startswith("0 (x 60), 0.1999")
+        assert re.findall(r"\d+/\d+", degree) == ["1/5"]
 
     def test_corrupted_norm_names_index(self, capsys, tmp_path, mub_file):
         data = json.loads(open(mub_file).read())
@@ -568,12 +601,17 @@ class TestExport:
         assert code == EXIT_OK
         assert "kind: relative" in out
 
-    def test_tank_trap_graph(self, capsys, tmp_path):
+    def test_tank_trap_graph(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        edge_list = groupcodes.GraphWithSpectrum.edge_list
+        monkeypatch.setattr(groupcodes.GraphWithSpectrum, "edge_list",
+                            lambda graph: calls.append(graph) or edge_list(graph))
         out_file = tmp_path / "tt.edges"
         code, out, _ = run(capsys, ["export", "graph", "--tank-trap", "--out", str(out_file)])
         assert code == EXIT_OK
-        assert "intersection array: {6,5,4,1;1,2,5,6}" in out
+        assert "intersection array: {6,5,4,1;1,2,5,6}" in out and "edges: 108" in out
         assert len(out_file.read_text().splitlines()) == 108
+        assert len(calls) == 1  # the file and the count share one edge list
 
     def test_code_csv(self, capsys, tmp_path):
         out_file = tmp_path / "c.csv"

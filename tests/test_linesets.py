@@ -35,7 +35,7 @@ from linekit.mubs import (
     wf_mubs,
 )
 from linekit.sics import DisplacementGroup, appleby_candidates, builtin_fiducial, wh_orbit
-from linekit.tolerance import DEFAULT_TOL, certify_tol
+from linekit.tolerance import DEFAULT_TOL, certify_tol, snap, snap_denominator
 
 ISQ2 = 1 / np.sqrt(2)
 
@@ -586,6 +586,16 @@ def test_the_default_tol_certifies_at_1e_8():
     assert design_strength(wf_mubs(3).to_lineset()).epsilon == 1e-8
 
 
+def test_a_snap_is_the_one_fraction_within_tol():
+    Q = snap_denominator(DEFAULT_TOL)
+    assert Q == 22360 and 1 / Q**2 > 2 * DEFAULT_TOL >= 1 / (Q + 1) ** 2
+    exact = [Fraction(31, 1024), Fraction(97, 9604), Fraction(7, 64),
+             *(Fraction(1, d + e) for d in (2, 3, 5, 8, 27, 64, 128) for e in (0, 1))]
+    for f in exact:
+        assert snap(float(f), DEFAULT_TOL) == snap(float(f) + DEFAULT_TOL / 2, DEFAULT_TOL) == f
+    assert snap(152671 / 763358, DEFAULT_TOL) is None  # 1/5 - 7.9e-7, a snap at 10^6
+
+
 def polyval_design_strength(X, t_max=4):
     """T_r as one n x n polyval per r, summed over the angle matrix (reference)."""
     epsilon = certify_tol(X.tol)
@@ -652,6 +662,21 @@ def test_verify_mub_duplicate_bases_fail():
     V = np.vstack([np.eye(2), np.eye(2)])
     out = verify_mub(LineSet(2, V, basis_labels=[0, 0, 1, 1]))
     assert not out["unbiased"]
+
+
+def test_one_pass_serves_a_labelled_set_with_a_line_twice(monkeypatch):
+    # the pass records the repeated line: gram_degree_set raises on it at
+    # every call, and verify_mub reads its verdict from the same pass
+    passes = []
+    blocks = linesets._angle_blocks
+    monkeypatch.setattr(linesets, "_angle_blocks", lambda X: passes.append(X) or blocks(X))
+    X = LineSet(3, np.vstack([np.eye(3), np.eye(3)[[2, 0, 1]]]), basis_labels=[0] * 3 + [1] * 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^vectors 0 and 4 span the same line \(angle 1\)$"):
+            gram_degree_set(X)
+        out = verify_mub(X)
+        assert not out["unbiased"] and out["max_deviation"] == 1 - 1 / 3
+    assert len(passes) == 1
 
 
 def test_verify_mub_triple():
