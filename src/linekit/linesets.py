@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -78,7 +77,10 @@ class LineSet:
             basis_labels = list(basis_labels)
             if len(basis_labels) != V.shape[0]:
                 raise ValueError("basis_labels must have one entry per vector")
-            bad = {lab: c for lab, c in Counter(basis_labels).items() if c != self.dim}
+            cells = {}
+            for lab in basis_labels:
+                cells[lab] = cells.get(lab, 0) + 1
+            bad = {lab: c for lab, c in cells.items() if c != self.dim}
             if bad:
                 raise ValueError(f"label cells must have size {self.dim}, got {bad}")
         self.basis_labels = basis_labels
@@ -296,10 +298,16 @@ def design_strength(X, fam=None, t_max=4, epsilon=None):
     epsilon = certify_tol(X.tol) if epsilon is None else epsilon
     sums = gram_degree_set(X).power_sums
     n = X.n
-    T = [sum(float(c) * p for c, p in zip(jacobi_poly(fam, r, "g"), sums)) / (n * n)
-         for r in range(1, t_max + 1)]
-    vanishes = [T[r - 1] <= epsilon * dim_harm(X.dim, r, r) / n for r in range(1, t_max + 1)]
-    strength = (vanishes + [False]).index(False)  # T_1 .. T_strength vanish
+    T = []
+    for r in range(1, t_max + 1):
+        coeffs = [float(c) for c in jacobi_poly(fam, r, "g")]
+        T.append(sum(c * p for c, p in zip(coeffs, sums)) / (n * n))
+    strength = 0
+    for r in range(1, t_max + 1):
+        if T[r - 1] <= epsilon * dim_harm(X.dim, r, r) / n:
+            strength = r
+        else:
+            break
     return DesignReport(T=T, strength=strength, t_max=t_max, epsilon=epsilon)
 
 
@@ -402,13 +410,17 @@ def real_doubling(X):
     if X.field != "complex":
         raise ValueError("real_doubling expects a complex line set")
     n, d = X.n, X.dim
-    a, b = X.vectors.real, X.vectors.imag
-    out = np.stack([np.stack([a, b], axis=2), np.stack([b, -a], axis=2)], axis=1)
+    out = np.zeros((2 * n, 2 * d))
+    for i, v in enumerate(X.vectors):
+        a, b = v.real, v.imag
+        out[2 * i, 0::2] = a
+        out[2 * i, 1::2] = b
+        out[2 * i + 1, 0::2] = b
+        out[2 * i + 1, 1::2] = -a
     labels = None
     if X.basis_labels is not None:
         labels = [lab for lab in X.basis_labels for _ in range(2)]
-    return LineSet(2 * d, out.reshape(2 * n, 2 * d), field="real", basis_labels=labels,
-                   tol=X.tol)
+    return LineSet(2 * d, out, field="real", basis_labels=labels, tol=X.tol)
 
 
 def phase_align_for_doubling(X):
@@ -428,11 +440,16 @@ def phase_align_for_doubling(X):
     pi/2, such as wf_mubs(4), raises.
     """
     G = X.gram()
+    n = X.n
     halfpi = pi / 2
-    edges = np.triu(np.abs(G) ** 2 > X.tol, 1)  # each pair once, row-major
-    adj = [np.flatnonzero(row).tolist() for row in edges | edges.T]
-    phase = [None] * X.n
-    for root in range(X.n):
+    adj = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(G[i, j]) ** 2 > X.tol:
+                adj[i].append(j)
+                adj[j].append(i)
+    phase = [None] * n
+    for root in range(n):
         if phase[root] is not None:
             continue
         phase[root] = 0.0
@@ -446,13 +463,18 @@ def phase_align_for_doubling(X):
                     stack.append(v)
     rotated = X.vectors * np.exp(1j * np.array(phase))[:, None]
     Gr = rotated.conj() @ rotated.T
-    iu, ju = np.nonzero(edges)
-    theta = np.angle(Gr[iu, ju]) % halfpi - pi / 4
-    dev = np.minimum.reduce([abs(theta), abs(theta + halfpi), abs(theta - halfpi)])
-    bad = np.flatnonzero(dev > 1e-7)
-    if bad.size:  # name the first pair in row-major order
-        raise ValueError(f"no consistent phase assignment: pair ({iu[bad[0]]},{ju[bad[0]]}) "
-                         f"has residual argument deviation {dev[bad[0]]:.3g}")
+    for i in range(n):
+        for j in adj[i]:
+            if j < i:
+                continue
+            theta = np.angle(Gr[i, j]) % halfpi
+            dev = min(abs(theta - pi / 4), abs(theta - pi / 4 + halfpi),
+                      abs(theta - pi / 4 - halfpi))
+            if dev > 1e-7:
+                raise ValueError(
+                    f"no consistent phase assignment: pair ({i},{j}) has "
+                    f"residual argument deviation {dev:.3g}"
+                )
     return LineSet(X.dim, rotated, field="complex",
                    basis_labels=X.basis_labels, tol=X.tol)
 
@@ -636,5 +658,10 @@ def lineset_from_json(source):
     else:
         with open(source) as fh:
             doc = _read_document(fh.read())
-    return LineSet(doc["dim"], doc["vectors"], field=doc.get("field", "complex"),
-                   basis_labels=doc.get("labels"), tol=doc.get("tol", DEFAULT_TOL))
+    return LineSet(
+        doc["dim"],
+        doc["vectors"],
+        field=doc.get("field", "complex"),
+        basis_labels=doc.get("labels"),
+        tol=doc.get("tol", DEFAULT_TOL),
+    )

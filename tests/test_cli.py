@@ -13,12 +13,13 @@ import sys
 from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import linekit
-from linekit import cli, finite_algebra, front, groupcodes, linesets, mubs, schemes, sics
+from linekit import cli, commands, finite_algebra, front, groupcodes, linesets, mubs, schemes, sics
 from linekit.cli import EXIT_CERTIFICATION, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from linekit.finite_algebra import gf_create, gr_create
 from linekit.linesets import LineSet, lineset_from_json, lineset_to_json
@@ -306,6 +307,30 @@ class TestVerify:
         degree = json.loads(out)["summary"]["degree set"]
         assert degree.startswith("0 (x 60), 0.1999")
         assert re.findall(r"\d+/\d+", degree) == ["1/5"]
+
+    def test_unsnapped_angle_leaves_equality_unresolved(self, capsys, tmp_path):
+        # 31/1024 has a denominator above snap_denominator(1e-6) = 707, so the
+        # Singer set's relative bound, 993 = n, is known only within a range
+        path = str(tmp_path / "singer31.json")
+        run(capsys, ["construct", "lines", "--singer", "31", "--out", path])
+        code, out, _ = run(capsys, ["--tol", "1e-6", "verify", path, "--expect", "equiangular"])
+        assert code == EXIT_OK and "result: pass" in out
+        assert "(≈ 993); status: unresolved" in out
+        code, out, _ = run(capsys, ["verify", path, "--expect", "equiangular"])
+        assert code == EXIT_OK and "value: 993; status: met with equality" in out
+
+    def test_loose_angle_bounds_the_relative_bound(self, monkeypatch):
+        degree_set = SimpleNamespace(angles=[31 / 1024])
+        exact = commands._annihilator_bound(SimpleNamespace(dim=32, tol=1e-9), degree_set)
+        assert exact == (993, 993, 993)
+        value, lo, hi = commands._annihilator_bound(SimpleNamespace(dim=32, tol=1e-6), degree_set)
+        assert lo < 992 and 994 < hi < 995 and lo <= value <= hi
+        phrases = [commands._met_phrase(n, lo, hi) for n in (991, 993, 995)]
+        assert phrases == ["satisfied", "unresolved", "VIOLATED"]
+        assert commands._met_phrase(993, *exact[1:]) == "met with equality"
+        monkeypatch.setattr(commands, "MAX_LOOSE_ANGLES", 0)
+        X = SimpleNamespace(dim=32, tol=1e-6)
+        assert commands._annihilator_bound(X, degree_set)[1:] == (float("-inf"), float("inf"))
 
     def test_corrupted_norm_names_index(self, capsys, tmp_path, mub_file):
         data = json.loads(open(mub_file).read())
