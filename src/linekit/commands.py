@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
-from fractions import Fraction
 from importlib import import_module
-from itertools import product
 
 from linekit import jacobi, linesets
 from linekit.front import (
@@ -34,77 +32,26 @@ from linekit.front import (
     EXIT_OK,
     GROUP_KINDS,
     UsageError,
-    _annihilator_relative_bound,
     fmt_rational,
 )
-from linekit.tolerance import EIGENMATRIX_TOL, certify_tol, snap
+from linekit.tolerance import EIGENMATRIX_TOL, certify_tol
 
 # ---------------------------------------------------------------------------
 # shared line-set reporting
 # ---------------------------------------------------------------------------
 
-#: angles that may miss their snap before the relative bound reads "unresolved"
-MAX_LOOSE_ANGLES = 4
 
-
-def _relative_at(d, angles):
-    """The annihilator bound at these exact angles when all its hypotheses hold, else
-    None (also for c_0 = 0; a negative c_0 fails "c_0 > 0")."""
-    try:
-        out = _annihilator_relative_bound(d, angles)
-    except ValueError:  # two angles moved onto one
-        return None
-    return out["bound"] if out is not None and all(out["hypotheses_ok"].values()) else None
-
-
-def _annihilator_bound(X, report):
-    """Relative bound from the degree-set annihilator as (value, lo, hi), the
-    bound lying in [lo, hi], or None when a hypothesis fails or A is empty.
-
-    Each angle is snapped at X.tol, or taken at its float value where it
-    does not snap; with every angle snapped the value is exact and lo = hi.
-    An angle that does not snap is known only within X.tol.  Over that box
-    F(1) and the g-coefficients c_r of F are multilinear in the angles, so
-    c_0 > 0 and c_r >= 0 hold on the box when they hold at its corners, and
-    then F(1)/c_0, monotone in each angle, takes its extremes at corners:
-    lo and hi are the least and largest corner bound, or -inf and inf when a
-    corner fails a hypothesis or more than MAX_LOOSE_ANGLES angles are loose.
-    """
-    if not report.angles:
-        return None
-    snapped = [snap(a, X.tol) for a in report.angles]
-    angles = [Fraction(a) if f is None else f for a, f in zip(report.angles, snapped)]
-    bound = _relative_at(X.dim, angles)
-    if bound is None:
-        return None
-    loose = [k for k, f in enumerate(snapped) if f is None]
-    if not loose:
-        return bound, bound, bound
-    corners = []
-    if len(loose) <= MAX_LOOSE_ANGLES:
-        for steps in product((-X.tol, X.tol), repeat=len(loose)):
-            moved = list(angles)
-            for k, step in zip(loose, steps):
-                moved[k] += Fraction(step)
-            corners.append(_relative_at(X.dim, moved))
-    if not corners or None in corners:
-        return bound, float("-inf"), float("inf")
-    return bound, min(corners), max(corners)
-
-
-def _met_phrase(n, lo, hi=None):
-    """n against a bound that lies in [lo, hi]; hi = lo for the exact ones
-    (`absolute_bound` is an int, a snapped relative bound a Fraction)."""
-    hi = lo if hi is None else hi
-    if n < lo:
+def _met_phrase(n, bound):
+    """n against an exact bound (`absolute_bound` is an int)."""
+    if n < bound:
         return "satisfied"
-    if n > hi:
-        return "VIOLATED"
-    return "met with equality" if lo == hi else "unresolved"
+    return "VIOLATED" if n > bound else "met with equality"
 
 
 def _lineset_sections(X):
-    """Summary and bound rows shared by construct and verify."""
+    """Summary and bound rows shared by construct and verify: n against the
+    exact absolute bound, and the relative bound with the status that
+    `linesets.relative_status` reads from the pair sums."""
     report = linesets.gram_degree_set(X)
     strength = linesets.design_strength(X).strength
     degree = ", ".join(
@@ -126,10 +73,10 @@ def _lineset_sections(X):
     absval = jacobi.absolute_bound(X.dim, report.s, zero_in_A=report.zero_present)
     rows = [{"bound": "absolute", "value": fmt_rational(absval),
              "status": _met_phrase(X.n, absval)}]
-    relative = _annihilator_bound(X, report)
+    relative = linesets.relative_status(X)
     if relative is not None:
         rows.append({"bound": "relative", "value": fmt_rational(relative[0]),
-                     "status": _met_phrase(X.n, *relative[1:])})
+                     "status": relative[1]})
     if X.n > X.dim:
         floor = jacobi.welch_bound(X.dim, X.n)
         top = max(report.angles) if report.angles else 0.0

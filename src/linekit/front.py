@@ -30,13 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from linekit.jacobi import (
-    BoundQuery,
-    JacobiFamily,
     absolute_bound,
-    expand_in_basis,
+    annihilator_bound,
     flat_eal_bound,
     real_mub_gate,
-    relative_bound,
     welch_bound,
 )
 from linekit.tolerance import DEFAULT_TOL, snap
@@ -142,22 +139,6 @@ def _emit(report, fmt):
 # ---------------------------------------------------------------------------
 
 
-def _annihilator_relative_bound(d, angles):
-    """`relative_bound` of F(x) = prod_i (x - alpha_i) over exact angles.
-
-    F is expanded exactly in the g-basis of dimension d; returns the bound
-    record, or None when c_0 = 0 leaves F(1)/c_0 undefined.
-    """
-    poly = [Fraction(1)]  # ascending monomial coefficients
-    for a in angles:
-        poly = [u - a * v for u, v in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
-    fam = JacobiFamily(d, max_k=len(angles))
-    coeffs = expand_in_basis(fam, poly, kind="g")
-    if coeffs[0] == 0:
-        return None
-    return relative_bound(BoundQuery(d=d, angles=angles, mode="sdist-g", F_coeffs=coeffs))
-
-
 def cmd_bounds(args):
     d = args.dim
     s = args.s
@@ -193,7 +174,7 @@ def cmd_bounds(args):
         }
     )
     if args.angles:
-        out = _annihilator_relative_bound(d, _parse_angles(args.angles))
+        out = annihilator_bound(d, _parse_angles(args.angles))
         if out is None:
             raise UsageError("degenerate angle list: annihilator has c_0 = 0")
         ok = all(out["hypotheses_ok"].values())

@@ -345,6 +345,24 @@ def relative_bound(query):
     return {"bound": bound, "hypotheses_ok": flags}
 
 
+def annihilator_bound(d, angles):
+    """`relative_bound` of F(x) = prod_i (x - alpha_i) over exact angles.
+
+    F is expanded exactly in the g-basis of dimension d; returns the bound
+    record with the coefficients c_r of F under "coeffs", or None when
+    c_0 = 0 leaves F(1)/c_0 undefined.
+    """
+    poly = [Fraction(1)]  # ascending monomial coefficients
+    for a in angles:
+        poly = [u - a * v for u, v in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
+    fam = JacobiFamily(d, max_k=len(angles))
+    coeffs = expand_in_basis(fam, poly, kind="g")
+    if coeffs[0] == 0:
+        return None
+    query = BoundQuery(d=d, angles=angles, mode="sdist-g", F_coeffs=coeffs)
+    return {**relative_bound(query), "coeffs": coeffs}
+
+
 def absolute_bound(d, s, zero_in_A=False):
     """Size bound for an s-distance line set in C^d from dimension counting:
     dim Hom(s,s), or dim Hom(s,s-1) when one of the angles is 0."""

@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import json
 import re
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import isfinite, pi
+from math import isfinite, pi, prod
 
 import numpy as np
 
-from linekit.jacobi import JacobiFamily, dim_harm, jacobi_poly
+from linekit.jacobi import JacobiFamily, annihilator_bound, dim_harm, jacobi_poly
 from linekit.tolerance import DEFAULT_TOL, certify_tol, snap
 
 
@@ -311,6 +310,63 @@ def design_strength(X, fam=None, t_max=4, epsilon=None):
     return DesignReport(T=T, strength=strength, t_max=t_max, epsilon=epsilon)
 
 
+def relative_status(X):
+    """(F(1)/c_0, status) of the relative bound of the degree set, or None when
+    A is empty or a hypothesis of `jacobi.relative_bound` fails.
+
+    F = prod_i (x - a_i) over the angles, each snapped at X.tol or else taken
+    at its float, is sum_r c_r g_r exactly (`jacobi.annihilator_bound`).
+    Summed over all n^2 pairs, n F(1) + R = n^2 (c_0 + S) with S = sum_{r>=1}
+    c_r T_r and R the sum of F over pairs of distinct lines (Delsarte-
+    Goethals-Seidel 1977): F(1)/c_0 - n has the sign of n^2 S - R.  On
+    cluster i (m_i pairs) |F| is at most the product over j of the farthest
+    distance from a_j to span i, so |R| <= Rbar = sum_i 2 m_i times that
+    product (in floats, whose rounding is far below the thresholds).  The T_r
+    are `design_strength`'s, r <= 4, and those of lines are >= 0, so for
+    s > 4 the unknown terms with c_r >= 0 only add to S.  With eps =
+    certify_tol(X.tol), T_r vanishes at the design test, |T_r| <= eps g_r(1)/n,
+    and R at the same test of F, Rbar <= eps n F(1), so that equality holds
+    within |F(1)/c_0 - n| <= 2 eps F(1)/c_0:
+
+    met with equality  s <= 4, R and each T_r with c_r != 0 vanish
+    satisfied          a T_r with c_r > 0 above eps g_r(1)/n, n^2 S > Rbar,
+                       c_r >= 0 for r > 4
+    VIOLATED           s <= 4 and n^2 S + Rbar < 0, which no set of lines gives:
+                       the clusters are not those of the power sums
+    unresolved         otherwise
+    """
+    report = gram_degree_set(X)
+    if not report.angles:
+        return None
+    angles = []
+    for a in report.angles:
+        f = snap(a, X.tol)
+        angles.append(Fraction(a) if f is None else f)
+    try:
+        out = annihilator_bound(X.dim, angles)
+    except ValueError:  # two angles snapped onto one
+        return None
+    if out is None or not all(out["hypotheses_ok"].values()):
+        return None
+    n, s, c, bound = X.n, report.s, out["coeffs"], out["bound"]
+    des = design_strength(X)
+    T = {r: des.T[r - 1] for r in range(1, min(s, des.t_max) + 1)}
+    limit = {r: des.epsilon * dim_harm(X.dim, r, r) / n for r in T}
+    pairs = n * n * sum(float(c[r]) * t for r, t in T.items())  # n^2 S
+    near = [float(a) for a in angles]
+    rbar = sum(2 * m * prod(max(abs(lo - a), abs(hi - a)) for a in near)
+               for m, (lo, hi) in zip(report.multiplicities, report.spans))
+    if (s <= des.t_max and rbar <= des.epsilon * n * float(bound * c[0])
+            and all(abs(T[r]) <= limit[r] for r in T if c[r] != 0)):
+        return bound, "met with equality"
+    if (any(T[r] > limit[r] for r in T if c[r] > 0) and pairs > rbar
+            and all(cr >= 0 for cr in c[des.t_max + 1:])):
+        return bound, "satisfied"
+    if s <= des.t_max and pairs + rbar < 0:
+        return bound, "VIOLATED"
+    return bound, "unresolved"
+
+
 # ---------------------------------------------------------------------------
 # MUB and equiangular certification
 # ---------------------------------------------------------------------------
@@ -341,10 +397,10 @@ def verify_mub(X):
 def verify_equiangular(X, fam=None):
     """Certify a one-angle line set and test the d(1-a)/(1-da) bound equality.
 
-    The angle is snapped at X.tol so that bound equality is decided exactly
-    (none if it does not snap or is at least 1/d); the 1-design pair sum T_1
-    independently certifies the same equality, and a mismatch between the
-    two certificates triggers a warning.
+    The equality is the "met with equality" status of `relative_status`,
+    decided from the pair sums, so an angle that does not snap at X.tol can
+    meet it.  The bound is the exact value when the angle snaps below 1/d,
+    else None; T1 is the 1-design pair sum.
     """
     report = gram_degree_set(X)
     if report.s != 1:
@@ -352,19 +408,11 @@ def verify_equiangular(X, fam=None):
                 "degree_set": report.angles}
     alpha = report.angles[0]
     snapped = snap(alpha, X.tol)
-    d, n = X.dim, X.n
-    bound = None
-    if snapped is not None and snapped < Fraction(1, d):
-        bound = Fraction(d) * (1 - snapped) / (1 - d * snapped)
-    equality = bound == n
-    des = design_strength(X, fam, t_max=1)
-    t1_zero = des.strength >= 1
-    if bound is not None and equality != t1_zero:
-        warnings.warn(f"bound-equality certificate ({equality}) disagrees with the 1-design "
-                      f"pair sum T_1 = {des.T[0]:.3g} ({t1_zero}); the snapped angle "
-                      f"{snapped} may be wrong", stacklevel=2)
+    bound, status = relative_status(X) or (None, None)
     return {"equiangular": True, "alpha": alpha, "alpha_snapped": snapped,
-            "relative_equality": bool(equality), "bound": bound, "T1": des.T[0]}
+            "relative_equality": status == "met with equality",
+            "bound": None if snapped is None else bound,
+            "T1": design_strength(X, fam, t_max=1).T[0]}
 
 
 # ---------------------------------------------------------------------------

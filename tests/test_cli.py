@@ -13,13 +13,12 @@ import sys
 from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import linekit
-from linekit import cli, commands, finite_algebra, front, groupcodes, linesets, mubs, schemes, sics
+from linekit import cli, finite_algebra, front, groupcodes, jacobi, linesets, mubs, schemes, sics
 from linekit.cli import EXIT_CERTIFICATION, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from linekit.finite_algebra import gf_create, gr_create
 from linekit.linesets import LineSet, lineset_from_json, lineset_to_json
@@ -308,29 +307,41 @@ class TestVerify:
         assert degree.startswith("0 (x 60), 0.1999")
         assert re.findall(r"\d+/\d+", degree) == ["1/5"]
 
-    def test_unsnapped_angle_leaves_equality_unresolved(self, capsys, tmp_path):
+    def test_unsnapped_angle_meets_the_relative_bound(self, capsys, tmp_path):
         # 31/1024 has a denominator above snap_denominator(1e-6) = 707, so the
-        # Singer set's relative bound, 993 = n, is known only within a range
+        # bound is computed from the float angle; the pair sums still decide
+        # that the Singer set meets it
         path = str(tmp_path / "singer31.json")
         run(capsys, ["construct", "lines", "--singer", "31", "--out", path])
         code, out, _ = run(capsys, ["--tol", "1e-6", "verify", path, "--expect", "equiangular"])
         assert code == EXIT_OK and "result: pass" in out
-        assert "(≈ 993); status: unresolved" in out
+        assert "(≈ 993); status: met with equality" in out
+        assert "alpha_snapped: None" in out and "relative_equality: True" in out
         code, out, _ = run(capsys, ["verify", path, "--expect", "equiangular"])
         assert code == EXIT_OK and "value: 993; status: met with equality" in out
 
-    def test_loose_angle_bounds_the_relative_bound(self, monkeypatch):
-        degree_set = SimpleNamespace(angles=[31 / 1024])
-        exact = commands._annihilator_bound(SimpleNamespace(dim=32, tol=1e-9), degree_set)
-        assert exact == (993, 993, 993)
-        value, lo, hi = commands._annihilator_bound(SimpleNamespace(dim=32, tol=1e-6), degree_set)
-        assert lo < 992 and 994 < hi < 995 and lo <= value <= hi
-        phrases = [commands._met_phrase(n, lo, hi) for n in (991, 993, 995)]
-        assert phrases == ["satisfied", "unresolved", "VIOLATED"]
-        assert commands._met_phrase(993, *exact[1:]) == "met with equality"
-        monkeypatch.setattr(commands, "MAX_LOOSE_ANGLES", 0)
-        X = SimpleNamespace(dim=32, tol=1e-6)
-        assert commands._annihilator_bound(X, degree_set)[1:] == (float("-inf"), float("inf"))
+    def test_relative_equality_survives_optimized_python(self, capsys, tmp_path):
+        path = tmp_path / "singer31.json"
+        run(capsys, ["construct", "lines", "--singer", "31", "--out", str(path)])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "linekit", "--tol", "1e-6", "verify", path.name,
+             "--expect", "equiangular"], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path, timeout=60)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "status: met with equality" in proc.stdout
+        assert "relative_equality: True" in proc.stdout
+
+    def test_equiangular_lines_make_one_angle_pass(self, capsys, monkeypatch, tmp_path):
+        # the relative row and verify_equiangular read the degree set's pass
+        path = str(tmp_path / "singer7.json")
+        passes = count_angle_passes(monkeypatch)
+        code, out, _ = run(capsys, ["construct", "lines", "--singer", "7", "--out", path])
+        assert code == EXIT_OK and "value: 57; status: met with equality" in out
+        assert len(passes) == 1
+        passes.clear()
+        code, out, _ = run(capsys, ["verify", path, "--expect", "equiangular"])
+        assert code == EXIT_OK and "relative_equality: True" in out
+        assert len(passes) == 1
 
     def test_corrupted_norm_names_index(self, capsys, tmp_path, mub_file):
         data = json.loads(open(mub_file).read())
@@ -518,12 +529,12 @@ class TestBounds:
 
     def test_annihilator_builds_families_only_to_its_degree(self, monkeypatch):
         depths = []
-        real = front.JacobiFamily
-        monkeypatch.setattr(front, "JacobiFamily",
+        real = jacobi.JacobiFamily
+        monkeypatch.setattr(jacobi, "JacobiFamily",
                             lambda d, max_k: depths.append(max_k) or real(d, max_k))
-        out = front._annihilator_relative_bound(27, [Fraction(0), Fraction(1, 27)])
+        out = jacobi.annihilator_bound(27, [Fraction(0), Fraction(1, 27)])
         assert out["bound"] == 756 and all(out["hypotheses_ok"].values())
-        assert depths == [2]
+        assert depths == [2, 2]  # the expansion of F and `relative_bound`'s evaluation
 
 
 class TestSchemeCmd:

@@ -4,14 +4,15 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from linekit import linesets
+from linekit import commands, linesets
 from linekit.groupcodes import diffset_lines, field_rds, rds_to_mubs, singer_difference_set
-from linekit.jacobi import JacobiFamily, dim_harm, jacobi_poly
+from linekit.jacobi import JacobiFamily, annihilator_bound, dim_harm, jacobi_poly
 from linekit.linesets import (
     LineSet,
     canonical_dephase,
@@ -853,6 +854,105 @@ def test_verify_equiangular_two_angles():
     out = verify_equiangular(mub_triple_c2())
     assert not out["equiangular"]
     assert out["alpha"] is None
+
+
+# ---------------------------------------------------------------------------
+# the relative bound's status
+# ---------------------------------------------------------------------------
+
+
+def partial_wf4():
+    """The first three of the five bases of wf_mubs(4)."""
+    X = wf_mubs(4).to_lineset()
+    return LineSet(4, X.vectors[:12], basis_labels=X.basis_labels[:12])
+
+
+#: sets that meet the relative bound (complete MUBs, Singer lines, SICs) and
+#: sets that do not (fewer bases than d + 1, the doubling of wf_mubs(3))
+RELATIVE_SETS = {
+    **{f"wf{q}": (lambda q=q: wf_mubs(q).to_lineset())
+       for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)},
+    **{f"alltop{p}": (lambda p=p: alltop_mubs(p).to_lineset()) for p in (5, 7, 11)},
+    "spin6": lambda: spin_model_mubs(6).to_lineset(),
+    "tensor6": lambda: tensor_mubs(wf_mubs(2), wf_mubs(3)).to_lineset(),
+    **{f"singer{q}": (lambda q=q: diffset_lines(*singer_difference_set(q)))
+       for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31)},
+    **{f"sic{d}": (lambda d=d: sic(d)) for d in (2, 3, 8)},
+    "wf4-partial": partial_wf4,
+    "wf3-doubled": lambda: real_doubling(wf_mubs(3).to_lineset()),
+}
+
+
+def snapped_relative_phrase(X):
+    """The exact route (reference) for a set whose angles all snap: n against
+    F(1)/c_0 at the snapped angles, None when a hypothesis fails."""
+    angles = [snap(a, X.tol) for a in gram_degree_set(X).angles]
+    out = annihilator_bound(X.dim, angles)
+    if out is None or not all(out["hypotheses_ok"].values()):
+        return None
+    return commands._met_phrase(X.n, out["bound"])
+
+
+@pytest.mark.parametrize("name", RELATIVE_SETS)
+def test_relative_status_matches_the_exact_route(name):
+    made = RELATIVE_SETS[name]()
+    statuses, snapped = [], []
+    for tol in (DEFAULT_TOL, 1e-6):
+        X = LineSet(made.dim, made.vectors, field=made.field, basis_labels=made.basis_labels,
+                    tol=tol)
+        statuses.append(linesets.relative_status(X)[1])
+        snapped.append(all(snap(a, tol) is not None for a in gram_degree_set(X).angles))
+        if snapped[-1]:
+            assert statuses[-1] == snapped_relative_phrase(X)
+    # denominators above snap_denominator(1e-6) = 707: 27/784, 29/900, 31/1024
+    assert snapped == [True, name not in ("singer27", "singer29", "singer31")]
+    assert statuses[0] == statuses[1]
+
+
+def one_angle_stand_in(q, width, sums_at=None):
+    """The Singer lines of q as `relative_status` reads them: n = q^2 + q + 1
+    lines in C^(q+1) whose pairs lie within width of q/(q+1)^2, with the power
+    sums of pairs all at sums_at (the angle itself by default)."""
+    n, alpha = q * q + q + 1, q / (q + 1) ** 2
+    at = alpha if sums_at is None else sums_at
+    report = linesets.DegreeSetReport(
+        angles=[alpha], multiplicities=[n * (n - 1) // 2], s=1, zero_present=False,
+        spans=[(alpha - width, alpha + width)],
+        power_sums=[float(n + n * (n - 1) * at**j) for j in range(5)])
+    return SimpleNamespace(n=n, dim=q + 1, tol=DEFAULT_TOL, _degree_set=report)
+
+
+@pytest.mark.parametrize("q", [139, 149, 997])
+def test_large_singer_sets_meet_the_relative_bound(q):
+    # the angle snaps at the default tol for q = 139 only; the clusters of the
+    # constructed Singer sets for q <= 64 lie within 3.2e-16 of their angle
+    bound, status = linesets.relative_status(one_angle_stand_in(q, 3.2e-16))
+    n = q * q + q + 1
+    assert status == "met with equality" and abs(bound - n) <= 1e-12 * n
+
+
+@pytest.mark.parametrize("width, sums_at, status", [
+    (5 * DEFAULT_TOL, None, "unresolved"),  # one cluster chained over 10 tol
+    (3.2e-16, 0.02, "VIOLATED"),  # pair sums of a smaller angle than the cluster's
+], ids=["chained", "other-sums"])
+def test_pair_sums_and_clusters_that_do_not_settle_equality(width, sums_at, status):
+    assert linesets.relative_status(one_angle_stand_in(31, width, sums_at)) == (993, status)
+
+
+def test_more_than_four_angles_never_meet_the_relative_bound():
+    # five exact angles (R = 0) with the power sums of the sphere's moments, as
+    # a 4-design has them, P_2 raised by 1e-11: T_1..T_4 lie within their
+    # thresholds and n^2 S > 0, but T_5 is not known
+    n, d, angles = 50, 3, [0.05, 0.2, 0.4, 0.6, 0.8]
+    sums = [n * n / math.comb(d + j - 1, j) for j in range(5)]
+    sums[2] *= 1 + 1e-11
+    report = linesets.DegreeSetReport(
+        angles=angles, multiplicities=[245] * 5, s=5, zero_present=False,
+        spans=[(a, a) for a in angles], power_sums=sums)
+    X = SimpleNamespace(n=n, dim=d, tol=DEFAULT_TOL, _degree_set=report)
+    assert linesets.relative_status(X)[1] == "unresolved"
+    X = random_lines(6, 3, 1)
+    assert gram_degree_set(X).s == 15 and linesets.relative_status(X)[1] == "satisfied"
 
 
 # ---------------------------------------------------------------------------
