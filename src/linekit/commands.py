@@ -49,11 +49,9 @@ def _met_phrase(n, bound):
 
 
 def _lineset_sections(X):
-    """Summary and bound rows shared by construct and verify: n against the
-    exact absolute bound, and the relative bound with the status that
-    `linesets.relative_status` reads from the pair sums."""
+    """Summary and bound rows shared by construct and verify."""
     report = linesets.gram_degree_set(X)
-    strength = linesets.design_strength(X).strength
+    des = linesets.design_strength(X)
     degree = ", ".join(
         f"{fmt_rational(a, X.tol)} (x {m})" for a, m in zip(report.angles, report.multiplicities)
     ) or "(single line)"
@@ -64,16 +62,16 @@ def _lineset_sections(X):
         "degree set": degree,
         "s": report.s,
         "zero angle": "yes" if report.zero_present else "no",
-        "design strength": strength,
+        "design strength": des.strength,
     }
     if X.basis_labels is not None:
         summary["bases"] = len(set(X.basis_labels))
     for t in (1, 2):
-        summary[f"{t}-design"] = "yes" if strength >= t else "no"
+        summary[f"{t}-design"] = "yes" if des.strength >= t else "no"
     absval = jacobi.absolute_bound(X.dim, report.s, zero_in_A=report.zero_present)
     rows = [{"bound": "absolute", "value": fmt_rational(absval),
              "status": _met_phrase(X.n, absval)}]
-    relative = linesets.relative_status(X)
+    relative = linesets.relative_status(X, des)
     if relative is not None:
         rows.append({"bound": "relative", "value": fmt_rational(relative[0]),
                      "status": relative[1]})

@@ -124,6 +124,7 @@ class DegreeSetReport:
     zero_present: bool
     spans: list | None = None  # (min, max) of each cluster, aligned with angles
     power_sums: list | None = None  # P_j = sum over all n^2 (a, b) of |<a,b>|^(2j), j = 0..4
+    diagonal: tuple | None = None  # (min, max) over the lines of |<a,a>|^2 = |a|^4
     same_line: tuple | None = None  # (i, j, angle) of the first pair above 1 - tol, row-major
     cross: tuple | None = None  # labelled: (max |angle - 1/dim|, sum, count) of cross-cell pairs
     in_cell: dict | None = None  # labelled: cell label -> largest off-diagonal angle inside it
@@ -228,6 +229,7 @@ def _angle_pass(X):
         zero_present=bool(angles and angles[0] <= tol),
         spans=[(float(lo[a]), float(hi[b - 1])) for a, b in zip(starts, ends)],
         power_sums=[float(d + 2 * p) for d, p in zip(_power_sums(diag), pair_sums)],
+        diagonal=(float(diag.min()), float(diag.max())),
         same_line=same_line,
         cross=None if cross is None else tuple(cross),
         in_cell=None if cross is None else dict(zip(labels, in_cell.tolist())),
@@ -276,6 +278,7 @@ class DesignReport:
     strength: int
     t_max: int
     epsilon: float
+    unit: list | None = None  # (T_r of the lines' unit vectors, a bound on its error)
 
 
 def design_strength(X, fam=None, t_max=4, epsilon=None):
@@ -285,8 +288,12 @@ def design_strength(X, fam=None, t_max=4, epsilon=None):
     T_r <= epsilon * g_r(1) / n, epsilon certify_tol(X.tol) unless given.
     With g_r = sum_j c_rj x^j, T_r is (1/n^2) sum_j c_rj P_j over the power
     sums P_j that `gram_degree_set` stores (Delsarte-Goethals-Seidel 1977),
-    so no n x n array is formed.
-    Those sums stop at j = 4, so t_max above 4 raises ValueError.
+    so no n x n array is formed; they stop at j = 4, so t_max above 4 raises.
+
+    `unit` holds each T_r of the unit vectors with a bound on its error: their
+    angles are the measured ones over |a|^2 |b|^2, in the diagonal's range
+    [lo, hi], so T_r is sum_j c_rj P_j / (n^2 hi^j) within
+    sum_j |c_rj| P_j (lo^-j - hi^-j) / n^2.
     """
     if t_max > 4:
         raise ValueError(f"t_max must be at most 4, got {t_max}")
@@ -295,44 +302,43 @@ def design_strength(X, fam=None, t_max=4, epsilon=None):
     if fam.d != X.dim:
         raise ValueError(f"family dimension {fam.d} != line set dimension {X.dim}")
     epsilon = certify_tol(X.tol) if epsilon is None else epsilon
-    sums = gram_degree_set(X).power_sums
-    n = X.n
-    T = []
+    report = gram_degree_set(X)
+    (lo, hi), n = report.diagonal, X.n
+    T, unit, strength = [], [], 0
     for r in range(1, t_max + 1):
         coeffs = [float(c) for c in jacobi_poly(fam, r, "g")]
-        T.append(sum(c * p for c, p in zip(coeffs, sums)) / (n * n))
-    strength = 0
-    for r in range(1, t_max + 1):
-        if T[r - 1] <= epsilon * dim_harm(X.dim, r, r) / n:
+        T.append(sum(c * p for c, p in zip(coeffs, report.power_sums)) / (n * n))
+        terms = [(c * p / hi**j, abs(c) * p * (lo**-j - hi**-j))
+                 for j, (c, p) in enumerate(zip(coeffs, report.power_sums))]
+        unit.append(tuple(sum(t) / (n * n) for t in zip(*terms)))
+        if strength == r - 1 and T[-1] <= epsilon * dim_harm(X.dim, r, r) / n:
             strength = r
-        else:
-            break
-    return DesignReport(T=T, strength=strength, t_max=t_max, epsilon=epsilon)
+    return DesignReport(T=T, strength=strength, t_max=t_max, epsilon=epsilon, unit=unit)
 
 
-def relative_status(X):
+def relative_status(X, des):
     """(F(1)/c_0, status) of the relative bound of the degree set, or None when
-    A is empty or a hypothesis of `jacobi.relative_bound` fails.
+    A is empty or a hypothesis of `jacobi.relative_bound` fails; des is X's
+    `design_strength` report.
 
     F = prod_i (x - a_i) over the angles, each snapped at X.tol or else taken
     at its float, is sum_r c_r g_r exactly (`jacobi.annihilator_bound`).
-    Summed over all n^2 pairs, n F(1) + R = n^2 (c_0 + S) with S = sum_{r>=1}
-    c_r T_r and R the sum of F over pairs of distinct lines (Delsarte-
-    Goethals-Seidel 1977): F(1)/c_0 - n has the sign of n^2 S - R.  On
-    cluster i (m_i pairs) |F| is at most the product over j of the farthest
-    distance from a_j to span i, so |R| <= Rbar = sum_i 2 m_i times that
-    product (in floats, whose rounding is far below the thresholds).  The T_r
-    are `design_strength`'s, r <= 4, and those of lines are >= 0, so for
-    s > 4 the unknown terms with c_r >= 0 only add to S.  With eps =
-    certify_tol(X.tol), T_r vanishes at the design test, |T_r| <= eps g_r(1)/n,
-    and R at the same test of F, Rbar <= eps n F(1), so that equality holds
-    within |F(1)/c_0 - n| <= 2 eps F(1)/c_0:
+    Summed over all n^2 pairs of unit vectors, n F(1) + R = n^2 (c_0 + S)
+    with S = sum_{r>=1} c_r T_r and R the sum over distinct lines (Delsarte-
+    Goethals-Seidel 1977): F(1)/c_0 - n has the sign of n^2 S - R.  S is
+    known within E = sum |c_r| e_r from the T_r (r <= 4) and errors e_r of
+    des.unit; for s > 4 the unknown T_r >= 0 with c_r >= 0 only add to S.
+    Unit vectors put cluster i (m_i pairs) in [min/hi, max/lo], [lo, hi] the
+    diagonal's range, where |F| is at most the product over j of the farthest
+    distance from a_j: |R| <= Rbar = sum_i 2 m_i times that.  With eps =
+    certify_tol(X.tol), T_r vanishes when |T_r| + e_r <= eps g_r(1)/n and R
+    when Rbar <= eps n F(1), so equality holds within 2 eps F(1)/c_0:
 
     met with equality  s <= 4, R and each T_r with c_r != 0 vanish
-    satisfied          a T_r with c_r > 0 above eps g_r(1)/n, n^2 S > Rbar,
-                       c_r >= 0 for r > 4
-    VIOLATED           s <= 4 and n^2 S + Rbar < 0, which no set of lines gives:
-                       the clusters are not those of the power sums
+    satisfied          some T_r - e_r with c_r > 0 above eps g_r(1)/n,
+                       n^2 (S - E) > Rbar, and c_r >= 0 for r > 4
+    VIOLATED           s <= 4 and n^2 (S + E) + Rbar < 0: no set of lines
+                       gives it, the clusters are not those of the power sums
     unresolved         otherwise
     """
     report = gram_degree_set(X)
@@ -349,20 +355,20 @@ def relative_status(X):
     if out is None or not all(out["hypotheses_ok"].values()):
         return None
     n, s, c, bound = X.n, report.s, out["coeffs"], out["bound"]
-    des = design_strength(X)
-    T = {r: des.T[r - 1] for r in range(1, min(s, des.t_max) + 1)}
-    limit = {r: des.epsilon * dim_harm(X.dim, r, r) / n for r in T}
-    pairs = n * n * sum(float(c[r]) * t for r, t in T.items())  # n^2 S
-    near = [float(a) for a in angles]
-    rbar = sum(2 * m * prod(max(abs(lo - a), abs(hi - a)) for a in near)
-               for m, (lo, hi) in zip(report.multiplicities, report.spans))
+    rows = [(float(c[r]), t, e, des.epsilon * dim_harm(X.dim, r, r) / n)
+            for r, (t, e) in enumerate(des.unit[:s], start=1)]  # c_r, T_r, e_r, threshold
+    pairs = n * n * sum(cr * t for cr, t, _, _ in rows)  # n^2 S
+    slack = n * n * sum(abs(cr) * e for cr, _, e, _ in rows)  # n^2 E
+    near, (lo, hi) = [float(a) for a in angles], report.diagonal
+    rbar = sum(2 * m * prod(max(abs(u / hi - a), abs(v / lo - a)) for a in near)
+               for m, (u, v) in zip(report.multiplicities, report.spans))
     if (s <= des.t_max and rbar <= des.epsilon * n * float(bound * c[0])
-            and all(abs(T[r]) <= limit[r] for r in T if c[r] != 0)):
+            and all(abs(t) + e <= limit for cr, t, e, limit in rows if cr != 0)):
         return bound, "met with equality"
-    if (any(T[r] > limit[r] for r in T if c[r] > 0) and pairs > rbar
+    if (any(t - e > limit for cr, t, e, limit in rows if cr > 0) and pairs - slack > rbar
             and all(cr >= 0 for cr in c[des.t_max + 1:])):
         return bound, "satisfied"
-    if s <= des.t_max and pairs + rbar < 0:
+    if s <= des.t_max and pairs + slack + rbar < 0:
         return bound, "VIOLATED"
     return bound, "unresolved"
 
@@ -408,11 +414,11 @@ def verify_equiangular(X, fam=None):
                 "degree_set": report.angles}
     alpha = report.angles[0]
     snapped = snap(alpha, X.tol)
-    bound, status = relative_status(X) or (None, None)
+    des = design_strength(X, fam, t_max=1)
+    bound, status = relative_status(X, des) or (None, None)
     return {"equiangular": True, "alpha": alpha, "alpha_snapped": snapped,
             "relative_equality": status == "met with equality",
-            "bound": None if snapped is None else bound,
-            "T1": design_strength(X, fam, t_max=1).T[0]}
+            "bound": None if snapped is None else bound, "T1": des.T[0]}
 
 
 # ---------------------------------------------------------------------------

@@ -564,9 +564,8 @@ def seidel_analysis(X):
 
     The report flags whether S has exactly two eigenvalues, states the bound
     d(1-a^2)/(1-d a^2) of `verify_equiangular` (inf unless the angle snaps
-    below 1/d), and when the set meets it with equality, which the pair sums
-    decide also for an angle that does not snap, compares the spectrum with
-    the forced {-1/a^(n-d), ((n-d)/(d a))^(d)}.
+    below 1/d), and when the pair sums show it met, snapped or not, compares
+    the spectrum with the forced {-1/a^(n-d), ((n-d)/(d a))^(d)}.
     """
     if X.field != "real":
         raise ValueError("Seidel analysis needs a real line set")

@@ -7,15 +7,13 @@ schemes, sics).  Every other threshold on tol is derived from it here; the
 rest bound float error on exact data.  No numpy, so the front reads it too.
 
 certify_tol(tol)  unit norm, real parts, orthonormal cells, unbiased angles, the
-                  pair sums T_r and the relative bound's status (linesets);
-                  Gram-weighted closure and G^2 = (n/d) G (schemes, commands).
-                  1e-8 at DEFAULT_TOL
+                  pair sums T_r and the relative bound (linesets); Gram-weighted
+                  closure, G^2 = (n/d) G (schemes, commands).  1e-8 at DEFAULT_TOL
 EIGENMATRIX_TOL   PQ = nI and Krein parameters >= 0 on exact p_ij^k (commands)
 EIGEN_GAP         eigenspace gap, times max(1, eigenvalue scale) (schemes)
 snap(x, tol)      a measured value as the one rational within tol of denominator
                   <= snap_denominator(tol), 22360 at DEFAULT_TOL: printed values
-                  (front); the angles of the relative bound and alpha_snapped
-                  (linesets)
+                  (front), relative-bound angles and alpha_snapped (linesets)
 SIGN_SLACK        sign hypotheses at snapped angles (jacobi)
 float_error(n)    n eps, the rounding of n-term float sums: a lone Gram-weighted
                   class closes from the spectrum of G within it (schemes)

@@ -320,6 +320,18 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", path, "--expect", "equiangular"])
         assert code == EXIT_OK and "value: 993; status: met with equality" in out
 
+    @pytest.mark.parametrize("scale", [1 - 5e-9, 1 + 5e-9])
+    def test_scaled_norms_meet_the_relative_bound(self, capsys, tmp_path, scale):
+        # LineSet accepts norms within certify_tol of 1; the rule reads the
+        # lines' unit vectors, so T_1 of the scaled vectors (-+6.6e-7) is no
+        # verdict on them
+        path = str(tmp_path / "singer31.json")
+        X = groupcodes.diffset_lines(*groupcodes.singer_difference_set(31))
+        lineset_to_json(LineSet(X.dim, X.vectors * scale), path)
+        code, out, _ = run(capsys, ["verify", path, "--expect", "equiangular"])
+        assert code == EXIT_OK and "value: 993; status: met with equality" in out
+        assert "relative_equality: True" in out
+
     def test_relative_equality_survives_optimized_python(self, capsys, tmp_path):
         path = tmp_path / "singer31.json"
         run(capsys, ["construct", "lines", "--singer", "31", "--out", str(path)])

@@ -883,6 +883,11 @@ RELATIVE_SETS = {
 }
 
 
+def relative_status(X):
+    """`linesets.relative_status` with the design-strength report of X."""
+    return linesets.relative_status(X, design_strength(X))
+
+
 def snapped_relative_phrase(X):
     """The exact route (reference) for a set whose angles all snap: n against
     F(1)/c_0 at the snapped angles, None when a hypothesis fails."""
@@ -900,7 +905,7 @@ def test_relative_status_matches_the_exact_route(name):
     for tol in (DEFAULT_TOL, 1e-6):
         X = LineSet(made.dim, made.vectors, field=made.field, basis_labels=made.basis_labels,
                     tol=tol)
-        statuses.append(linesets.relative_status(X)[1])
+        statuses.append(relative_status(X)[1])
         snapped.append(all(snap(a, tol) is not None for a in gram_degree_set(X).angles))
         if snapped[-1]:
             assert statuses[-1] == snapped_relative_phrase(X)
@@ -909,16 +914,26 @@ def test_relative_status_matches_the_exact_route(name):
     assert statuses[0] == statuses[1]
 
 
-def one_angle_stand_in(q, width, sums_at=None):
+def test_uneven_norms_leave_the_relative_bound_unresolved():
+    # norms that miss 1 by up to 5e-9, each its own way, put each pair's angle
+    # within 6e-10 of 31/1024 but T_1 only within 1.3e-6: never VIOLATED
+    X = diffset_lines(*singer_difference_set(31))
+    scale = 1 + 5e-9 * np.random.default_rng(1).uniform(-1, 1, size=(X.n, 1))
+    assert relative_status(LineSet(X.dim, X.vectors * scale)) == (993, "unresolved")
+
+
+def one_angle_stand_in(q, width, sums_at=None, spread=0.0):
     """The Singer lines of q as `relative_status` reads them: n = q^2 + q + 1
     lines in C^(q+1) whose pairs lie within width of q/(q+1)^2, with the power
-    sums of pairs all at sums_at (the angle itself by default)."""
+    sums of pairs all at sums_at (the angle itself by default) and |a|^4
+    within spread of 1."""
     n, alpha = q * q + q + 1, q / (q + 1) ** 2
     at = alpha if sums_at is None else sums_at
     report = linesets.DegreeSetReport(
         angles=[alpha], multiplicities=[n * (n - 1) // 2], s=1, zero_present=False,
         spans=[(alpha - width, alpha + width)],
-        power_sums=[float(n + n * (n - 1) * at**j) for j in range(5)])
+        power_sums=[float(n + n * (n - 1) * at**j) for j in range(5)],
+        diagonal=(1 - spread, 1 + spread))
     return SimpleNamespace(n=n, dim=q + 1, tol=DEFAULT_TOL, _degree_set=report)
 
 
@@ -926,17 +941,27 @@ def one_angle_stand_in(q, width, sums_at=None):
 def test_large_singer_sets_meet_the_relative_bound(q):
     # the angle snaps at the default tol for q = 139 only; the clusters of the
     # constructed Singer sets for q <= 64 lie within 3.2e-16 of their angle
-    bound, status = linesets.relative_status(one_angle_stand_in(q, 3.2e-16))
+    bound, status = relative_status(one_angle_stand_in(q, 3.2e-16))
     n = q * q + q + 1
     assert status == "met with equality" and abs(bound - n) <= 1e-12 * n
 
 
-@pytest.mark.parametrize("width, sums_at, status", [
-    (5 * DEFAULT_TOL, None, "unresolved"),  # one cluster chained over 10 tol
-    (3.2e-16, 0.02, "VIOLATED"),  # pair sums of a smaller angle than the cluster's
-], ids=["chained", "other-sums"])
-def test_pair_sums_and_clusters_that_do_not_settle_equality(width, sums_at, status):
-    assert linesets.relative_status(one_angle_stand_in(31, width, sums_at)) == (993, status)
+ALPHA31 = 31 / 1024
+
+
+@pytest.mark.parametrize("width, sums_at, spread, status", [
+    (5 * DEFAULT_TOL, None, 0.0, "unresolved"),  # one cluster chained over 10 tol
+    (3.2e-16, 0.02, 0.0, "VIOLATED"),  # pair sums of a smaller angle than the cluster's
+    # the spread of the diagonal puts T_1 of the unit vectors within e_1 =
+    # 66 spread (6.6e-9, 1.3e-8) of its estimate; the threshold is 1.03e-8
+    (3.2e-16, None, 1e-10, "met with equality"),
+    (3.2e-16, None, 2e-10, "unresolved"),  # the estimate -6.6e-9 passes, not +- e_1
+    (3.2e-16, ALPHA31 + 1.9e-11, 1e-10, "unresolved"),  # 1.67e-8 is above, not by e_1
+    (3.2e-16, ALPHA31 - 5e-12, 2e-10, "unresolved"),  # -1.2e-8 is below, not by e_1
+], ids=["chained", "other-sums", "uneven", "more-uneven", "uneven-above", "uneven-below"])
+def test_pair_sums_clusters_and_norms_settle_equality_or_not(width, sums_at, spread, status):
+    X = one_angle_stand_in(31, width, sums_at, spread)
+    assert relative_status(X) == (993, status)
 
 
 def test_more_than_four_angles_never_meet_the_relative_bound():
@@ -948,11 +973,11 @@ def test_more_than_four_angles_never_meet_the_relative_bound():
     sums[2] *= 1 + 1e-11
     report = linesets.DegreeSetReport(
         angles=angles, multiplicities=[245] * 5, s=5, zero_present=False,
-        spans=[(a, a) for a in angles], power_sums=sums)
+        spans=[(a, a) for a in angles], power_sums=sums, diagonal=(1.0, 1.0))
     X = SimpleNamespace(n=n, dim=d, tol=DEFAULT_TOL, _degree_set=report)
-    assert linesets.relative_status(X)[1] == "unresolved"
+    assert relative_status(X)[1] == "unresolved"
     X = random_lines(6, 3, 1)
-    assert gram_degree_set(X).s == 15 and linesets.relative_status(X)[1] == "satisfied"
+    assert gram_degree_set(X).s == 15 and relative_status(X)[1] == "satisfied"
 
 
 # ---------------------------------------------------------------------------
