@@ -298,7 +298,7 @@ class BoundQuery:
         self.F_coeffs = [_as_fraction(c) for c in self.F_coeffs]
 
 
-def relative_bound(query):
+def relative_bound(query, fam=None):
     """Evaluate F(1)/c_0 and report each sign hypothesis separately.
 
     The four modes check (with F = sum c_r basis_r in the mode's basis):
@@ -309,13 +309,16 @@ def relative_bound(query):
 
     Nothing is decided here: the caller gets the value and the flag vector and
     applies the theorem only if every flag it needs is set.  Sign checks
-    tolerate violations up to SIGN_SLACK; c_0 > 0 is exact.
+    tolerate violations up to SIGN_SLACK; c_0 > 0 is exact.  `fam`, of
+    dimension d and depth at least deg F, spares building one.
     """
     c = query.F_coeffs
     if not c or c[0] == 0:
         raise ValueError("c_0 = 0: bound F(1)/c_0 is undefined")
     kind = "g" if query.mode.endswith("-g") else "h"
-    fam = JacobiFamily(query.d, max_k=len(c) - 1)
+    fam = fam or JacobiFamily(query.d, max_k=len(c) - 1)
+    if fam.d != query.d or fam.max_k < len(c) - 1:
+        raise ValueError(f"need a family of dimension {query.d} and depth {len(c) - 1}, got {fam}")
     F = [Fraction(0)]
     for r, cr in enumerate(c):
         F = _poly_add(F, _poly_scale(jacobi_poly(fam, r, kind), cr))
@@ -360,7 +363,7 @@ def annihilator_bound(d, angles):
     if coeffs[0] == 0:
         return None
     query = BoundQuery(d=d, angles=angles, mode="sdist-g", F_coeffs=coeffs)
-    return {**relative_bound(query), "coeffs": coeffs}
+    return {**relative_bound(query, fam), "coeffs": coeffs}
 
 
 def absolute_bound(d, s, zero_in_A=False):

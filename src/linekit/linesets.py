@@ -142,16 +142,16 @@ def _row_blocks(n, entries):
     return list(zip(edges, edges[1:]))
 
 
-def _angle_blocks(X):
-    """Yield (first row, |G[rows]|^2) over the `_row_blocks` of the angle matrix.
+def _angle_rows(V, r0, r1):
+    """|G[r0:r1]|^2: one GEMM like `angle_matrix`, squared in place (bit-identical to `** 2`)."""
+    A = np.abs(V[r0:r1].conj() @ V.T)
+    return np.square(A, out=A)
 
-    Each block is a GEMM call like the whole product in `angle_matrix`,
-    squared in place (bit-identical to `** 2`); up to 256 lines are one block.
-    """
-    V = X.vectors
+
+def _angle_blocks(X):
+    """Yield (first row, `_angle_rows`) over `_row_blocks`; up to 256 lines are one block."""
     for r0, r1 in _row_blocks(X.n, BLOCK_ENTRIES):
-        A = np.abs(V[r0:r1].conj() @ V.T)
-        yield r0, np.square(A, out=A)
+        yield r0, _angle_rows(X.vectors, r0, r1)
 
 
 def _gap_breaks(ordered, gap):

@@ -48,16 +48,17 @@ graph labels a pair of vertices by their distance.
 The module also checks the zonal idempotent candidates E_r of the g-basis,
 tests closure of the Gram-weighted classes A'_k = G o A_k, and computes
 Seidel spectra of real equiangular sets.  The first two hold no n x n
-complex matrix.  The idempotent check holds one real n x n E_j at a time
-and remakes the rows of the E_i before it from the angle rows
-(`idempotent_residuals`); `jacobi_idempotents` keeps them all.  The
-Gram-weighted test reads the eigenvalues mu of G off the d x d core =
-V^T conj(V) (its d and n - d zeros, or its n largest when n < d): I, G and
-G^2 share eigenvectors, so ||G^2 - xI - yG||_F^2 = sum_k |mu_k^2 - x -
-y mu_k|^2.  A lone kept class closes from that spectrum alone
-(`_lone_class_closure`); every other span is fitted product by product on
-row blocks of G = conj(V) V^T.  The products that matter at size go
-through `np.matmul`, where a test can count them.
+complex matrix, the idempotent check none at all: block (R, C) of E_i E_j
+is E_i[R] E_j[C]^T, as E_j is symmetric, so only rows of the E_r are made,
+from their angle rows (`idempotent_residuals`); `jacobi_idempotents` feeds
+the rows of the E_r it keeps to the same kernel.  The Gram-weighted test
+reads the eigenvalues mu of G off the d x d core = V^T conj(V) (its d and
+n - d zeros, or its n largest when n < d): I, G and G^2 share eigenvectors,
+so ||G^2 - xI - yG||_F^2 = sum_k |mu_k^2 - x - y mu_k|^2.  A lone kept
+class closes from that spectrum alone (`_lone_class_closure`); every other
+span is fitted product by product on row blocks of G = conj(V) V^T.  The
+products that matter at size go through `np.matmul`, where a test can
+count them.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ import numpy as np
 
 from linekit.jacobi import JacobiFamily, jacobi_poly
 from linekit import linesets
-from linekit.linesets import _angle_blocks, _row_blocks, gap_clusters, gram_degree_set
+from linekit.linesets import _angle_blocks, _angle_rows, _row_blocks, gap_clusters, gram_degree_set
 from linekit.tolerance import EIGEN_GAP, certify_tol, float_error
 
 
@@ -356,58 +357,69 @@ def _zonal_rows(val, sq, coeffs, n):
     return val
 
 
-def _square_norm(a):
-    a = a.ravel()
-    return a.dot(a)
-
-
-def idempotent_residuals(X, fam=None, e=1, keep=None):
-    """Residuals and traces of the zonal idempotent candidates E_0..E_e.
-
-    (E_r)_{ab} = g_r(|<a,b>|^2) / n, taking the g-basis for the dimension of
-    X; E_0 is J/n.  The residuals are ||E_i E_j - [i==j] E_i||, symmetric in
-    i and j.  One E_j is held at a time: it is filled from `_angle_blocks`,
-    then each row block R adds the squared norms of E_i[R] E_j for i <= j,
-    the rows of E_i for i < j made again from the same angle rows by the
-    same in-place Horner steps (so with the same bits), and then E_j is
-    appended to `keep` when a list is given, or dropped.  E_0 E_j is n
-    copies of the column sums of E_j over n.
-    """
+def _zonal_setup(X, fam, e):
+    """Float g-coefficients of E_0..E_e, and row blocks of b = max(BLOCK_ENTRIES / n, 4d)
+    rows: a block's angle GEMM (4bnd real flops) costs at most one b x b product block."""
     if e < 0:
         raise ValueError("e must be nonnegative")
     if fam is None:
         fam = JacobiFamily(X.dim, max_k=max(e, 2))
-    n = X.n
-    coeffs = [None] + [[float(c) for c in jacobi_poly(fam, r, kind="g")] for r in range(1, e + 1)]
-    blocks = _row_blocks(n, linesets.BLOCK_ENTRIES)
+    coeffs = [[float(c) for c in jacobi_poly(fam, r, kind="g")] for r in range(e + 1)]
+    return coeffs, _row_blocks(X.n, X.n * max(linesets.BLOCK_ENTRIES // X.n, 4 * X.dim))
+
+
+def _residual_kernel(n, e, blocks, rows):
+    """Residuals and traces of E_0..E_e, given rows(r0, r1) = [_, E_1[r0:r1], ...].
+
+    Block (R, C) of E_i E_j is E_i[R] E_j[C]^T, as E_j is symmetric.  A square
+    takes the blocks with C >= R, weighted 2 off the diagonal; a cross pair
+    i < j takes its (R, C) and (C, R) blocks from the same rows."""
     # Every matmul reads contiguous operands: a stride-0 one takes another path.
     e0 = np.full(n, 1.0 / n)
-    row0 = np.zeros(n)
+    sums = np.zeros((e + 1, n))  # row j: e0 E_j, each row of E_0 E_j
     for r0, r1 in blocks:
-        row0 += e0[r0:r1] @ np.full((r1 - r0, n), 1.0 / n)
-    heads = [np.sqrt(n) * np.linalg.norm(row0 - e0)]  # ||E_0 E_j - [j == 0] E_0||
-    traces = [float(np.trace(np.broadcast_to(1.0 / n, (n, n))))]
+        sums[0] += e0[r0:r1] @ np.full((r1 - r0, n), 1.0 / n)
+    sums[0] -= e0
+    traces = [float(np.trace(np.broadcast_to(1.0 / n, (n, n))))] + [0.0] * e
     res = np.zeros((e + 1, e + 1))  # squared norms of the blocked products
-    for j in range(1, e + 1):
-        E = np.empty((n, n))
-        for r0, sq in _angle_blocks(X):
-            _zonal_rows(E[r0:r0 + len(sq)], sq, coeffs[j], n)
-        for r0, r1 in blocks:
-            product = np.matmul(E[r0:r1], E)
-            product -= E[r0:r1]
-            res[j, j] += _square_norm(product)
-        for r0, sq in _angle_blocks(X) if j > 1 else ():
-            for i in range(1, j):  # rows and product die here, before the next block
-                res[i, j] += _square_norm(
-                    np.matmul(_zonal_rows(np.empty_like(sq), sq, coeffs[i], n), E))
-        heads.append(np.sqrt(n) * np.linalg.norm(e0 @ E))
-        traces.append(float(np.trace(E)))
-        if keep is not None:
-            keep.append(E)
-        del E
+    for b, (r0, r1) in enumerate(blocks if e else ()):
+        left = rows(r0, r1)
+        for j in range(1, e + 1):
+            sums[j] += e0[r0:r1] @ left[j]
+            traces[j] += float(np.trace(left[j][:, r0:r1]))
+        for c0, c1 in blocks[b:]:
+            right = left if c0 == r0 else rows(c0, c1)
+            for i in range(1, e + 1):
+                product = np.matmul(left[i], right[i].T)
+                product -= left[i][:, c0:c1]
+                res[i, i] += (1 if c0 == r0 else 2) * np.vdot(product, product)
+                for j in range(i + 1, e + 1):
+                    product = np.matmul(left[i], right[j].T)
+                    res[i, j] += np.vdot(product, product)
+                    if c0 != r0:
+                        product = np.matmul(right[i], left[j].T)
+                        res[i, j] += np.vdot(product, product)
+            del right  # before the next column block's rows are made
     res = np.sqrt(np.maximum(res, res.T))
-    res[0, :] = res[:, 0] = heads
+    res[0, :] = res[:, 0] = [np.sqrt(n) * np.linalg.norm(row) for row in sums]
     return {"residuals": res, "max_residual": float(res.max()), "traces": traces}
+
+
+def idempotent_residuals(X, fam=None, e=1):
+    """Residuals and traces of the zonal idempotent candidates E_0..E_e.
+
+    (E_r)_{ab} = g_r(|<a,b>|^2) / n, taking the g-basis for the dimension of
+    X; E_0 is J/n.  The residuals are ||E_i E_j - [i==j] E_i||, symmetric in
+    i and j.  No n x n array is held: `_residual_kernel` asks for the rows of
+    each block, made from its `_angle_rows` by in-place Horner steps.
+    """
+    coeffs, blocks = _zonal_setup(X, fam, e)
+
+    def rows(r0, r1):
+        sq = _angle_rows(X.vectors, r0, r1)
+        return [None] + [_zonal_rows(np.empty_like(sq), sq, c, X.n) for c in coeffs[1:]]
+
+    return _residual_kernel(X.n, e, blocks, rows)
 
 
 def jacobi_idempotents(X, fam=None, e=1):
@@ -418,12 +430,17 @@ def jacobi_idempotents(X, fam=None, e=1):
     shortfall in design strength shows up as a large residual rather than
     an error.  E_0 is always J/n (a read-only broadcast), and trace(E_r)
     equals the degree-r harmonic dimension by the normalization of the
-    g-basis.  The residuals and traces are those of `idempotent_residuals`,
-    which builds E_1..E_e one at a time; this keeps every one, so it holds
-    e n x n arrays, where the residuals alone need one.
+    g-basis.  E_1..E_e are filled on the blocks of `idempotent_residuals` and
+    feed the same kernel, so its residuals and traces are bit-identical.
     """
-    mats = [np.broadcast_to(1.0 / X.n, (X.n, X.n))]
-    return {"idempotents": mats, **idempotent_residuals(X, fam, e, keep=mats)}
+    coeffs, blocks = _zonal_setup(X, fam, e)
+    mats = [np.broadcast_to(1.0 / X.n, (X.n, X.n))] + [np.empty((X.n, X.n)) for _ in range(e)]
+    for r0, r1 in blocks if e else ():
+        sq = _angle_rows(X.vectors, r0, r1)
+        for M, c in zip(mats[1:], coeffs[1:]):
+            _zonal_rows(M[r0:r1], sq, c, X.n)
+    kept = _residual_kernel(X.n, e, blocks, lambda r0, r1: [M[r0:r1] for M in mats])
+    return {"idempotents": mats, **kept}
 
 
 def _class_inner(L, G, P, size):

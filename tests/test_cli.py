@@ -546,7 +546,7 @@ class TestBounds:
                             lambda d, max_k: depths.append(max_k) or real(d, max_k))
         out = jacobi.annihilator_bound(27, [Fraction(0), Fraction(1, 27)])
         assert out["bound"] == 756 and all(out["hypotheses_ok"].values())
-        assert depths == [2, 2]  # the expansion of F and `relative_bound`'s evaluation
+        assert depths == [2]  # the expansion of F, which `relative_bound` reuses
 
 
 class TestSchemeCmd:

@@ -120,6 +120,15 @@ def test_relative_bound_family_depth_is_the_degree_of_F(monkeypatch):
     assert depths == [2] and out["bound"] == 20
 
 
+def test_relative_bound_takes_a_family_of_its_dimension_and_depth():
+    c = expand_in_basis(JacobiFamily(4, max_k=2), [0, Fraction(-1, 4), 1], kind="g")
+    query = BoundQuery(d=4, angles=[0, Fraction(1, 4)], mode="sdist-g", F_coeffs=c)
+    assert relative_bound(query, JacobiFamily(4, max_k=5)) == relative_bound(query)
+    for fam in (JacobiFamily(3, max_k=2), JacobiFamily(4, max_k=1)):
+        with pytest.raises(ValueError, match="dimension 4 and depth 2"):
+            relative_bound(query, fam)
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         JacobiFamily(1)

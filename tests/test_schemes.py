@@ -846,7 +846,8 @@ def test_idempotents_in_place_are_bit_identical(make, e):
     out = jacobi_idempotents(make(), e=e)
     mats, res = out_of_place_idempotents(make(), e)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(out["idempotents"], mats, strict=True))
-    assert out["residuals"].tobytes() == res.tobytes()
+    # the blocked squares multiply E_i by the transpose of E_i's rows, which moves the last bits
+    assert np.abs(out["residuals"] - res).max() <= 1e-12 * max(1.0, res.max())
 
 
 @pytest.mark.parametrize("e", [1, 2])
@@ -894,10 +895,11 @@ def test_residual_route_is_bit_identical_to_both_keeping_routes(make, e):
     assert out["traces"] == kept["traces"] and out["max_residual"] == kept["max_residual"]
     mats, res = out_of_place_idempotents(make(), e)
     traces = [float(np.trace(M)) for M in mats]
-    if len(linesets._row_blocks(X.n, linesets.BLOCK_ENTRIES)) == 1:
-        assert out["residuals"].tobytes() == res.tobytes() and out["traces"] == traces
-    else:  # alltop23, n = 552 in 4 row blocks: the dense products sum in another order
-        assert np.abs(out["residuals"] - res).max() <= 1e-12 * max(1.0, res.max())
+    # the blocked products take a transposed operand, which moves the last bits
+    assert np.abs(out["residuals"] - res).max() <= 1e-12 * max(1.0, res.max())
+    if len(schemes._zonal_setup(X, None, e)[1]) == 1:
+        assert out["traces"] == traces
+    else:  # alltop23, n = 552 in 4 row blocks: the traces sum block by block
         assert np.allclose(out["traces"], traces, rtol=1e-13, atol=0)
 
 
@@ -911,9 +913,64 @@ def test_residual_route_holds_one_matrix_and_its_blocks(monkeypatch):
     monkeypatch.setattr(LineSet, "gram", no_gram)
     out, peak = traced_peak(idempotent_residuals, X, fam, 2)
     assert out["residuals"][:2, :2].max() <= 1e-8
-    # E_2, the angle rows of one block with its complex product, and the rows
-    # of E_1 made again from them; keeping E_1 as well needs 16 n^2 bytes
-    assert peak <= 8 * X.n**2 + 4 * 2**20
+    # the rows of E_1 and E_2 on two blocks of 108 rows, and the angle rows of
+    # one with its complex product: less than one real n x n matrix
+    assert peak < 8 * X.n**2
+
+
+class ShapeSpy(CountingNumpy):
+    """CountingNumpy that also records the shape of every array a numpy function makes."""
+
+    def __init__(self):
+        super().__init__()
+        self.made = []
+
+    def __getattr__(self, name):
+        f = getattr(np, name)
+        if not callable(f) or isinstance(f, type):
+            return f
+
+        def spy(*args, **kwargs):
+            out = f(*args, **kwargs)
+            if isinstance(out, np.ndarray) and out.flags.owndata:
+                self.made.append(out.shape)
+            return out
+
+        return spy
+
+
+@pytest.mark.parametrize("e, products", [(1, lambda B: B * (B + 1) // 2),
+                                         (2, lambda B: 2 * (B * (B + 1) // 2) + B * B)])
+def test_residual_route_makes_and_multiplies_no_n_by_n_array(e, products, monkeypatch):
+    X = scrambled(wf_mubs(27).to_lineset())  # n = 756: 7 blocks of 4d = 108 rows
+    spy = ShapeSpy()
+    monkeypatch.setattr(schemes, "np", spy)
+    monkeypatch.setattr(linesets, "np", spy)
+    out = idempotent_residuals(X, e=e)
+    assert out["residuals"][:2, :2].max() <= 1e-8
+    n, B = X.n, 7
+    assert spy.made and (n, n) not in spy.made
+    # B(B + 1)/2 blocks per square and B^2 per cross pair, each rows by transposed rows
+    assert len(spy.calls) == products(B)
+    assert all(a == (n // B, n) and b == (n, n // B) for _, a, b in spy.calls)
+
+
+@pytest.mark.parametrize("make, entries, sizes", [
+    (lambda: random_lines(n=401, d=3), None, [200, 201]),
+    (lambda: random_lines(n=400, d=100), None, [400]),  # 163 rows by entries alone
+    (lambda: real_doubling(wf_mubs(3).to_lineset()), None, [24]),
+    (lambda: alltop_mubs(23).to_lineset(), 1 << 10, [92] * 6),
+], ids=["uneven", "four-d", "real", "six-blocks"])
+@pytest.mark.parametrize("e", [0, 1, 2, 3])
+def test_blocked_residuals_match_the_dense_products(make, entries, sizes, e, monkeypatch):
+    X = make()
+    if entries is not None:
+        monkeypatch.setattr(linesets, "BLOCK_ENTRIES", entries)
+    assert [r1 - r0 for r0, r1 in schemes._zonal_setup(X, None, e)[1]] == sizes
+    ref = dense_idempotent_residuals(X, e)
+    out = idempotent_residuals(X, e=e)
+    assert np.abs(out["residuals"] - ref).max() <= 1e-12 * max(1.0, ref.max())
+    assert out["residuals"].tobytes() == jacobi_idempotents(X, e=e)["residuals"].tobytes()
 
 
 def test_labels_hold_their_matrix_and_one_block():
