@@ -324,12 +324,13 @@ def cmd_scheme(args):
     from linekit import schemes
 
     X = _load_lineset(args.file, args.tol)
+    # the idempotent check reads no labels: it runs before the label matrix is made
+    idem = None if args.idempotents is None else schemes.idempotent_residuals(X, e=args.idempotents)
     rep = schemes.scheme_from_lineset(X)
     report = {"scheme": _scheme_section(rep, X.tol)}
     if args.gram:
         report["gram algebra"] = _gram_section(schemes.gram_algebra_check(X))
-    if args.idempotents is not None:
-        idem = schemes.idempotent_residuals(X, e=args.idempotents)
+    if idem is not None:
         report["idempotents"] = {
             "e": args.idempotents,
             "max residual": f"{idem['max_residual']:.3g}",

@@ -298,7 +298,7 @@ class BoundQuery:
         self.F_coeffs = [_as_fraction(c) for c in self.F_coeffs]
 
 
-def relative_bound(query, fam=None):
+def relative_bound(query, fam=None, poly=None):
     """Evaluate F(1)/c_0 and report each sign hypothesis separately.
 
     The four modes check (with F = sum c_r basis_r in the mode's basis):
@@ -310,7 +310,8 @@ def relative_bound(query, fam=None):
     Nothing is decided here: the caller gets the value and the flag vector and
     applies the theorem only if every flag it needs is set.  Sign checks
     tolerate violations up to SIGN_SLACK; c_0 > 0 is exact.  `fam`, of
-    dimension d and depth at least deg F, spares building one.
+    dimension d and depth at least deg F, spares building one, and `poly`,
+    the ascending monomial coefficients of F, spares summing F from the c_r.
     """
     c = query.F_coeffs
     if not c or c[0] == 0:
@@ -319,9 +320,11 @@ def relative_bound(query, fam=None):
     fam = fam or JacobiFamily(query.d, max_k=len(c) - 1)
     if fam.d != query.d or fam.max_k < len(c) - 1:
         raise ValueError(f"need a family of dimension {query.d} and depth {len(c) - 1}, got {fam}")
-    F = [Fraction(0)]
-    for r, cr in enumerate(c):
-        F = _poly_add(F, _poly_scale(jacobi_poly(fam, r, kind), cr))
+    F = poly
+    if F is None:
+        F = [Fraction(0)]
+        for r, cr in enumerate(c):
+            F = _poly_add(F, _poly_scale(jacobi_poly(fam, r, kind), cr))
     F1 = poly_eval(F, Fraction(1))
     bound = F1 / c[0]
 
@@ -363,7 +366,7 @@ def annihilator_bound(d, angles):
     if coeffs[0] == 0:
         return None
     query = BoundQuery(d=d, angles=angles, mode="sdist-g", F_coeffs=coeffs)
-    return {**relative_bound(query, fam), "coeffs": coeffs}
+    return {**relative_bound(query, fam, poly), "coeffs": coeffs}
 
 
 def absolute_bound(d, s, zero_in_A=False):

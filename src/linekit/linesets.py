@@ -130,14 +130,15 @@ class DegreeSetReport:
     in_cell: dict | None = None  # labelled: cell label -> largest off-diagonal angle inside it
 
 
-#: entries per row block of the angle matrix (1 MB of complex128)
-BLOCK_ENTRIES = 1 << 16
+#: entries per row block of the angle matrix (256 KB of complex128)
+BLOCK_ENTRIES = 1 << 14
 
 
 def _row_blocks(n, entries):
-    """(first, end) of row blocks splitting n rows evenly into runs of at
-    least two rows (unless n is 1) and about entries / n rows."""
-    count = max(1, n // max(2, entries // n))
+    """(first, end) of row blocks splitting n rows evenly into runs of about
+    entries / n rows, and at least two (unless n is 1) and BLOCK_ENTRIES / 1024
+    (16): past 1024 columns a block outgrows its budget to keep its GEMM shape."""
+    count = max(1, n // max(2, entries // n, BLOCK_ENTRIES >> 10))
     edges = [n * k // count for k in range(count + 1)]
     return list(zip(edges, edges[1:]))
 
@@ -149,7 +150,7 @@ def _angle_rows(V, r0, r1):
 
 
 def _angle_blocks(X):
-    """Yield (first row, `_angle_rows`) over `_row_blocks`; up to 256 lines are one block."""
+    """Yield (first row, `_angle_rows`) over `_row_blocks`; up to 128 lines are one block."""
     for r0, r1 in _row_blocks(X.n, BLOCK_ENTRIES):
         yield r0, _angle_rows(X.vectors, r0, r1)
 
@@ -175,14 +176,16 @@ def _power_sums(x):
 def _cell_stats(A, r0, cell, target, cross, in_cell):
     """Add row block A (rows r0..) to cross = [max |angle - target|, sum, count] of
     the cross-cell pairs, each once with the row's cell first, and to in_cell,
-    each cell's largest angle off the diagonal, which A loses."""
+    each cell's largest angle off the diagonal.  A is overwritten."""
     rows = cell[r0:r0 + len(A)]
     values = A[rows[:, None] < cell]
     if values.size:
         cross[0] = max(cross[0], float(values.max()) - target, target - float(values.min()))
         cross[1:] = cross[1] + float(values.sum()), cross[2] + values.size
+    del values
     A[np.arange(len(A)), np.arange(r0, r0 + len(A))] = 0.0
-    np.maximum.at(in_cell, rows, np.where(rows[:, None] == cell, A, 0.0).max(axis=1))
+    A *= rows[:, None] == cell
+    np.maximum.at(in_cell, rows, A.max(axis=1))
 
 
 def _angle_pass(X):
@@ -215,6 +218,7 @@ def _angle_pass(X):
                          np.add.reduceat(vals, starts)])
         if cross is not None:
             _cell_stats(A, r0, cell, 1.0 / X.dim, cross, in_cell)
+        del A, vals  # before the next block is made
     lo, hi, count, total = np.hstack(runs)
     order = np.argsort(lo)
     lo, hi, count, total = lo[order], np.maximum.accumulate(hi[order]), count[order], total[order]

@@ -14,7 +14,8 @@ graph labels a pair of vertices by their distance.
   at the first pair of class k in row-major order.  Constancy is tested
   block by block, and the first pair that breaks it is kept as a witness.
   Nothing n x n is held beyond L: the left operand A_i[R] and the columns
-  of the right operand A_j are made from L as each GEMM needs them.
+  of the right operand A_j are made from L as each GEMM needs them, in the
+  row blocks of the angle pass (`linesets.BLOCK_ENTRIES` entries each).
 * The largest class is eliminated.  Let s be the class with the most pairs.
   Since A_0 + ... + A_s = J and A_0 = I, for any label matrix
   A_i[R] A_s = r_i[R] 1^T - A_i[R] - sum_l A_i[R] A_l and
@@ -50,10 +51,12 @@ tests closure of the Gram-weighted classes A'_k = G o A_k, and computes
 Seidel spectra of real equiangular sets.  The first two hold no n x n
 complex matrix, the idempotent check none at all: block (R, C) of E_i E_j
 is E_i[R] E_j[C]^T, as E_j is symmetric, so only rows of the E_r are made,
-from their angle rows (`idempotent_residuals`); `jacobi_idempotents` feeds
-the rows of the E_r it keeps to the same kernel.  The Gram-weighted test
-reads the eigenvalues mu of G off the d x d core = V^T conj(V) (its d and
-n - d zeros, or its n largest when n < d): I, G and G^2 share eigenvectors,
+from their angle rows (`idempotent_residuals`), into two buffers: the rows
+of one block R and those of one tile C, each of E_1..E_e stacked into one
+operand.  `jacobi_idempotents` feeds the rows of the E_r it keeps to the
+same kernel.  The Gram-weighted test reads the eigenvalues mu of G off the
+d x d core = V^T conj(V) (its d and n - d zeros, or its n largest when
+n < d): I, G and G^2 share eigenvectors,
 so ||G^2 - xI - yG||_F^2 = sum_k |mu_k^2 - x - y mu_k|^2.  A lone kept
 class closes from that spectrum alone (`_lone_class_closure`); every other
 span is fitted product by product on row blocks of G = conj(V) V^T.  The
@@ -132,20 +135,30 @@ def _angle_labels(X):
 
     Off-diagonal pairs get 1 + the index of their degree-set cluster: the cuts
     sit midway between the spans of consecutive clusters, so each pair falls
-    in exactly the cluster `gram_degree_set` put it in.  The labels are cut
-    row block by row block, held in the smallest unsigned integer type
-    (uint8 below 256 classes) and stored on X, so every check on X shares
-    one copy.
+    in exactly the cluster `gram_degree_set` put it in.  The labels are held
+    in the smallest unsigned integer type (uint8 below 256 classes) and
+    stored on X, so every check on X shares one copy.  Each row block is cut
+    straight into its rows of L (`_cut`).
     """
     report = gram_degree_set(X)
     if X._labels is None:
         cuts = [(hi + lo) / 2 for (_, hi), (lo, _) in zip(report.spans, report.spans[1:])]
         L = np.empty((X.n, X.n), dtype=np.min_scalar_type(report.s))
         for r0, A in _angle_blocks(X):
-            L[r0:r0 + len(A)] = np.searchsorted(cuts, A) + 1
+            _cut(L[r0:r0 + len(A)], A, cuts)
+            del A  # before the next block is made
         np.fill_diagonal(L, 0)
         X._labels = L
     return report, X._labels
+
+
+def _cut(out, A, cuts):
+    """out = np.searchsorted(cuts, A) + 1 for ascending cuts, in place: 1 plus
+    one A > cut per cut, with no integer array beside out."""
+    out[...] = 1
+    for cut in cuts:
+        out += A > cut
+    return out
 
 
 def _span_residual(s1, s2, sizes):
@@ -182,7 +195,7 @@ def association_scheme(L):
     L = np.asarray(L)
     n = L.shape[0]
     m = int(L.max()) + 1
-    blocks = _row_blocks(n, 4 * linesets.BLOCK_ENTRIES)
+    blocks = _row_blocks(n, linesets.BLOCK_ENTRIES)
     counts = np.array([[np.count_nonzero(L[r0:r1] == k) for k in range(m)] for r0, r1 in blocks])
     sizes = counts.sum(axis=0)
     if sizes[0] != n or np.diagonal(L).any() or not sizes.all():
@@ -240,13 +253,14 @@ def association_scheme(L):
                 out[:, c0:c1] = np.matmul(left, (L[c0:c1] == l).T.astype(np.float32))
             return out
         z, deg = left
-        out = np.zeros((len(z), n), dtype=np.min_scalar_type(z.shape[1]))
-        for t in range(z.shape[1]):
-            has = deg > t
-            if has.all():
-                out += L[z[:, t]] == l
+        out = np.zeros((z.shape[1], n), dtype=np.min_scalar_type(len(z)))
+        full = deg.min()  # slots that every row fills
+        for t, slot in enumerate(z):
+            if t < full:
+                out += L[slot] == l
             else:
-                out[has] += L[z[has, t]] == l
+                has = deg > t
+                out[has] += L[slot[has]] == l
         return out.astype(np.float32)
 
     for b, (r0, r1) in enumerate(blocks):
@@ -257,8 +271,8 @@ def association_scheme(L):
             if i in count:
                 x, y = np.nonzero(Lr == i)
                 deg = np.bincount(x, minlength=r1 - r0)
-                z = np.zeros((r1 - r0, deg.max()), dtype=np.intp)
-                z[x, np.arange(x.size) - (np.cumsum(deg) - deg)[x]] = y
+                z = np.zeros((deg.max(), r1 - r0), dtype=np.intp)  # z[slot, row]
+                z[np.arange(x.size) - (np.cumsum(deg) - deg)[x], x] = y
                 left = z, deg
             else:
                 left = (Lr == i).astype(np.float32)
@@ -348,9 +362,10 @@ def scheme_from_lineset(X):
 
 
 def _zonal_rows(val, sq, coeffs, n):
-    """val = g(sq) / n for g with coefficients coeffs, by in-place Horner steps."""
-    val[:] = 0.0
-    for c in reversed(coeffs):
+    """val = g(sq) / n for g with coefficients coeffs, by in-place Horner steps
+    (from the leading coefficient: 0 sq + c is c)."""
+    val[...] = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
         val *= sq
         val += c
     val /= n
@@ -358,48 +373,73 @@ def _zonal_rows(val, sq, coeffs, n):
 
 
 def _zonal_setup(X, fam, e):
-    """Float g-coefficients of E_0..E_e, and row blocks of b = max(BLOCK_ENTRIES / n, 4d)
-    rows: a block's angle GEMM (4bnd real flops) costs at most one b x b product block."""
+    """fill(u0, u1, out), which writes the rows u0:u1 of E_1..E_e into out by
+    in-place Horner steps on their `_angle_rows`, and the units it fills: row
+    blocks of b / 4 rows for b = max(BLOCK_ENTRIES / n, 4d), and at least 16
+    (`_row_blocks`).  Four units make a block of b rows for the products: its
+    angle GEMMs (4bnd real flops) cost at most one b x b product block, and
+    each unit's angle GEMM has at least d rows."""
     if e < 0:
         raise ValueError("e must be nonnegative")
     if fam is None:
         fam = JacobiFamily(X.dim, max_k=max(e, 2))
-    coeffs = [[float(c) for c in jacobi_poly(fam, r, kind="g")] for r in range(e + 1)]
-    return coeffs, _row_blocks(X.n, X.n * max(linesets.BLOCK_ENTRIES // X.n, 4 * X.dim))
+    coeffs = [[float(c) for c in jacobi_poly(fam, r, kind="g")] for r in range(1, e + 1)]
+
+    def fill(u0, u1, out):
+        sq = _angle_rows(X.vectors, u0, u1)
+        for val, c in zip(out, coeffs):
+            _zonal_rows(val, sq, c, X.n)
+
+    b = max(linesets.BLOCK_ENTRIES // X.n, 4 * X.dim)
+    return fill, _row_blocks(X.n, X.n * -(-b // 4))
 
 
-def _residual_kernel(n, e, blocks, rows):
-    """Residuals and traces of E_0..E_e, given rows(r0, r1) = [_, E_1[r0:r1], ...].
+def _residual_kernel(n, e, units, fill):
+    """Residuals and traces of E_0..E_e, given fill(u0, u1, out), which writes
+    the rows u0:u1 of E_1..E_e into out[0..e-1] for a unit (u0, u1).
 
-    Block (R, C) of E_i E_j is E_i[R] E_j[C]^T, as E_j is symmetric.  A square
-    takes the blocks with C >= R, weighted 2 off the diagonal; a cross pair
-    i < j takes its (R, C) and (C, R) blocks from the same rows."""
+    Block (R, C) of E_i E_j is E_i[R] E_j[C]^T, as E_j is symmetric.  A row
+    block R is 4 units; its rows of E_1..E_e are stacked into one (e b) x n
+    operand, filled once into a buffer, and each unit T right of R is a tile,
+    stacked the same way.  One GEMM of the stacked R with the transpose of
+    the stacked T gives block (R, T) of every E_i E_j; the diagonal block of
+    each i <= j is E_i[R] E_j[R]^T.  Block (R, T) of E_j E_i is block (T, R) of
+    E_i E_j transposed, so the tiles' squared norms F enter as F + F^T.  Both
+    buffers are allocated once per call, and a tile's rows are made again for
+    each R before it."""
     # Every matmul reads contiguous operands: a stride-0 one takes another path.
     e0 = np.full(n, 1.0 / n)
     sums = np.zeros((e + 1, n))  # row j: e0 E_j, each row of E_0 E_j
-    for r0, r1 in blocks:
-        sums[0] += e0[r0:r1] @ np.full((r1 - r0, n), 1.0 / n)
+    for u0, u1 in units:
+        sums[0] += e0[u0:u1] @ np.full((u1 - u0, n), 1.0 / n)
     sums[0] -= e0
     traces = [float(np.trace(np.broadcast_to(1.0 / n, (n, n))))] + [0.0] * e
-    res = np.zeros((e + 1, e + 1))  # squared norms of the blocked products
-    for b, (r0, r1) in enumerate(blocks if e else ()):
-        left = rows(r0, r1)
-        for j in range(1, e + 1):
-            sums[j] += e0[r0:r1] @ left[j]
-            traces[j] += float(np.trace(left[j][:, r0:r1]))
-        for c0, c1 in blocks[b:]:
-            right = left if c0 == r0 else rows(c0, c1)
-            for i in range(1, e + 1):
-                product = np.matmul(left[i], right[i].T)
-                product -= left[i][:, c0:c1]
-                res[i, i] += (1 if c0 == r0 else 2) * np.vdot(product, product)
-                for j in range(i + 1, e + 1):
-                    product = np.matmul(left[i], right[j].T)
-                    res[i, j] += np.vdot(product, product)
-                    if c0 != r0:
-                        product = np.matmul(right[i], left[j].T)
-                        res[i, j] += np.vdot(product, product)
-            del right  # before the next column block's rows are made
+    res = np.zeros((e + 1, e + 1))  # squared norms of the diagonal blocks, i <= j
+    far = np.zeros((e + 1, e + 1))  # [i, j]: squared norms of the blocks E_i[R] E_j[T]^T
+    w = max(u1 - u0 for u0, u1 in units)
+    left, right = np.empty(4 * e * w * n), np.empty(e * w * n)
+    for k in range(0, len(units) if e else 0, 4):
+        r0, r1 = units[k][0], units[min(k + 4, len(units)) - 1][1]
+        stacked = left[:e * (r1 - r0) * n].reshape(e * (r1 - r0), n)
+        rows = stacked.reshape(e, r1 - r0, n)
+        for u0, u1 in units[k:k + 4]:
+            fill(u0, u1, rows[:, u0 - r0:u1 - r0])
+        for i in range(e):
+            sums[i + 1] += e0[r0:r1] @ rows[i]
+            traces[i + 1] += float(np.trace(rows[i][:, r0:r1]))
+            for j in range(i, e):
+                product = np.matmul(rows[i], rows[j].T)
+                if i == j:
+                    product -= rows[i][:, r0:r1]
+                res[i + 1, j + 1] += np.vdot(product, product)
+        for c0, c1 in units[k + 4:]:
+            tile = right[:e * (c1 - c0) * n].reshape(e * (c1 - c0), n)
+            fill(c0, c1, tile.reshape(e, c1 - c0, n))
+            product = np.matmul(stacked, tile.T).reshape(e, r1 - r0, e, c1 - c0)
+            for i in range(e):
+                product[i, :, i] -= rows[i][:, c0:c1]
+            far[1:, 1:] += np.einsum("ibjc,ibjc->ij", product, product)
+    res = np.triu(res + far + far.T)
     res = np.sqrt(np.maximum(res, res.T))
     res[0, :] = res[:, 0] = [np.sqrt(n) * np.linalg.norm(row) for row in sums]
     return {"residuals": res, "max_residual": float(res.max()), "traces": traces}
@@ -411,15 +451,10 @@ def idempotent_residuals(X, fam=None, e=1):
     (E_r)_{ab} = g_r(|<a,b>|^2) / n, taking the g-basis for the dimension of
     X; E_0 is J/n.  The residuals are ||E_i E_j - [i==j] E_i||, symmetric in
     i and j.  No n x n array is held: `_residual_kernel` asks for the rows of
-    each block, made from its `_angle_rows` by in-place Horner steps.
+    each unit, made from its `_angle_rows` by in-place Horner steps.
     """
-    coeffs, blocks = _zonal_setup(X, fam, e)
-
-    def rows(r0, r1):
-        sq = _angle_rows(X.vectors, r0, r1)
-        return [None] + [_zonal_rows(np.empty_like(sq), sq, c, X.n) for c in coeffs[1:]]
-
-    return _residual_kernel(X.n, e, blocks, rows)
+    fill, units = _zonal_setup(X, fam, e)
+    return _residual_kernel(X.n, e, units, fill)
 
 
 def jacobi_idempotents(X, fam=None, e=1):
@@ -430,16 +465,20 @@ def jacobi_idempotents(X, fam=None, e=1):
     shortfall in design strength shows up as a large residual rather than
     an error.  E_0 is always J/n (a read-only broadcast), and trace(E_r)
     equals the degree-r harmonic dimension by the normalization of the
-    g-basis.  E_1..E_e are filled on the blocks of `idempotent_residuals` and
-    feed the same kernel, so its residuals and traces are bit-identical.
+    g-basis.  E_1..E_e are filled on the units of `idempotent_residuals` and
+    their rows feed the same kernel, so its residuals and traces are
+    bit-identical.
     """
-    coeffs, blocks = _zonal_setup(X, fam, e)
+    fill, units = _zonal_setup(X, fam, e)
     mats = [np.broadcast_to(1.0 / X.n, (X.n, X.n))] + [np.empty((X.n, X.n)) for _ in range(e)]
-    for r0, r1 in blocks if e else ():
-        sq = _angle_rows(X.vectors, r0, r1)
-        for M, c in zip(mats[1:], coeffs[1:]):
-            _zonal_rows(M[r0:r1], sq, c, X.n)
-    kept = _residual_kernel(X.n, e, blocks, lambda r0, r1: [M[r0:r1] for M in mats])
+    for u0, u1 in units if e else ():
+        fill(u0, u1, [M[u0:u1] for M in mats[1:]])
+
+    def copy(u0, u1, out):
+        for val, M in zip(out, mats[1:]):
+            val[...] = M[u0:u1]
+
+    kept = _residual_kernel(X.n, e, units, copy)
     return {"idempotents": mats, **kept}
 
 
@@ -495,8 +534,9 @@ def _product_closure(X, keep):
     n, s, V, Vc = X.n, report.s, X.vectors, X.vectors.conj()
     labels = np.arange(s + 1)
     basis = np.isin(labels, [0, *keep])
-    # a GEMM remakes its right operand's rows for each row block, so its blocks are larger
-    blocks = _row_blocks(n, 4 * linesets.BLOCK_ENTRIES)
+    # a GEMM remakes its right operand's rows for each row block, so its blocks are
+    # 16 times larger (4 MB of complex128)
+    blocks = _row_blocks(n, 16 * linesets.BLOCK_ENTRIES)
     touch = np.zeros((s + 1, n), bool)  # classes at each vertex
     for r0, r1 in blocks if len(keep) > 1 else []:
         touch[L[r0:r1], np.arange(r0, r1)[:, None]] = True

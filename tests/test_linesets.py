@@ -12,7 +12,14 @@ from numpy.polynomial import polynomial as npoly
 
 from linekit import commands, linesets
 from linekit.groupcodes import diffset_lines, field_rds, rds_to_mubs, singer_difference_set
-from linekit.jacobi import JacobiFamily, annihilator_bound, dim_harm, jacobi_poly
+from linekit.jacobi import (
+    BoundQuery,
+    JacobiFamily,
+    annihilator_bound,
+    dim_harm,
+    jacobi_poly,
+    relative_bound,
+)
 from linekit.linesets import (
     LineSet,
     canonical_dephase,
@@ -40,9 +47,10 @@ from linekit.tolerance import DEFAULT_TOL, certify_tol, snap, snap_denominator
 
 ISQ2 = 1 / np.sqrt(2)
 
-#: BLOCK_ENTRIES values for the row-block oracles: the default, the larger
-#: blocks of gram_algebra_check's GEMM route, and 3-row blocks at n = 20
-ROW_BLOCKS = [linesets.BLOCK_ENTRIES, 4 * linesets.BLOCK_ENTRIES, 64]
+#: BLOCK_ENTRIES values for the row-block oracles: the default, 4 and 16
+#: times it (the latter the blocks of gram_algebra_check's GEMM route), and
+#: 3-row blocks at n = 20
+ROW_BLOCKS = [linesets.BLOCK_ENTRIES, 4 * linesets.BLOCK_ENTRIES, 16 * linesets.BLOCK_ENTRIES, 64]
 
 
 def standard_basis(d):
@@ -435,6 +443,16 @@ def test_chained_lines_have_clusters_across_blocks_and_single_runs():
     assert 1 in rep.multiplicities and max(rep.multiplicities) > 200
 
 
+def test_row_blocks_have_a_floor_that_yields_to_small_budgets(monkeypatch):
+    def sizes(n):
+        return {r1 - r0 for r0, r1 in linesets._row_blocks(n, linesets.BLOCK_ENTRIES)}
+    assert sizes(756) == {21}  # within the budget: 16384 // 756
+    assert sizes(4160) == {16}  # the floor: 3 rows by the budget alone
+    assert sizes(100) == {100}
+    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", 2 * 8)
+    assert linesets._row_blocks(8, linesets.BLOCK_ENTRIES) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+
+
 @pytest.mark.parametrize("rows", [2, 0])
 def test_duplicate_line_is_the_first_pair_in_row_major_order(rows, monkeypatch):
     V = random_lines(8, 3, 4).vectors.copy()
@@ -813,11 +831,11 @@ def traced_peak(f, *args):
 
 
 def test_degree_set_holds_one_block_and_its_runs():
-    X = scrambled(wf_mubs(27).to_lineset(), 7)  # n = 756: 8 row blocks of 95 rows
+    X = scrambled(wf_mubs(27).to_lineset(), 7)  # n = 756: 36 row blocks of 21 rows
     rep, peak = traced_peak(gram_degree_set, X)
     assert rep.multiplicities == [756 * 26 // 2, 756 * 729 // 2]
-    # the complex product of one block (1.15 MB), its angles and those of the
-    # block before, and 2 clusters x 8 blocks of runs; the pair array is 2.3 MB
+    # the complex product of one block (254 KB) and its angles, and 2 clusters x
+    # 36 blocks of runs; the pair array is 2.3 MB
     assert peak <= 3 * 2**20
 
 
@@ -826,6 +844,25 @@ def test_verify_mub_holds_one_block():
     out, peak = traced_peak(verify_mub, X)
     assert out["unbiased"] and out["count"] == 28
     assert peak <= X.n**2 + 2.5 * 2**20
+
+
+#: bytes of one row block of the angle matrix in complex128
+BLOCK_BYTES = 16 * linesets.BLOCK_ENTRIES
+
+
+@pytest.mark.parametrize("make", [
+    lambda: scrambled(wf_mubs(27).to_lineset(), 7),  # labelled: the cell statistics too
+    lambda: LineSet(27, scrambled(wf_mubs(27).to_lineset(), 7).vectors),
+    lambda: diffset_lines(*singer_difference_set(31)),
+], ids=["mub27-labelled", "mub27", "singer31"])
+def test_angle_pass_holds_one_block_and_its_angles(make):
+    X = make()
+    assert X.n <= 1024  # no block outgrows the budget
+    rep, peak = traced_peak(linesets._angle_pass, X)
+    assert (rep.in_cell is not None) == (X.basis_labels is not None)
+    # the complex product of one block with the angles made from it; the block
+    # before is freed, and the runs, the diagonal and the cells are small
+    assert peak <= 2 * BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -978,6 +1015,29 @@ def test_more_than_four_angles_never_meet_the_relative_bound():
     assert relative_status(X)[1] == "unresolved"
     X = random_lines(6, 3, 1)
     assert gram_degree_set(X).s == 15 and relative_status(X)[1] == "satisfied"
+
+
+def moved_wf5():
+    """wf_mubs(5) with its last basis moved by 4e-7: 111 angles at the default tol."""
+    X = wf_mubs(5).to_lineset()
+    V = X.vectors.copy()
+    rng = np.random.default_rng(0)
+    V[-5:] += 4e-7 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    return LineSet(5, V / np.linalg.norm(V, axis=1, keepdims=True), basis_labels=X.basis_labels)
+
+
+@pytest.mark.parametrize("name", [*RELATIVE_SETS, "moved-wf5"])
+def test_annihilator_record_matches_the_polynomial_summed_from_its_coefficients(name):
+    X = moved_wf5() if name == "moved-wf5" else RELATIVE_SETS[name]()
+    angles = [Fraction(a) if f is None else f
+              for a, f in ((a, snap(a, X.tol)) for a in gram_degree_set(X).angles)]
+    assert (name == "moved-wf5") == (len(angles) == 111)
+    out = annihilator_bound(X.dim, angles)
+    # relative_bound without the monomial coefficients sums F = sum c_r g_r (reference)
+    query = BoundQuery(d=X.dim, angles=angles, mode="sdist-g", F_coeffs=out["coeffs"])
+    ref = relative_bound(query)
+    assert out["bound"] == ref["bound"]
+    assert list(out["hypotheses_ok"].items()) == list(ref["hypotheses_ok"].items())
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,29 @@ def test_many_classes_widen_the_label_type():
     assert report.s == 276 and L.dtype == np.uint16 and L.max() == 276
 
 
+@pytest.mark.parametrize("dtype, s", [(np.uint8, 2), (np.uint8, 3), (np.uint8, 255), (np.uint16, 300)])
+def test_cut_matches_searchsorted_on_and_between_the_cuts(dtype, s):
+    rng = np.random.default_rng(s)
+    cuts = np.sort(rng.random(s - 1))
+    # every cut itself, the floats on either side of it, and random angles
+    A = np.concatenate([cuts, np.nextafter(cuts, 0), np.nextafter(cuts, 1),
+                        rng.random(3 * s), [0.0, 0.5, 1.0]]).reshape(3, -1)
+    out = schemes._cut(np.empty(A.shape, dtype), A, cuts.tolist())
+    assert out.dtype == dtype and np.array_equal(out, np.searchsorted(cuts, A) + 1)
+
+
+@pytest.mark.parametrize("n, d, tol, seed", [(120, 3, 3e-3, 2), (200, 4, 1e-4, 1)])
+def test_labels_of_chained_clusters_match_searchsorted(n, d, tol, seed, monkeypatch):
+    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", 3 * n)  # 3-row blocks
+    X = LineSet(d, random_lines(n, d, seed).vectors, tol=tol)
+    report, L = _angle_labels(X)
+    assert max(report.multiplicities) > n  # clusters chain across the blocks
+    cuts = [(hi + lo) / 2 for (_, hi), (lo, _) in zip(report.spans, report.spans[1:])]
+    ref = np.vstack([np.searchsorted(cuts, A) + 1 for _, A in linesets._angle_blocks(X)])
+    np.fill_diagonal(ref, 0)
+    assert L.dtype == (np.uint8 if report.s < 256 else np.uint16) and np.array_equal(L, ref)
+
+
 def old_span_residual(product, basis):
     """The span residual on a fresh complex copy (reference)."""
     norm = np.linalg.norm(product)
@@ -478,8 +501,8 @@ def test_kernel_matches_dense_float64_kernel_bit_for_bit(name):
 
 def assert_kernel_matches_dense_over_row_blocks(name, rows, monkeypatch):
     L = SCHEME_LABELS[name]()
-    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", rows * L.shape[0] // 4)  # the kernel's 4x
-    blocks = linesets._row_blocks(L.shape[0], 4 * linesets.BLOCK_ENTRIES)
+    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", rows * L.shape[0])
+    blocks = linesets._row_blocks(L.shape[0], linesets.BLOCK_ENTRIES)
     assert max(r1 - r0 for r0, r1 in blocks) <= rows + 1  # uneven: edges n k // count
     rep = association_scheme(L)
     p, witness, closure, *_ = dense_association_scheme(L)
@@ -511,7 +534,7 @@ def test_sparse_labels_are_counted_and_irregular():
 def test_kernel_holds_nothing_n_by_n_beyond_the_labels(monkeypatch):
     for L, rows in ((_angle_labels(scrambled(wf_mubs(27).to_lineset()))[1], 8),  # counted
                     (_distance_labels(cover_graph(*field_rds(13)).adjacency), 2)):  # GEMM and counted
-        monkeypatch.setattr(linesets, "BLOCK_ENTRIES", rows * L.shape[0] // 4)
+        monkeypatch.setattr(linesets, "BLOCK_ENTRIES", rows * L.shape[0])
         rep, peak = traced_peak(association_scheme, L)
         assert rep.closed
         assert peak <= L.size / 2  # half the bytes of the uint8 labels
@@ -702,7 +725,7 @@ def test_gram_algebra_matches_dense_oracle(name):
 def test_gram_algebra_matches_dense_oracle_on_small_row_blocks(name, monkeypatch):
     X = GRAM_ORACLE_SETS[name]()
     ref = dense_gram_algebra_check(X)
-    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", 2 * 2 * X.n)  # 2-row blocks
+    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", X.n)  # 2-row blocks, 16 for the products
     assert_matches_dense_oracle(gram_algebra_check(X), ref)
 
 
@@ -755,7 +778,7 @@ def test_gram_algebra_holds_no_n_by_n_complex_matrix(monkeypatch):
     # 273 lines in C^17 close from the spectrum, 272 lines in C^16 from the products
     for X in diffset_lines(*singer_difference_set(16)), perturbed_wf(16, 1e-10):
         _angle_labels(X)
-        monkeypatch.setattr(linesets, "BLOCK_ENTRIES", 2 * X.n)  # the products take 8-row blocks
+        monkeypatch.setattr(linesets, "BLOCK_ENTRIES", X.n // 2)  # the products take 7 or 8 rows
         tracemalloc.start()
         try:
             out = gram_algebra_check(X)
@@ -899,7 +922,7 @@ def test_residual_route_is_bit_identical_to_both_keeping_routes(make, e):
     assert np.abs(out["residuals"] - res).max() <= 1e-12 * max(1.0, res.max())
     if len(schemes._zonal_setup(X, None, e)[1]) == 1:
         assert out["traces"] == traces
-    else:  # alltop23, n = 552 in 4 row blocks: the traces sum block by block
+    else:  # alltop23, n = 552 in 6 row blocks: the traces sum block by block
         assert np.allclose(out["traces"], traces, rtol=1e-13, atol=0)
 
 
@@ -913,8 +936,8 @@ def test_residual_route_holds_one_matrix_and_its_blocks(monkeypatch):
     monkeypatch.setattr(LineSet, "gram", no_gram)
     out, peak = traced_peak(idempotent_residuals, X, fam, 2)
     assert out["residuals"][:2, :2].max() <= 1e-8
-    # the rows of E_1 and E_2 on two blocks of 108 rows, and the angle rows of
-    # one with its complex product: less than one real n x n matrix
+    # the rows of E_1 and E_2 on a block of 108 rows and a tile of 27, and the
+    # angle rows of one unit with its complex product: less than one real n x n matrix
     assert peak < 8 * X.n**2
 
 
@@ -939,27 +962,33 @@ class ShapeSpy(CountingNumpy):
         return spy
 
 
-@pytest.mark.parametrize("e, products", [(1, lambda B: B * (B + 1) // 2),
-                                         (2, lambda B: 2 * (B * (B + 1) // 2) + B * B)])
+@pytest.mark.parametrize("e, products", [(1, lambda B: B + 2 * B * (B - 1)),
+                                         (2, lambda B: 3 * B + 2 * B * (B - 1))])
 def test_residual_route_makes_and_multiplies_no_n_by_n_array(e, products, monkeypatch):
-    X = scrambled(wf_mubs(27).to_lineset())  # n = 756: 7 blocks of 4d = 108 rows
+    X = scrambled(wf_mubs(27).to_lineset())  # n = 756: 7 blocks of 4 units of d = 27 rows
     spy = ShapeSpy()
     monkeypatch.setattr(schemes, "np", spy)
     monkeypatch.setattr(linesets, "np", spy)
     out = idempotent_residuals(X, e=e)
     assert out["residuals"][:2, :2].max() <= 1e-8
-    n, B = X.n, 7
+    n, B, b, w = X.n, 7, 108, 27
     assert spy.made and (n, n) not in spy.made
-    # B(B + 1)/2 blocks per square and B^2 per cross pair, each rows by transposed rows
+    assert max(math.prod(shape) for shape in spy.made) <= e * b * n  # the buffer of a block's rows
+    # e(e + 1)/2 diagonal blocks per row block, each rows by transposed rows, and one
+    # stacked block per tile: 4 tiles for each later block, 2B(B - 1) in all
     assert len(spy.calls) == products(B)
-    assert all(a == (n // B, n) and b == (n, n // B) for _, a, b in spy.calls)
+    diagonal = [call for call in spy.calls if call[2] == (n, b)]
+    assert len(diagonal) == B * e * (e + 1) // 2 and all(a == (b, n) for _, a, _ in diagonal)
+    assert all(a == (e * b, n) and c == (n, e * w) for _, a, c in spy.calls if c != (n, b))
 
 
 @pytest.mark.parametrize("make, entries, sizes", [
-    (lambda: random_lines(n=401, d=3), None, [200, 201]),
-    (lambda: random_lines(n=400, d=100), None, [400]),  # 163 rows by entries alone
+    # units of 10 rows by entries alone, raised to the 16-row floor; the last
+    # unit has 17 rows and is a block of its own
+    (lambda: random_lines(n=401, d=3), None, [16] * 24 + [17]),
+    (lambda: random_lines(n=400, d=100), None, [100] * 4),  # 40 rows by entries alone
     (lambda: real_doubling(wf_mubs(3).to_lineset()), None, [24]),
-    (lambda: alltop_mubs(23).to_lineset(), 1 << 10, [92] * 6),
+    (lambda: alltop_mubs(23).to_lineset(), 1 << 10, [23] * 24),  # 6 blocks of 4 units
 ], ids=["uneven", "four-d", "real", "six-blocks"])
 @pytest.mark.parametrize("e", [0, 1, 2, 3])
 def test_blocked_residuals_match_the_dense_products(make, entries, sizes, e, monkeypatch):
@@ -979,6 +1008,47 @@ def test_labels_hold_their_matrix_and_one_block():
     (report, L), peak = traced_peak(_angle_labels, X)
     assert report.s == 2 and L.dtype == np.uint8
     assert peak <= X.n**2 + 2.5 * 2**20
+
+
+#: bytes of one row block of the angle matrix in complex128
+BLOCK_BYTES = 16 * linesets.BLOCK_ENTRIES
+
+#: sets of the sizes of linebench's certify-deep sets, below 1024 lines: no block
+#: outgrows the budget
+GUARDED_SETS = {
+    "mub27": lambda: scrambled(wf_mubs(27).to_lineset()),
+    "singer31": lambda: scrambled(diffset_lines(*singer_difference_set(31))),
+}
+
+
+@pytest.mark.parametrize("name", GUARDED_SETS)
+def test_labels_hold_one_block_beyond_their_matrix(name):
+    X = GUARDED_SETS[name]()
+    gram_degree_set(X)
+    (report, L), peak = traced_peak(_angle_labels, X)
+    assert L.dtype == np.uint8
+    # the complex product of one block with its angles, cut in place into L
+    assert peak - L.nbytes <= 2 * BLOCK_BYTES
+
+
+@pytest.mark.parametrize("name", GUARDED_SETS)
+def test_scheme_kernel_holds_one_block_beyond_the_labels(name):
+    L = _angle_labels(GUARDED_SETS[name]())[1]
+    rep, peak = traced_peak(association_scheme, L)
+    assert rep.closed
+    assert peak <= 2 * BLOCK_BYTES
+
+
+@pytest.mark.parametrize("name", GUARDED_SETS)
+def test_idempotent_residuals_hold_their_buffers_and_one_unit(name):
+    X = GUARDED_SETS[name]()
+    e, n = 2, X.n
+    b = max(linesets.BLOCK_ENTRIES // n, 4 * X.dim)
+    out, peak = traced_peak(idempotent_residuals, X, None, e)
+    assert np.allclose(out["traces"], [dim_harm(X.dim, r, r) for r in range(e + 1)])
+    # the rows of E_1..E_e on one block of b rows and on one tile of b/4, and the
+    # complex angle rows of one unit with their angles: e + e/4 + 3/4 real b x n arrays
+    assert peak <= (e + 2) * 8 * b * n
 
 
 class TestJacobiIdempotents:
