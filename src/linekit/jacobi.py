@@ -298,7 +298,7 @@ class BoundQuery:
         self.F_coeffs = [_as_fraction(c) for c in self.F_coeffs]
 
 
-def relative_bound(query, fam=None, poly=None):
+def relative_bound(query, fam=None):
     """Evaluate F(1)/c_0 and report each sign hypothesis separately.
 
     The four modes check (with F = sum c_r basis_r in the mode's basis):
@@ -310,8 +310,7 @@ def relative_bound(query, fam=None, poly=None):
     Nothing is decided here: the caller gets the value and the flag vector and
     applies the theorem only if every flag it needs is set.  Sign checks
     tolerate violations up to SIGN_SLACK; c_0 > 0 is exact.  `fam`, of
-    dimension d and depth at least deg F, spares building one, and `poly`,
-    the ascending monomial coefficients of F, spares summing F from the c_r.
+    dimension d and depth at least deg F, spares building one.
     """
     c = query.F_coeffs
     if not c or c[0] == 0:
@@ -320,19 +319,18 @@ def relative_bound(query, fam=None, poly=None):
     fam = fam or JacobiFamily(query.d, max_k=len(c) - 1)
     if fam.d != query.d or fam.max_k < len(c) - 1:
         raise ValueError(f"need a family of dimension {query.d} and depth {len(c) - 1}, got {fam}")
-    F = poly
-    if F is None:
-        F = [Fraction(0)]
-        for r, cr in enumerate(c):
-            F = _poly_add(F, _poly_scale(jacobi_poly(fam, r, kind), cr))
-    F1 = poly_eval(F, Fraction(1))
-    bound = F1 / c[0]
+    F = [Fraction(0)]
+    for r, cr in enumerate(c):
+        F = _poly_add(F, _poly_scale(jacobi_poly(fam, r, kind), cr))
+    return _bound_record(query, poly_eval(F, Fraction(1)), [poly_eval(F, a) for a in query.angles])
 
-    upper = query.mode.startswith("sdist")
+
+def _bound_record(query, F1, values):
+    """The record of `relative_bound` from F(1) and F at each angle of query."""
+    c, upper = query.F_coeffs, query.mode.startswith("sdist")
     weighted = query.mode.endswith("-h")
     flags = {}
-    for a in query.angles:
-        val = poly_eval(F, a)
+    for a, val in zip(query.angles, values):
         if weighted:
             val = a * val
         name = f"{'aF' if weighted else 'F'}({float(a):.6g}) {'<= 0' if upper else '>= 0'}"
@@ -342,13 +340,10 @@ def relative_bound(query, fam=None, poly=None):
             flags[f"c_{r} >= 0"] = c[r] >= -SIGN_SLACK
     else:
         flags["F(1) > 0"] = F1 > 0
-        start = (query.t if query.t is not None else 0) + (1 if kind == "g" else 0)
-        start = max(start, 1)
-        for r in range(1, len(c)):
-            if r >= start:
-                flags[f"c_{r} <= 0"] = c[r] <= SIGN_SLACK
+        for r in range(max(1, (query.t or 0) + (not weighted)), len(c)):
+            flags[f"c_{r} <= 0"] = c[r] <= SIGN_SLACK
     flags["c_0 > 0"] = c[0] > 0
-    return {"bound": bound, "hypotheses_ok": flags}
+    return {"bound": F1 / c[0], "hypotheses_ok": flags}
 
 
 def annihilator_bound(d, angles):
@@ -356,17 +351,18 @@ def annihilator_bound(d, angles):
 
     F is expanded exactly in the g-basis of dimension d; returns the bound
     record with the coefficients c_r of F under "coeffs", or None when
-    c_0 = 0 leaves F(1)/c_0 undefined.
+    c_0 = 0 leaves F(1)/c_0 undefined.  F is 0 at each of its roots, so their
+    "F(a) <= 0" flags are set with no evaluation of F.
     """
     poly = [Fraction(1)]  # ascending monomial coefficients
     for a in angles:
         poly = [u - a * v for u, v in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
-    fam = JacobiFamily(d, max_k=len(angles))
-    coeffs = expand_in_basis(fam, poly, kind="g")
+    coeffs = expand_in_basis(JacobiFamily(d, max_k=len(angles)), poly, kind="g")
     if coeffs[0] == 0:
         return None
     query = BoundQuery(d=d, angles=angles, mode="sdist-g", F_coeffs=coeffs)
-    return {**relative_bound(query, fam, poly), "coeffs": coeffs}
+    F1 = poly_eval(poly, Fraction(1))
+    return {**_bound_record(query, F1, [0] * len(angles)), "coeffs": coeffs}
 
 
 def absolute_bound(d, s, zero_in_A=False):

@@ -8,9 +8,10 @@ block's pair values are sorted and cut into runs, and the runs of all
 blocks merge into exactly the clusters of the sorted n(n-1)/2 values, with
 no array of those values (`gram_degree_set`).  The same pass keeps the
 power sums of the angles, from which the Jacobi pair sums of the design
-test follow with no n x n array, and for a set labelled into bases the
-cross-cell and in-cell statistics that `verify_mub` reads: one angle pass
-certifies a labelled set.
+test follow with no n x n array.  It reads no basis labels: `verify_mub`
+certifies a labelled set from the degree set and each basis's d x d Gram,
+since the in-cell pairs lie in the clusters that start within atol^2 of 0,
+and the other clusters' spans give the cross-cell deviation from 1/d exactly.
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ class LineSet:
     basis_labels: length-n list partitioning the set into cells of size dim.
     Every entry must be finite, and tol finite and positive.  The vectors are
     a read-only copy of the input and tol is fixed here, so the degree set
-    (with the cell statistics of `verify_mub`) that `gram_degree_set` stores
-    on the line set, and the class labels that `schemes` cuts from the degree
-    set stay valid.
+    that `gram_degree_set` stores on the line set, and the class labels that
+    `schemes` cuts from the degree set stay valid.
     """
 
     def __init__(self, dim, vectors, field="complex", basis_labels=None, tol=DEFAULT_TOL):
@@ -126,8 +126,6 @@ class DegreeSetReport:
     power_sums: list | None = None  # P_j = sum over all n^2 (a, b) of |<a,b>|^(2j), j = 0..4
     diagonal: tuple | None = None  # (min, max) over the lines of |<a,a>|^2 = |a|^4
     same_line: tuple | None = None  # (i, j, angle) of the first pair above 1 - tol, row-major
-    cross: tuple | None = None  # labelled: (max |angle - 1/dim|, sum, count) of cross-cell pairs
-    in_cell: dict | None = None  # labelled: cell label -> largest off-diagonal angle inside it
 
 
 #: entries per row block of the angle matrix (256 KB of complex128)
@@ -173,36 +171,16 @@ def _power_sums(x):
     return [x.size, x.sum(), sq.sum(), sq @ x, sq @ sq]
 
 
-def _cell_stats(A, r0, cell, target, cross, in_cell):
-    """Add row block A (rows r0..) to cross = [max |angle - target|, sum, count] of
-    the cross-cell pairs, each once with the row's cell first, and to in_cell,
-    each cell's largest angle off the diagonal.  A is overwritten."""
-    rows = cell[r0:r0 + len(A)]
-    values = A[rows[:, None] < cell]
-    if values.size:
-        cross[0] = max(cross[0], float(values.max()) - target, target - float(values.min()))
-        cross[1:] = cross[1] + float(values.sum()), cross[2] + values.size
-    del values
-    A[np.arange(len(A)), np.arange(r0, r0 + len(A))] = 0.0
-    A *= rows[:, None] == cell
-    np.maximum.at(in_cell, rows, A.max(axis=1))
-
-
 def _angle_pass(X):
     """The one pass over the row blocks of the angle matrix that `gram_degree_set`
-    and `verify_mub` read; computed once and stored on X."""
+    and `verify_mub` read; computed once and stored on X.  It reads no labels."""
     if X._degree_set is not None:
         return X._degree_set
     n, tol = X.n, X.tol
     diag = np.empty(n)
     pair_sums = np.zeros(5)
     runs = [np.empty((4, 0))]  # rows: min, max, count, sum of each run
-    same_line = cross = in_cell = None
-    if X.basis_labels is not None:
-        labels = sorted(set(X.basis_labels))
-        index = {lab: k for k, lab in enumerate(labels)}
-        cell = np.array([index[lab] for lab in X.basis_labels])
-        cross, in_cell = [0.0, 0.0, 0], np.zeros(len(labels))
+    same_line = None
     for r0, A in _angle_blocks(X):
         diag[r0:r0 + len(A)] = A[np.arange(len(A)), np.arange(r0, r0 + len(A))]
         vals = np.concatenate([row[i + 1:] for i, row in enumerate(A, start=r0)])
@@ -216,8 +194,6 @@ def _angle_pass(X):
             ends = np.r_[starts[1:], vals.size]
             runs.append([vals[starts], vals[ends - 1], ends - starts,
                          np.add.reduceat(vals, starts)])
-        if cross is not None:
-            _cell_stats(A, r0, cell, 1.0 / X.dim, cross, in_cell)
         del A, vals  # before the next block is made
     lo, hi, count, total = np.hstack(runs)
     order = np.argsort(lo)
@@ -235,8 +211,6 @@ def _angle_pass(X):
         power_sums=[float(d + 2 * p) for d, p in zip(_power_sums(diag), pair_sums)],
         diagonal=(float(diag.min()), float(diag.max())),
         same_line=same_line,
-        cross=None if cross is None else tuple(cross),
-        in_cell=None if cross is None else dict(zip(labels, in_cell.tolist())),
     )
     return X._degree_set
 
@@ -260,9 +234,8 @@ def gram_degree_set(X):
     A pair with angle above 1 - tol means two copies of the same projective
     line: error, naming the first such pair in row-major order.  The same
     pass (`_angle_pass`) sums the power sums P_j of all n^2 angles, the
-    diagonal included, for the Jacobi pair sums of `design_strength`, and
-    the cell statistics of `verify_mub` for a labelled set.  It runs once
-    and is stored on X; later calls read it.
+    diagonal included, for the Jacobi pair sums of `design_strength`.  It
+    runs once and is stored on X; later calls read it.
     """
     report = _angle_pass(X)
     if report.same_line is not None:
@@ -383,25 +356,55 @@ def relative_status(X, des):
 
 
 def verify_mub(X):
-    """Certify a labeled line set as mutually unbiased bases.
+    """Certify a labeled line set as mutually unbiased bases: orthonormal
+    bases with the one angle 1/dim between bases.
 
-    Reads the cell statistics of the degree set's pass (`gram_degree_set`),
-    with atol = `certify_tol(X.tol)`.  Off the diagonal of each label cell,
-    |<a,b>| <= atol, or the cells are not orthonormal bases (ValueError);
-    LineSet checked the unit diagonal at the same atol.  The set is unbiased
-    when every cross-cell angle is within atol of 1/dim; alpha is their mean.
-    Two vectors on one line do not raise here: their angle, 1, is not 1/dim.
+    Reads the degree set and each cell's dim x dim Gram, a block of cells at
+    a time: slices when the rows come in runs of dim, one per cell, else a
+    stable argsort gather.  With atol = `certify_tol(X.tol)`, |<a,b>| <= atol
+    off the diagonal of each cell, or the cells are not orthonormal bases
+    (ValueError; LineSet checked the unit diagonal).  So each in-cell pair lies
+    in a low cluster, one that starts at or below atol^2 (the first alone when
+    tol <= 1e-2), and the other clusters' spans give max_deviation, the largest
+    |angle - 1/dim| of a cross pair, exactly.  Low clusters with more pairs
+    than the cells join, as they hold cross pairs: they bound it from above
+    within their width, which can flip the verdict (unbiased when it is at
+    most atol) only if atol < 1/dim <= atol + atol^2 + tol.  alpha is (sum of
+    angle x multiplicity - in-cell sum) / cross count.  A line twice does not
+    raise: its angle, 1, is not 1/dim.
     """
     if X.basis_labels is None:
         raise ValueError("verify_mub needs basis_labels partitioning the vectors")
     report = _angle_pass(X)
-    atol = certify_tol(X.tol)
-    bad = [lab for lab, top in report.in_cell.items() if top > atol * atol]
+    atol, d = certify_tol(X.tol), X.dim
+    labels = sorted(set(X.basis_labels))
+    index = {lab: k for k, lab in enumerate(labels)}
+    cell = np.array([index[lab] for lab in X.basis_labels])
+    first, order = cell[::d], None  # the cell of each run of d rows
+    if (cell.reshape(-1, d) != first[:, None]).any():
+        first, order = np.arange(len(labels)), np.argsort(cell, kind="stable")
+    top, inside = np.empty(len(labels)), 0.0  # each cell's largest angle; the in-cell sum
+    step = max(1, BLOCK_ENTRIES // (4 * d * d))  # the gather, its conjugate and the Gram
+    for c0 in range(0, len(labels), step):
+        rows = slice(c0 * d, (c0 + step) * d)
+        B = X.vectors[rows if order is None else order[rows]].reshape(-1, d, d)
+        A = np.abs(B.conj() @ B.transpose(0, 2, 1)) ** 2
+        A[:, np.arange(d), np.arange(d)] = 0.0
+        top[first[c0:c0 + len(A)]] = A.max(axis=(1, 2))
+        inside += float(A.sum()) / 2
+        del B, A  # before the next gather
+    bad = [labels[k] for k in np.flatnonzero(top > atol * atol)]
     if bad:
         raise ValueError(f"cells {bad} are not orthonormal bases")
-    worst, total, count = report.cross
-    return {"unbiased": worst <= atol, "alpha": total / count if count else 1.0 / X.dim,
-            "count": len(report.in_cell), "max_deviation": worst}
+    in_cell = len(labels) * d * (d - 1) // 2
+    cross = X.n * (X.n - 1) // 2 - in_cell
+    low = sum(lo <= atol * atol for lo, _ in report.spans)
+    spans = report.spans[low:] if sum(report.multiplicities[:low]) == in_cell else report.spans
+    target = 1.0 / d
+    worst = max((max(target - lo, hi - target) for lo, hi in spans), default=0.0)
+    total = sum(a * m for a, m in zip(report.angles, report.multiplicities)) - inside
+    return {"unbiased": worst <= atol, "alpha": total / cross if cross else target,
+            "count": len(labels), "max_deviation": worst}
 
 
 def verify_equiangular(X, fam=None):

@@ -809,6 +809,81 @@ def test_verify_mub_names_the_same_bad_cells_as_the_dense_route(block, monkeypat
     assert str(out.value) == str(ref.value) == "cells [2, 6] are not orthonormal bases"
 
 
+def relabelled(X, seed):
+    """X with its cells renamed in a random order: the rows still come in runs
+    of dim, one per cell, but the labels are out of sorted order."""
+    names = np.random.default_rng(seed).permutation(len(set(X.basis_labels))).tolist()
+    return LineSet(X.dim, X.vectors, basis_labels=[names[lab] for lab in X.basis_labels],
+                   tol=X.tol)
+
+
+def at_tol(X, tol):
+    return LineSet(X.dim, X.vectors, field=X.field, basis_labels=X.basis_labels, tol=tol)
+
+
+def turned_basis():
+    """The standard basis of R^3 and that basis turned by pi/4 in two planes:
+    cross angles 0, 1/4 and 1/2, so a cross pair sits in the zero cluster."""
+    c = ISQ2
+    B = np.array([[c, -c, 0], [0.5, 0.5, -c], [0.5, 0.5, c]])
+    return LineSet(3, np.vstack([np.eye(3), B]), field="real", basis_labels=[0] * 3 + [1] * 3)
+
+
+#: labelled sets in label orders and at tols that MUB_ORACLE_SETS do not reach,
+#: and whether the low clusters hold in-cell pairs only, so max_deviation is exact
+MUB_CLUSTER_SETS = {
+    "relabelled-wf7": (lambda: relabelled(wf_mubs(7).to_lineset(), 5), True),
+    "relabelled-scrambled-wf9": (lambda: relabelled(scrambled(wf_mubs(9).to_lineset(), 2), 5),
+                                 True),
+    # atol^2 = 0.25 > tol: 1/3 lies above it, 1/8 is a low cluster too
+    "wf3-tol0.05": (lambda: at_tol(wf_mubs(3).to_lineset(), 0.05), True),
+    "wf8-tol0.05": (lambda: at_tol(wf_mubs(8).to_lineset(), 0.05), False),
+    # cross pairs in the zero cluster: 1/16 within tol of 0, and the turned basis
+    "chained-wf16": (lambda: at_tol(wf_mubs(16).to_lineset(), 0.1), False),
+    "turned-basis": (turned_basis, False),
+}
+
+
+@pytest.mark.parametrize("name", list(MUB_CLUSTER_SETS))
+@pytest.mark.parametrize("block", ROW_BLOCKS)
+def test_verify_mub_matches_dense_route_at_any_label_order_and_tol(name, block, monkeypatch):
+    # the verdict, count and alpha match; max_deviation is exact unless cross
+    # pairs join the low clusters, and then within the low clusters' width above
+    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", block)
+    make, exact = MUB_CLUSTER_SETS[name]
+    X = make()
+    out, ref = verify_mub(X), dense_verify_mub(X)
+    assert (out["unbiased"], out["count"]) == (ref["unbiased"], ref["count"])
+    assert out["unbiased"] == (name != "turned-basis")
+    assert abs(out["alpha"] - ref["alpha"]) <= 1e-15
+    atol = certify_tol(X.tol)
+    low = [span for span in gram_degree_set(X).spans if span[0] <= atol * atol]
+    width = 0.0 if exact else low[-1][1] - low[0][0]
+    assert -1e-15 <= out["max_deviation"] - ref["max_deviation"] <= width + 1e-15
+
+
+@pytest.mark.parametrize("block", ROW_BLOCKS)
+def test_verify_mub_names_bad_cells_in_label_order_from_runs_of_rows(block, monkeypatch):
+    monkeypatch.setattr(linesets, "BLOCK_ENTRIES", block)
+    X = bent_cells(relabelled(wf_mubs(7).to_lineset(), 5), [6, 2])
+    with pytest.raises(ValueError) as ref:
+        dense_verify_mub(X)
+    with pytest.raises(ValueError) as out:
+        verify_mub(X)
+    assert str(out.value) == str(ref.value) == "cells [2, 6] are not orthonormal bases"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: scrambled(wf_mubs(27).to_lineset(), 7),
+    lambda: alltop_mubs(7).to_lineset(),
+    lambda: relabelled(wf_mubs(8).to_lineset(), 3),
+], ids=["mub27-scrambled", "alltop7", "wf8-relabelled"])
+def test_degree_set_of_a_labelled_set_is_that_of_its_vectors(make):
+    X = make()
+    # repr tells every float apart by its bits (-0.0 from 0.0 too)
+    assert repr(gram_degree_set(X)) == repr(gram_degree_set(LineSet(X.dim, X.vectors, tol=X.tol)))
+
+
 def test_verify_mub_forms_no_n_by_n_array():
     X = wf_mubs(64).to_lineset()
     tracemalloc.start()
@@ -851,7 +926,7 @@ BLOCK_BYTES = 16 * linesets.BLOCK_ENTRIES
 
 
 @pytest.mark.parametrize("make", [
-    lambda: scrambled(wf_mubs(27).to_lineset(), 7),  # labelled: the cell statistics too
+    lambda: scrambled(wf_mubs(27).to_lineset(), 7),  # labelled: the pass reads no labels
     lambda: LineSet(27, scrambled(wf_mubs(27).to_lineset(), 7).vectors),
     lambda: diffset_lines(*singer_difference_set(31)),
 ], ids=["mub27-labelled", "mub27", "singer31"])
@@ -859,10 +934,23 @@ def test_angle_pass_holds_one_block_and_its_angles(make):
     X = make()
     assert X.n <= 1024  # no block outgrows the budget
     rep, peak = traced_peak(linesets._angle_pass, X)
-    assert (rep.in_cell is not None) == (X.basis_labels is not None)
     # the complex product of one block with the angles made from it; the block
     # before is freed, and the runs, the diagonal and the cells are small
     assert peak <= 2 * BLOCK_BYTES
+
+
+@pytest.mark.parametrize("make", [
+    lambda: scrambled(wf_mubs(27).to_lineset(), 7),  # labels out of order: a gather
+    lambda: alltop_mubs(31).to_lineset(),  # labels in runs of dim rows: slices
+    lambda: scrambled(alltop_mubs(31).to_lineset(), 7),
+], ids=["mub27-scrambled", "alltop31", "alltop31-scrambled"])
+def test_verify_mub_holds_one_block_beyond_the_degree_set(make):
+    X = make()
+    gram_degree_set(X)
+    out, peak = traced_peak(verify_mub, X)
+    assert out["unbiased"] and out["count"] == len(set(X.basis_labels))
+    # a block of cells, their conjugates and Grams; the labels and cells are small
+    assert peak <= BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------
