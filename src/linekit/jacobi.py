@@ -328,6 +328,7 @@ def relative_bound(query, fam=None):
 def _bound_record(query, F1, values):
     """The record of `relative_bound` from F(1) and F at each angle of query."""
     c, upper = query.F_coeffs, query.mode.startswith("sdist")
+    kind = "g" if query.mode.endswith("-g") else "h"
     weighted = query.mode.endswith("-h")
     flags = {}
     for a, val in zip(query.angles, values):
@@ -340,8 +341,11 @@ def _bound_record(query, F1, values):
             flags[f"c_{r} >= 0"] = c[r] >= -SIGN_SLACK
     else:
         flags["F(1) > 0"] = F1 > 0
-        for r in range(max(1, (query.t or 0) + (not weighted)), len(c)):
-            flags[f"c_{r} <= 0"] = c[r] <= SIGN_SLACK
+        start = (query.t if query.t is not None else 0) + (1 if kind == "g" else 0)
+        start = max(start, 1)
+        for r in range(1, len(c)):
+            if r >= start:
+                flags[f"c_{r} <= 0"] = c[r] <= SIGN_SLACK
     flags["c_0 > 0"] = c[0] > 0
     return {"bound": F1 / c[0], "hypotheses_ok": flags}
 

@@ -9,9 +9,7 @@ blocks merge into exactly the clusters of the sorted n(n-1)/2 values, with
 no array of those values (`gram_degree_set`).  The same pass keeps the
 power sums of the angles, from which the Jacobi pair sums of the design
 test follow with no n x n array.  It reads no basis labels: `verify_mub`
-certifies a labelled set from the degree set and each basis's d x d Gram,
-since the in-cell pairs lie in the clusters that start within atol^2 of 0,
-and the other clusters' spans give the cross-cell deviation from 1/d exactly.
+takes the in-cell pairs out of the degree set with each basis's d x d Gram.
 """
 
 from __future__ import annotations
@@ -359,38 +357,34 @@ def verify_mub(X):
     """Certify a labeled line set as mutually unbiased bases: orthonormal
     bases with the one angle 1/dim between bases.
 
-    Reads the degree set and each cell's dim x dim Gram, a block of cells at
-    a time: slices when the rows come in runs of dim, one per cell, else a
-    stable argsort gather.  With atol = `certify_tol(X.tol)`, |<a,b>| <= atol
-    off the diagonal of each cell, or the cells are not orthonormal bases
-    (ValueError; LineSet checked the unit diagonal).  So each in-cell pair lies
-    in a low cluster, one that starts at or below atol^2 (the first alone when
-    tol <= 1e-2), and the other clusters' spans give max_deviation, the largest
-    |angle - 1/dim| of a cross pair, exactly.  Low clusters with more pairs
-    than the cells join, as they hold cross pairs: they bound it from above
-    within their width, which can flip the verdict (unbiased when it is at
-    most atol) only if atol < 1/dim <= atol + atol^2 + tol.  alpha is (sum of
-    angle x multiplicity - in-cell sum) / cross count.  A line twice does not
-    raise: its angle, 1, is not 1/dim.
+    Takes each cell's dim x dim Gram, a block of cells at a time gathered by
+    a stable argsort of the labels.  With atol = `certify_tol(X.tol)`,
+    |<a,b>| <= atol off the diagonal of each cell, or the cells are not
+    orthonormal bases (ValueError; LineSet checked the unit diagonal).  Every
+    in-cell pair lies in a low cluster of the degree set, one that starts
+    within tol above the largest in-cell angle.  The ends of the other
+    clusters give the largest |angle - 1/dim| of their cross pairs exactly,
+    and that is max_deviation unless a low cluster holds cross pairs and
+    reaches farther from 1/dim: then one more pass over the row blocks reads
+    it from the cross pairs.  alpha is (sum of angle x multiplicity - in-cell
+    sum) / cross count.  A line twice does not raise: its angle, 1, is not
+    1/dim.
     """
     if X.basis_labels is None:
         raise ValueError("verify_mub needs basis_labels partitioning the vectors")
     report = _angle_pass(X)
-    atol, d = certify_tol(X.tol), X.dim
+    atol, d, target = certify_tol(X.tol), X.dim, 1.0 / X.dim
     labels = sorted(set(X.basis_labels))
     index = {lab: k for k, lab in enumerate(labels)}
     cell = np.array([index[lab] for lab in X.basis_labels])
-    first, order = cell[::d], None  # the cell of each run of d rows
-    if (cell.reshape(-1, d) != first[:, None]).any():
-        first, order = np.arange(len(labels)), np.argsort(cell, kind="stable")
+    order = np.argsort(cell, kind="stable")
     top, inside = np.empty(len(labels)), 0.0  # each cell's largest angle; the in-cell sum
     step = max(1, BLOCK_ENTRIES // (4 * d * d))  # the gather, its conjugate and the Gram
     for c0 in range(0, len(labels), step):
-        rows = slice(c0 * d, (c0 + step) * d)
-        B = X.vectors[rows if order is None else order[rows]].reshape(-1, d, d)
+        B = X.vectors[order[c0 * d:(c0 + step) * d]].reshape(-1, d, d)
         A = np.abs(B.conj() @ B.transpose(0, 2, 1)) ** 2
         A[:, np.arange(d), np.arange(d)] = 0.0
-        top[first[c0:c0 + len(A)]] = A.max(axis=(1, 2))
+        top[c0:c0 + len(A)] = A.max(axis=(1, 2))
         inside += float(A.sum()) / 2
         del B, A  # before the next gather
     bad = [labels[k] for k in np.flatnonzero(top > atol * atol)]
@@ -398,10 +392,12 @@ def verify_mub(X):
         raise ValueError(f"cells {bad} are not orthonormal bases")
     in_cell = len(labels) * d * (d - 1) // 2
     cross = X.n * (X.n - 1) // 2 - in_cell
-    low = sum(lo <= atol * atol for lo, _ in report.spans)
-    spans = report.spans[low:] if sum(report.multiplicities[:low]) == in_cell else report.spans
-    target = 1.0 / d
-    worst = max((max(target - lo, hi - target) for lo, hi in spans), default=0.0)
+    low = sum(lo <= top.max() + X.tol for lo, _ in report.spans)
+    far = [max(target - lo, hi - target) for lo, hi in report.spans]  # exact if no in-cell pair
+    worst = max(far[low:], default=0.0)
+    if sum(report.multiplicities[:low]) > in_cell and max(far[:low]) > worst:  # cross pairs there
+        worst = max(float(np.abs(A - target)[cell[r0:r0 + len(A), None] != cell].max(initial=0.0))
+                    for r0, A in _angle_blocks(X))
     total = sum(a * m for a, m in zip(report.angles, report.multiplicities)) - inside
     return {"unbiased": worst <= atol, "alpha": total / cross if cross else target,
             "count": len(labels), "max_deviation": worst}

@@ -829,37 +829,48 @@ def turned_basis():
     return LineSet(3, np.vstack([np.eye(3), B]), field="real", basis_labels=[0] * 3 + [1] * 3)
 
 
-#: labelled sets in label orders and at tols that MUB_ORACLE_SETS do not reach,
-#: and whether the low clusters hold in-cell pairs only, so max_deviation is exact
+def window_basis():
+    """The standard basis of R^3 and an orthonormal basis whose cross angles
+    are 0.02, 0.49 (x4) and (1 +- 0.02^0.5)^2 / 4 (x2 each), at tol 0.032: the
+    pair at 0.02 joins the zero cluster, yet every cross angle lies within
+    atol = 0.32 of 1/3, so the set is unbiased there."""
+    u = np.array([0.02**0.5, 0.7, 0.7])
+    v = np.array([0.7, (-(0.02**0.5) + 1) / 2, (-(0.02**0.5) - 1) / 2])
+    B = np.vstack([u, v, np.cross(u, v)])
+    return LineSet(3, np.vstack([np.eye(3), B]), field="real", basis_labels=[0] * 3 + [1] * 3,
+                   tol=0.032)
+
+
+#: labelled sets in label orders and at tols that MUB_ORACLE_SETS do not reach
 MUB_CLUSTER_SETS = {
-    "relabelled-wf7": (lambda: relabelled(wf_mubs(7).to_lineset(), 5), True),
-    "relabelled-scrambled-wf9": (lambda: relabelled(scrambled(wf_mubs(9).to_lineset(), 2), 5),
-                                 True),
-    # atol^2 = 0.25 > tol: 1/3 lies above it, 1/8 is a low cluster too
-    "wf3-tol0.05": (lambda: at_tol(wf_mubs(3).to_lineset(), 0.05), True),
-    "wf8-tol0.05": (lambda: at_tol(wf_mubs(8).to_lineset(), 0.05), False),
+    "relabelled-wf7": lambda: relabelled(wf_mubs(7).to_lineset(), 5),
+    "relabelled-scrambled-wf9": lambda: relabelled(scrambled(wf_mubs(9).to_lineset(), 2), 5),
+    # atol^2 = 0.25 > tol: 1/8 lies below it, yet more than tol above the zero cluster
+    "wf3-tol0.05": lambda: at_tol(wf_mubs(3).to_lineset(), 0.05),
+    "wf8-tol0.05": lambda: at_tol(wf_mubs(8).to_lineset(), 0.05),
     # cross pairs in the zero cluster: 1/16 within tol of 0, and the turned basis
-    "chained-wf16": (lambda: at_tol(wf_mubs(16).to_lineset(), 0.1), False),
-    "turned-basis": (turned_basis, False),
+    "chained-wf16": lambda: at_tol(wf_mubs(16).to_lineset(), 0.1),
+    "turned-basis": turned_basis,
+    "window-basis": window_basis,
 }
+#: the sets whose cross pairs share the zero cluster, read by a second pass
+CHAINED = {"chained-wf16", "turned-basis", "window-basis"}
 
 
 @pytest.mark.parametrize("name", list(MUB_CLUSTER_SETS))
 @pytest.mark.parametrize("block", ROW_BLOCKS)
 def test_verify_mub_matches_dense_route_at_any_label_order_and_tol(name, block, monkeypatch):
-    # the verdict, count and alpha match; max_deviation is exact unless cross
-    # pairs join the low clusters, and then within the low clusters' width above
     monkeypatch.setattr(linesets, "BLOCK_ENTRIES", block)
-    make, exact = MUB_CLUSTER_SETS[name]
-    X = make()
-    out, ref = verify_mub(X), dense_verify_mub(X)
+    X = MUB_CLUSTER_SETS[name]()
+    ref = dense_verify_mub(X)
+    passes, blocks = [], linesets._angle_blocks
+    monkeypatch.setattr(linesets, "_angle_blocks", lambda X: passes.append(X) or blocks(X))
+    out = verify_mub(X)
     assert (out["unbiased"], out["count"]) == (ref["unbiased"], ref["count"])
     assert out["unbiased"] == (name != "turned-basis")
     assert abs(out["alpha"] - ref["alpha"]) <= 1e-15
-    atol = certify_tol(X.tol)
-    low = [span for span in gram_degree_set(X).spans if span[0] <= atol * atol]
-    width = 0.0 if exact else low[-1][1] - low[0][0]
-    assert -1e-15 <= out["max_deviation"] - ref["max_deviation"] <= width + 1e-15
+    assert abs(out["max_deviation"] - ref["max_deviation"]) <= 1e-15
+    assert len(passes) == (2 if name in CHAINED else 1)
 
 
 @pytest.mark.parametrize("block", ROW_BLOCKS)
@@ -940,8 +951,8 @@ def test_angle_pass_holds_one_block_and_its_angles(make):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: scrambled(wf_mubs(27).to_lineset(), 7),  # labels out of order: a gather
-    lambda: alltop_mubs(31).to_lineset(),  # labels in runs of dim rows: slices
+    lambda: scrambled(wf_mubs(27).to_lineset(), 7),  # labels out of order
+    lambda: alltop_mubs(31).to_lineset(),  # labels in runs of dim rows
     lambda: scrambled(alltop_mubs(31).to_lineset(), 7),
 ], ids=["mub27-scrambled", "alltop31", "alltop31-scrambled"])
 def test_verify_mub_holds_one_block_beyond_the_degree_set(make):
