@@ -121,6 +121,7 @@ def _scheme_section(rep, tol):
         "classes": rep.classes,
         "angles": ", ".join(fmt_rational(a, tol) for a in rep.angles),
         "closed": "yes" if rep.closed else "no",
+        "route": rep.route,
         "closure residual": f"{rep.closure_residual:.3g}",
     }
     if rep.closed:
@@ -296,7 +297,7 @@ def cmd_verify(args):
         scheme = schemes.scheme_from_lineset(X)
         gram = schemes.gram_algebra_check(X)
         body, gram_body = _scheme_section(scheme, X.tol), _gram_section(gram)
-        deep = {"scheme closed": body["closed"]}
+        deep = {"scheme closed": body["closed"], "scheme route": body["route"]}
         deep.update((k, body[k]) for k in ("closure residual", "pq residual", "krein minimum")
                     if k in body)
         deep["gram algebra closed"] = gram_body["closed"]

@@ -251,7 +251,7 @@ def rds_to_mubs(G, D, N=None):
 
 @dataclass
 class GraphWithSpectrum:
-    """A certified graph: 0/1 adjacency, clustered spectrum, intersection array."""
+    """A certified graph: 0/1 adjacency (uint8), clustered spectrum, intersection array."""
 
     adjacency: np.ndarray
     eigenvalues: list  # [(value, multiplicity)], descending
@@ -302,7 +302,7 @@ def _tank_trap_adjacency():
     white = list(black)
     bidx = {v: t for t, v in enumerate(black)}
     widx = {v: 18 + t for t, v in enumerate(white)}
-    A = np.zeros((36, 36), dtype=np.int64)
+    A = np.zeros((36, 36), dtype=np.uint8)
 
     def join(bi, bj, wk, wh):
         A[bidx[(bi, bj)], widx[(wk, wh)]] = 1
@@ -350,7 +350,7 @@ def cover_graph(G=None, D=None, N=None, builtin=None):
             if report.kind != "relative":
                 raise ValueError(f"classification gave {report.kind!r}, not relative")
         elems = G.elements()
-        inD = np.zeros(len(elems), dtype=np.int64)
+        inD = np.zeros(len(elems), dtype=np.uint8)
         inD[[G.index_of(g) for g in D]] = 1
         B = inD[_differences(G, elems, elems)]
         A = np.block([[np.zeros_like(B), B], [B.T, np.zeros_like(B)]])

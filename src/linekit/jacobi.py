@@ -160,26 +160,30 @@ def _h_recurrence(d, kmax):
     return out
 
 
-def _dual_route(d, kmax):
-    """Compute both families both ways; any disagreement is a hard error."""
-    g_exp = [_g_explicit(d, k) for k in range(kmax + 1)]
-    h_exp = [_h_explicit(d, k) for k in range(kmax + 1)]
-    g_rec = _g_recurrence(d, kmax)
-    h_rec = _h_recurrence(d, kmax)
-    for k in range(kmax + 1):
-        if _poly_trim(g_exp[k]) != _poly_trim(g_rec[k]):
-            raise RuntimeError(f"g_{k} explicit/recurrence mismatch at d={d}")
-        if _poly_trim(h_exp[k]) != _poly_trim(h_rec[k]):
-            raise RuntimeError(f"h_{k} explicit/recurrence mismatch at d={d}")
-    return g_exp, h_exp
+def _dual_route(d, kmax, kind="g"):
+    """g_0..g_kmax (or h_0..h_kmax) both ways, from the explicit formula and
+    from the recurrence; any disagreement is a hard error, and so is a value
+    at 1 other than the harmonic dimension, dim Harm(k,k) for g_k and
+    dim Harm(k+1,k) for h_k."""
+    explicit, recurrence, shift = ((_g_explicit, _g_recurrence, 0) if kind == "g"
+                                   else (_h_explicit, _h_recurrence, 1))
+    polys = [explicit(d, k) for k in range(kmax + 1)]
+    for k, rec in enumerate(recurrence(d, kmax)):
+        if _poly_trim(polys[k]) != _poly_trim(rec):
+            raise RuntimeError(f"{kind}_{k} explicit/recurrence mismatch at d={d}")
+        if poly_eval(polys[k], 1) != dim_harm(d, k + shift, k):
+            raise RuntimeError(f"{kind}_{k}(1) != dim Harm({k + shift},{k}) at d={d}")
+    return polys
 
 
 class JacobiFamily:
     """Cached g_k and h_k for one ambient dimension d >= 2.
 
-    Construction cross-checks the explicit formulas against the recurrence
-    exactly, then checks the dimension identities g_k(1) = dim Harm(k,k) and
-    h_k(1) = dim Harm(k+1,k).  Immutable afterwards.
+    Construction builds the g family by `_dual_route`, which cross-checks
+    the explicit formulas against the recurrence exactly and checks the
+    dimension identity g_k(1) = dim Harm(k,k).  The h family, which few
+    callers read, gets the same checks (h_k(1) = dim Harm(k+1,k)) when
+    `h_coeffs` is first read.  Immutable afterwards.
     """
 
     def __init__(self, d, max_k=12):
@@ -190,12 +194,14 @@ class JacobiFamily:
             raise ValueError("max_k must be >= 0")
         self.d = d
         self.max_k = max_k
-        self.g_coeffs, self.h_coeffs = _dual_route(d, max_k)
-        for k in range(max_k + 1):
-            if poly_eval(self.g_coeffs[k], 1) != dim_harm(d, k, k):
-                raise RuntimeError(f"g_{k}(1) != dim Harm({k},{k}) at d={d}")
-            if poly_eval(self.h_coeffs[k], 1) != dim_harm(d, k + 1, k):
-                raise RuntimeError(f"h_{k}(1) != dim Harm({k + 1},{k}) at d={d}")
+        self.g_coeffs = _dual_route(d, max_k, "g")
+        self._h_coeffs = None
+
+    @property
+    def h_coeffs(self):
+        if self._h_coeffs is None:
+            self._h_coeffs = _dual_route(self.d, self.max_k, "h")
+        return self._h_coeffs
 
     def lam(self, k):
         return _lam(self.d, k)
@@ -237,8 +243,7 @@ def jacobi_poly(fam, k, kind="g"):
         ResourceWarning,
         stacklevel=2,
     )
-    g_all, h_all = _dual_route(fam.d, k)
-    return list(g_all[k] if kind == "g" else h_all[k])
+    return list(_dual_route(fam.d, k, kind)[k])
 
 
 def expand_in_basis(fam, poly, kind="g"):

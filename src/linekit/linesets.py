@@ -291,6 +291,11 @@ def design_strength(X, fam=None, t_max=4, epsilon=None):
     return DesignReport(T=T, strength=strength, t_max=t_max, epsilon=epsilon, unit=unit)
 
 
+def _exact_angles(angles, tol):
+    """Each angle as a Fraction: snapped at tol, or else its float exactly."""
+    return [Fraction(a) if f is None else f for a, f in ((a, snap(a, tol)) for a in angles)]
+
+
 def relative_status(X, des):
     """(F(1)/c_0, status) of the relative bound of the degree set, or None when
     A is empty or a hypothesis of `jacobi.relative_bound` fails; des is X's
@@ -319,10 +324,7 @@ def relative_status(X, des):
     report = gram_degree_set(X)
     if not report.angles:
         return None
-    angles = []
-    for a in report.angles:
-        f = snap(a, X.tol)
-        angles.append(Fraction(a) if f is None else f)
+    angles = _exact_angles(report.angles, X.tol)
     try:
         out = annihilator_bound(X.dim, angles)
     except ValueError:  # two angles snapped onto one

@@ -1,9 +1,22 @@
 """Association-scheme structure of line systems and graphs.
 
-One kernel, `association_scheme`, serves both.  Its input is an integer
-class-label matrix L: n x n, 0 exactly on the diagonal and classes 1..s
-elsewhere.  A line set labels a pair of lines by its clustered angle, and a
-graph labels a pair of vertices by their distance.
+A line set whose design strength is high enough needs no class labels.  A
+t-design with s angles and t >= 2s - 2 carries an s-class Q-polynomial
+association scheme whose second eigenmatrix is Q_ik = g_k(alpha_i): its
+idempotents are E_k = g_k(A)/n for k < s and E_s = I - sum_k E_k
+(Delsarte-Goethals-Seidel 1977, Theorem 7.4, for the sphere; Hoggar 1982,
+t-designs in projective spaces, for lines).  `scheme_from_lineset` takes
+this route when `design_strength` resolves the hypothesis and the
+intersection numbers it derives are non-negative integers within
+count_tol(n, tol) (`_design_scheme`); the one-angle case is the trivial
+scheme {I, J - I}.  Otherwise it falls back to the kernel below, which
+decides closure exactly.
+
+One kernel, `association_scheme`, serves every other line set and every
+graph.  Its input is an integer class-label matrix L: n x n, 0 exactly on
+the diagonal and classes 1..s elsewhere.  A line set labels a pair of lines
+by its clustered angle, and a graph labels a pair of vertices by their
+distance.
 
 * Exact closure, one row block at a time.  A_i is the 0/1 matrix of class
   i.  Row block R of a product A_i A_j is held as float32: every partial
@@ -73,10 +86,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from linekit.jacobi import JacobiFamily, jacobi_poly
+from linekit.jacobi import JacobiFamily, dim_harm, jacobi_poly, poly_eval
 from linekit import linesets
-from linekit.linesets import _angle_blocks, _angle_rows, _row_blocks, gap_clusters, gram_degree_set
-from linekit.tolerance import EIGEN_GAP, certify_tol, float_error
+from linekit.linesets import (_angle_blocks, _angle_rows, _exact_angles, _row_blocks,
+                              design_strength, gap_clusters, gram_degree_set)
+from linekit.tolerance import EIGEN_GAP, certify_tol, count_tol, float_error
 
 
 @dataclass
@@ -108,6 +122,7 @@ class SchemeReport:
     pq_residual: float | None = None
     krein_min: float | None = None
     reconstruction_residual: float | None = None
+    route: str = "labels"
 
 
 @dataclass
@@ -322,41 +337,117 @@ def association_scheme(L):
         raise RuntimeError(
             f"span closed but {len(spaces)} common eigenspaces found for {m} classes"
         )
-    rows = [root * U[:, 0] / U[0, 0] for U in spaces]
-    first = int(np.argmin([np.abs(r - k).max() for r in rows]))
-    rest = sorted(
-        (r for r in range(m) if r != first),
-        key=lambda r: [round(x, 6) for x in rows[r]],
-        reverse=True,
-    )
-    P = np.array([rows[r] for r in [first] + rest])
+    rows = np.array([root * U[:, 0] / U[0, 0] for U in spaces])
+    first = int(np.argmin(np.abs(rows - k).max(axis=1)))  # the row of the valencies
+    P = rows[_eigenspace_order(rows, first)]
     mults = [int(round(n / x)) for x in (P**2 / k).sum(axis=1)]
     Q = P.T * np.array(mults) / k[:, None]
+    return _spectral_fields(out, P, Q, mults, k, p)
+
+
+def _eigenspace_order(P, first):
+    """The row order of a first eigenmatrix P: `first`, the row of the
+    all-ones eigenspace, then the others by their rows rounded to 6 places,
+    descending."""
+    rest = sorted((r for r in range(len(P)) if r != first),
+                  key=lambda r: [round(x, 6) for x in P[r]], reverse=True)
+    return [first] + rest
+
+
+def _spectral_fields(out, P, Q, mults, k, p):
+    """out with the spectral fields of a closed scheme: P, Q and the
+    multiplicities in `_eigenspace_order`, the valencies k and the integer
+    p_ij^k.  The Krein parameters are q_ij^k = (1/n) sum_l Q_li Q_lj P_kl,
+    ``pq_residual`` is max |PQ - nI| and ``reconstruction_residual`` compares p
+    with (1/n) sum_l P_li P_lj Q_kl."""
+    n = out.n
     krein = np.einsum("li,lj,kl->ijk", Q, Q, P) / n
     p_eig = np.einsum("li,lj,kl->ijk", P, P, Q) / n
-
     out.valencies = [int(x) for x in k]
     out.multiplicities = mults
     out.P = P
     out.Q = Q
     out.intersection_numbers = p
     out.krein = krein
-    out.pq_residual = float(np.abs(P @ Q - n * np.eye(m)).max())
+    # an einsum: a BLAS call this small would page in BLAS code that nothing else runs
+    out.pq_residual = float(np.abs(np.einsum("li,ik->lk", P, Q) - n * np.eye(len(k))).max())
     out.krein_min = float(krein.min())
     out.reconstruction_residual = float(np.abs(p - p_eig).max())
     return out
 
 
+def _design_scheme(X, report):
+    """The scheme of the DGS theorem on X, or None where it does not apply.
+
+    It applies when `design_strength` resolves t >= 2s - 2 for the s angles
+    of the degree set; the pair sums stop at t = 4, so s is at most 3.  Then
+    E_k = g_k(A)/n for k < s and E_s = I - sum_k E_k are the idempotents, so
+    Q_ik = g_k(alpha_i) for k < s and Q_is = n [i = 0] - sum_k Q_ik, with
+    alpha_0 = 1 for the identity class and each angle as `_exact_angles`
+    takes it; each entry is evaluated exactly and rounded once.  The multiplicities are m_k = g_k(1) = dim Harm(k,k) and
+    m_s = n - sum_k m_k, and the valencies k_i = 2 c_i / n from the c_i pairs
+    of each cluster.  P = n Q^-1 is taken from the orthogonality relation
+    P_li = k_i Q_il / m_l (Bannai-Ito 1984), entry by entry, and then
+    p_ij^k = (1/(n k_k)) sum_l m_l P_li P_lj P_lk.  None unless m_s >= 1,
+    every k_i is an integer, PQ = nI, which ties the counted valencies to the
+    angles, and every p_ij^k is a non-negative integer, each within
+    count_tol(n, tol), which must be below 1/2 to tell integers apart.
+    """
+    n, s = X.n, report.s
+    bound = count_tol(n, X.tol)
+    if not 1 <= s <= 3 or bound >= 0.5:
+        return None
+    fam = JacobiFamily(X.dim, max_k=2 * s - 2)
+    if design_strength(X, fam, t_max=2 * s - 2).strength < 2 * s - 2:
+        return None
+    mults = [dim_harm(X.dim, r, r) for r in range(s)]
+    mults.append(n - sum(mults))
+    if mults[-1] < 1 or any(2 * m % n for m in report.multiplicities):
+        return None
+    k = np.array([1] + [2 * m // n for m in report.multiplicities])
+    g = [jacobi_poly(fam, r, "g") for r in range(s)]
+    Q = []
+    for i, a in enumerate(_exact_angles([1, *report.angles], X.tol)):
+        row = [poly_eval(c, a) for c in g]
+        Q.append(row + [n * (i == 0) - sum(row)])
+    Q = np.array(Q, dtype=float)
+    P = Q.T * k / np.array(mults)[:, None]
+    p = np.einsum("l,li,lj,lk->ijk", np.array(mults, dtype=float), P, P, P) / (n * k)
+    exact = np.rint(p)
+    if np.abs(p - exact).max() > bound or exact.min() < 0:
+        return None
+    order = _eigenspace_order(P, 0)
+    out = SchemeReport(n=n, classes=s, angles=None, closed=True, closure_residual=0.0,
+                       route="design")
+    out = _spectral_fields(out, P[order], Q[:, order], [mults[r] for r in order], k,
+                           exact.astype(np.int64))
+    return out if out.pq_residual <= bound else None
+
+
 def scheme_from_lineset(X):
     """Test whether the angle classes of X close into an association scheme.
 
-    The classes are A_0 = I plus one symmetric 0/1 matrix per angle, as
-    `_angle_labels` assigns them; they sum to J by construction.  The
-    labels go through `association_scheme`, and the report gains the
-    angles in ascending order.
+    The classes are A_0 = I plus one symmetric 0/1 matrix per angle of the
+    degree set, in ascending order.  Two routes give the report, and its
+    ``route`` names the one taken:
+
+    * "design": a t-design with s angles and t >= 2s - 2 carries an s-class
+      Q-polynomial scheme with Q_ik = g_k(alpha_i) (Delsarte-Goethals-Seidel
+      1977, Theorem 7.4; Hoggar 1982 for projective spaces).  When
+      `design_strength` resolves the hypothesis, P, Q and every p_ij^k follow
+      from the angles and the cluster multiplicities (`_design_scheme`), with
+      no pass beyond the degree set's.  Complete MUB sets (t = 2, s = 2) and
+      every one-angle set (s = 1, the trivial scheme {I, J - I}) take it.
+    * "labels": otherwise, or when the derived p_ij^k are not non-negative
+      integers within count_tol(n, tol), the labels that `_angle_labels`
+      cuts from the degree set go through `association_scheme`, which decides
+      closure exactly and reads p_ij^k off the class products.
+
+    Both order P with the all-ones eigenspace first and the others by
+    `_eigenspace_order`, so their reports agree field by field.
     """
-    report, L = _angle_labels(X)
-    out = association_scheme(L)
+    report = gram_degree_set(X)
+    out = _design_scheme(X, report) or association_scheme(_angle_labels(X)[1])
     out.angles = [float(a) for a in report.angles]
     return out
 
@@ -490,11 +581,23 @@ def _class_inner(L, G, P, size):
     return np.bincount(keys, w.real.ravel(), size) + 1j * np.bincount(keys, w.imag.ravel(), size)
 
 
+def _vector_blocks(X):
+    """Row blocks of X.vectors of at most `BLOCK_ENTRIES` entries, each with its
+    conjugate: the sums over the lines hold no n x d copy of the vectors."""
+    step = max(1, linesets.BLOCK_ENTRIES // X.dim)
+    for r0 in range(0, X.n, step):
+        B = X.vectors[r0:r0 + step]
+        yield B, B.conj()
+
+
 def _gram_spectrum(X):
     """mu, x, y, misfit: the n eigenvalues of G, largest first, and the line
     x + y mu through the points (mu, mu^2) by least squares, fitted centred
-    and its misfit mu^2 - x - y mu summed directly (y = 0 when G = I)."""
-    core = np.matmul(X.vectors.T, X.vectors.conj())
+    and its misfit mu^2 - x - y mu summed directly (y = 0 when G = I).  The
+    d x d core is summed over `_vector_blocks`."""
+    core = np.zeros((X.dim, X.dim), dtype=complex)
+    for B, Bc in _vector_blocks(X):
+        core += np.matmul(B.T, Bc)
     mu = np.pad(np.linalg.eigvalsh(core)[::-1][:X.n], (0, max(X.n - X.dim, 0)))
     dm, dq = mu - mu.mean(), mu**2 - (mu**2).mean()
     y = np.vdot(dm, dq) / (np.vdot(dm, dm) or 1.0)
@@ -516,7 +619,7 @@ def _lone_class_closure(X, mu, x, y, misfit):
     a = mu - 1  # the spectrum of A
     sq, a_norm = np.linalg.norm(a**2), np.linalg.norm(a)
     r0 = float(np.linalg.norm(misfit) / (sq or 1.0))
-    D = np.einsum("ij,ij->i", X.vectors.conj(), X.vectors).real
+    D = np.concatenate([np.einsum("ij,ij->i", Bc, B).real for B, Bc in _vector_blocks(X)])
     e_diag = np.linalg.norm(D - 1)
     u2 = 2 * report.multiplicities[0] * report.angles[0] if report.zero_present else 0.0
     e = math.sqrt(e_diag**2 + u2)

@@ -17,6 +17,9 @@ snap(x, tol)      a measured value as the one rational within tol of denominator
 SIGN_SLACK        sign hypotheses at snapped angles (jacobi)
 float_error(n)    n eps, the rounding of n-term float sums: a lone Gram-weighted
                   class closes from the spectrum of G within it (schemes)
+count_tol(n, tol) n certify_tol(tol), a relative certify_tol(tol) on a count of at
+                  most n: the p_ij^k that a design's angles give are integers, and
+                  PQ = nI holds, within it (schemes)
 """
 
 import sys
@@ -35,6 +38,10 @@ def certify_tol(tol):
 
 def float_error(n):
     return n * sys.float_info.epsilon
+
+
+def count_tol(n, tol):
+    return n * certify_tol(tol)
 
 
 def snap_denominator(tol):

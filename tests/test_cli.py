@@ -263,11 +263,12 @@ class TestVerify:
 
     @pytest.mark.parametrize("deep", [[], ["--deep"]], ids=["plain", "deep"])
     def test_one_angle_pass_per_certificate(self, capsys, monkeypatch, mub_file, deep):
-        # the degree set and verify_mub share one pass; --deep adds the class labels'
+        # the degree set and verify_mub share one pass; --deep reads the scheme of
+        # the complete set off its design strength, with no class labels
         passes = count_angle_passes(monkeypatch)
         code, out, _ = run(capsys, ["verify", mub_file, *deep, "--expect", "mub"])
         assert code == EXIT_OK and "result: pass" in out
-        assert len(passes) == 1 + len(deep) and len(set(map(id, passes))) == 1
+        assert len(passes) == 1 and len(set(map(id, passes))) == 1
 
     @staticmethod
     def moved_wf5(tmp_path):
@@ -598,6 +599,35 @@ class TestSchemeCmd:
         code, out, _ = run(capsys, ["scheme", str(path)])
         assert code == EXIT_OK
         assert "closed: no" in out
+
+
+#: sets that take the scheme of their design strength, and sets that do not
+DESIGN_FILES = {
+    "wf5": lambda: wf_mubs(5).to_lineset(),
+    "sic3": lambda: wh_orbit(builtin_fiducial(3)),
+    "singer7": lambda: groupcodes.diffset_lines(*groupcodes.singer_difference_set(7)),
+}
+LABELLED_FILES = {
+    "wf8-three-bases": lambda: LineSet(8, wf_mubs(8).to_lineset().vectors[:24],
+                                       basis_labels=[k // 8 for k in range(24)]),
+    "random": lambda: random_lines(12, 3, seed=2),
+}
+
+
+@pytest.mark.parametrize("argv", [["verify", "--deep"], ["scheme", "--gram"]],
+                         ids=["verify-deep", "scheme"])
+@pytest.mark.parametrize("name", [*DESIGN_FILES, *LABELLED_FILES])
+def test_designs_make_one_angle_pass_and_no_labels(capsys, monkeypatch, tmp_path, name, argv):
+    design = name in DESIGN_FILES
+    path = str(tmp_path / f"{name}.json")
+    lineset_to_json({**DESIGN_FILES, **LABELLED_FILES}[name](), path=path)
+    passes, labels = count_angle_passes(monkeypatch), []
+    cut = schemes._angle_labels
+    monkeypatch.setattr(schemes, "_angle_labels", lambda X: labels.append(X) or cut(X))
+    _, out, _ = run(capsys, [argv[0], path, *argv[1:]])
+    assert f"route: {'design' if design else 'labels'}" in out
+    assert len(passes) == (1 if design else 2)  # the degree set's pass, and the labels'
+    assert (labels == []) == design
 
 
 class TestExport:

@@ -419,6 +419,22 @@ def test_cover_adjacency_matches_loop_oracle(monkeypatch, G, D):
     assert np.array_equal(info.value.args[0], loop_cover_adjacency(G, D))
 
 
+@pytest.mark.parametrize("make", [lambda: cover_graph(*field_rds(5)),
+                                  lambda: cover_graph(builtin="tank-trap")],
+                         ids=["rds5", "tank-trap"])
+def test_cover_adjacency_is_uint8(monkeypatch, make):
+    # one byte per vertex pair, both where it is built and in the certified graph
+    assert make().adjacency.dtype == np.uint8
+
+    def capture(A):
+        raise _Adjacency(A)
+
+    monkeypatch.setattr(groupcodes, "_distance_labels", capture)
+    with pytest.raises(_Adjacency) as info:
+        make()
+    assert info.value.args[0].dtype == np.uint8
+
+
 @pytest.mark.parametrize("n", [7, 300])  # a path's diameter n - 1 passes 255 at n = 300
 def test_distance_labels_take_the_smallest_unsigned_type(n):
     A = np.eye(n, k=1, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)

@@ -107,6 +107,35 @@ def test_shallow_families_equal_the_depth_12_prefix():
             assert fam.h_coeffs == deep.h_coeffs[: s + 1]
 
 
+def test_h_family_is_built_and_checked_on_first_read(monkeypatch):
+    import linekit.jacobi as jac
+
+    fam = JacobiFamily(5, max_k=6)
+    assert fam._h_coeffs is None  # the g family alone at construction
+    assert fam.h_coeffs == [jac._h_explicit(5, k) for k in range(7)]
+    assert fam.h_coeffs is fam.h_coeffs
+    # a wrong h recurrence is caught when h is read, a wrong g one at construction
+    monkeypatch.setattr(jac, "_h_recurrence", lambda d, kmax: [[Fraction(d + 1)]] * (kmax + 1))
+    fam = JacobiFamily(5, max_k=6)
+    assert jacobi_poly(fam, 3, "g") == jac._g_explicit(5, 3)
+    with pytest.raises(RuntimeError, match="h_0 explicit/recurrence mismatch"):
+        jacobi_poly(fam, 3, "h")
+    monkeypatch.setattr(jac, "_g_recurrence", lambda d, kmax: [[Fraction(2)]] * (kmax + 1))
+    with pytest.raises(RuntimeError, match="g_0 explicit/recurrence mismatch"):
+        JacobiFamily(5, max_k=6)
+
+
+def test_a_wrong_harmonic_dimension_raises(monkeypatch):
+    import linekit.jacobi as jac
+
+    monkeypatch.setattr(jac, "dim_harm", lambda d, k, l: dim_harm(d, k, l) + (k == 2))
+    with pytest.raises(RuntimeError, match=r"g_2\(1\) != dim Harm\(2,2\)"):
+        JacobiFamily(4, max_k=3)
+    fam = JacobiFamily(4, max_k=1)
+    with pytest.raises(RuntimeError, match=r"h_1\(1\) != dim Harm\(2,1\)"):
+        fam.h_coeffs
+
+
 def test_relative_bound_family_depth_is_the_degree_of_F(monkeypatch):
     import linekit.jacobi as jac
 

@@ -1,5 +1,6 @@
 """Scheme closure, zonal idempotents, Gram algebras, and Seidel spectra."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -35,7 +36,7 @@ from linekit.schemes import (
     scheme_to_json,
     seidel_analysis,
 )
-from linekit.sics import builtin_fiducial, wh_orbit
+from linekit.sics import appleby_candidates, builtin_fiducial, wh_orbit
 from linekit.tolerance import certify_tol, float_error
 
 PHI = (1 + 5**0.5) / 2
@@ -214,6 +215,79 @@ def test_kernel_matches_dense_eigenprojectors(name):
     assert np.array_equal(rep.intersection_numbers, exact_intersection_numbers(masks))
     assert rep.valencies == [int(np.sum(A[0])) for A in masks]
     assert all(type(k) is int for k in rep.valencies)
+
+
+def appleby_sic(d):
+    return wh_orbit(next(c["candidate"] for c in appleby_candidates(d) if c["verdict"]["is_sic"]))
+
+
+# complete MUB sets (t = 2, s = 2), SICs (t = 2, s = 1) and Singer sets (s = 1)
+DESIGN_CASES = {
+    **{f"wf{q}": (lambda q=q: wf_mubs(q).to_lineset())
+       for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 27)},
+    "alltop13": lambda: alltop_mubs(13).to_lineset(),
+    **{f"sic{d}": (lambda d=d: wh_orbit(builtin_fiducial(d))) for d in (2, 3, 8)},
+    **{f"sic{d}": (lambda d=d: appleby_sic(d)) for d in (7, 19)},
+    **{f"singer{q}": (lambda q=q: diffset_lines(*singer_difference_set(q)))
+       for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 31)},
+}
+
+
+@pytest.mark.parametrize("name", list(DESIGN_CASES))
+def test_design_route_matches_the_kernel(name):
+    X = DESIGN_CASES[name]()
+    rep = scheme_from_lineset(X)
+    assert rep.route == "design" and X._labels is None  # no label pass
+    ref = association_scheme(_angle_labels(X)[1])
+    assert ref.route == "labels" and rep.closed and ref.closed
+    assert rep.classes == ref.classes and rep.closure_residual == ref.closure_residual == 0
+    assert rep.witness is None
+    assert np.abs(rep.P - ref.P).max() <= 1e-12
+    assert np.abs(rep.Q - ref.Q).max() <= 1e-12
+    assert rep.multiplicities == ref.multiplicities
+    assert rep.valencies == ref.valencies and all(type(k) is int for k in rep.valencies)
+    assert rep.intersection_numbers.dtype == np.int64
+    assert np.array_equal(rep.intersection_numbers, ref.intersection_numbers)
+    assert np.abs(rep.krein - ref.krein).max() <= 1e-12 * np.abs(ref.krein).max()
+    for key in ("pq_residual", "reconstruction_residual"):
+        assert getattr(rep, key) <= 1e-12 * rep.n**2
+    assert rep.krein_min >= -1e-12 * np.abs(ref.krein).max()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LineSet(8, wf_mubs(8).to_lineset().vectors[:24]),  # 3 bases: a 1-design
+    lambda: tensor_mubs(wf_mubs(2), wf_mubs(2)).to_lineset(),  # 3 bases of C^4
+    lambda: random_lines(),
+    lambda: real_doubling(wf_mubs(3).to_lineset()),
+    lambda: perturbed_wf(3, 1e-6),  # every cluster splits
+], ids=["wf8-three-bases", "tensor-2x2", "random", "real-doubling-wf3", "perturbed-wf3"])
+def test_sets_short_of_the_design_hypothesis_take_the_labels(make):
+    X = make()
+    rep = scheme_from_lineset(X)
+    assert rep.route == "labels" and X._labels is not None
+    assert design_strength(X).strength < 2 * rep.classes - 2 or rep.classes > 3
+
+
+def test_counts_that_miss_the_angles_leave_the_design_route():
+    # wf5: 60 zero pairs and 375 at 1/5 give valencies 4 and 25
+    X = wf_mubs(5).to_lineset()
+    report = gram_degree_set(X)
+    assert schemes._design_scheme(X, report).valencies == [1, 4, 25]
+    moved = dataclasses.replace(report, multiplicities=[75, 360])  # valencies 5 and 24
+    assert schemes._design_scheme(X, moved) is None
+    odd = dataclasses.replace(report, multiplicities=[61, 374])  # 2 m / n is not an integer
+    assert schemes._design_scheme(X, odd) is None
+    tilted = dataclasses.replace(report, angles=[0.0, 0.21])  # angles that miss the counts
+    assert schemes._design_scheme(X, tilted) is None
+
+
+def test_a_tol_too_loose_to_tell_integers_apart_takes_the_labels():
+    V = wf_mubs(4).to_lineset().vectors
+    rep = scheme_from_lineset(LineSet(4, V, tol=1e-3))  # count_tol(20, 1e-3) = 0.2
+    X = LineSet(4, V, tol=5e-3)  # count_tol(20, 5e-3) = 1
+    ref = scheme_from_lineset(X)
+    assert rep.route == "design" and ref.route == "labels" and X._labels is not None
+    assert np.abs(rep.P - ref.P).max() <= 1e-12 and rep.multiplicities == ref.multiplicities
 
 
 def scrambled(X, seed=11):
