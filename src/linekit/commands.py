@@ -34,7 +34,7 @@ from linekit.front import (
     UsageError,
     fmt_rational,
 )
-from linekit.tolerance import EIGENMATRIX_TOL, certify_tol
+from linekit.tolerance import certify_tol, count_tol
 
 # ---------------------------------------------------------------------------
 # shared line-set reporting
@@ -306,9 +306,9 @@ def cmd_verify(args):
         report["deep"] = deep
         # written `x <= tol` so that a NaN residual fails its check
         if scheme.closed:
-            checks.append(("scheme-pq", scheme.pq_residual <= EIGENMATRIX_TOL * scheme.n,
+            checks.append(("scheme-pq", scheme.pq_residual <= count_tol(scheme.n, X.tol),
                            f"PQ deviates from vI by {scheme.pq_residual:.3g}"))
-            checks.append(("scheme-krein", scheme.krein_min >= -EIGENMATRIX_TOL,
+            checks.append(("scheme-krein", scheme.krein_min >= -certify_tol(X.tol),
                            f"negative parameter {scheme.krein_min:.3g}"))
         residual = gram["mub_identity_residual"]
         if residual is not None:

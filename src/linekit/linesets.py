@@ -1,6 +1,7 @@
 """Line sets in C^d or R^d: angles, design strength, certification, doubling.
 
-A LineSet is n unit vectors regarded projectively (each spans a line).  All
+A LineSet is n unit vectors regarded projectively (each spans a line), every
+norm 1 within float_error(dim), the rounding of a d-term norm.  All
 statistics below depend only on the squared inner-product moduli |<a,b>|^2,
 so they are invariant under per-vector phases and global unitaries.  The
 degree set is one pass over the row blocks of the angle matrix: each
@@ -24,7 +25,7 @@ from math import isfinite, pi, prod
 import numpy as np
 
 from linekit.jacobi import JacobiFamily, annihilator_bound, dim_harm, jacobi_poly
-from linekit.tolerance import DEFAULT_TOL, certify_tol, snap
+from linekit.tolerance import DEFAULT_TOL, certify_tol, float_error, snap
 
 
 def _checked_tol(tol):
@@ -40,8 +41,10 @@ class LineSet:
 
     vectors: (n, dim) complex array (real sets keep zero imaginary parts);
     basis_labels: length-n list partitioning the set into cells of size dim.
-    Every entry must be finite, and tol finite and positive.  The vectors are
-    a read-only copy of the input and tol is fixed here, so the degree set
+    Every entry must be finite, tol finite and positive, and each norm within
+    certify_tol(tol) of 1.  The vectors are a read-only copy of the input,
+    each row whose norm misses 1 by more than float_error(dim) divided by its
+    norm once, the others bit for bit.  tol is fixed here, so the degree set
     that `gram_degree_set` stores on the line set, and the class labels that
     `schemes` cuts from the degree set stay valid.
     """
@@ -64,6 +67,8 @@ class LineSet:
         worst = int(np.abs(norms - 1).argmax())
         if abs(norms[worst] - 1) > certify_tol(self.tol):
             raise ValueError(f"vector {worst} is not unit norm (|v| = {norms[worst]:.6g})")
+        off = np.abs(norms - 1) > float_error(self.dim)
+        V[off] /= norms[off, None]
         if field == "real" and np.abs(V.imag).max() > certify_tol(self.tol):
             raise ValueError("field='real' but vectors have imaginary parts")
         V.flags.writeable = False
@@ -122,7 +127,6 @@ class DegreeSetReport:
     zero_present: bool
     spans: list | None = None  # (min, max) of each cluster, aligned with angles
     power_sums: list | None = None  # P_j = sum over all n^2 (a, b) of |<a,b>|^(2j), j = 0..4
-    diagonal: tuple | None = None  # (min, max) over the lines of |<a,a>|^2 = |a|^4
     same_line: tuple | None = None  # (i, j, angle) of the first pair above 1 - tol, row-major
 
 
@@ -207,7 +211,6 @@ def _angle_pass(X):
         zero_present=bool(angles and angles[0] <= tol),
         spans=[(float(lo[a]), float(hi[b - 1])) for a, b in zip(starts, ends)],
         power_sums=[float(d + 2 * p) for d, p in zip(_power_sums(diag), pair_sums)],
-        diagonal=(float(diag.min()), float(diag.max())),
         same_line=same_line,
     )
     return X._degree_set
@@ -253,7 +256,6 @@ class DesignReport:
     strength: int
     t_max: int
     epsilon: float
-    unit: list | None = None  # (T_r of the lines' unit vectors, a bound on its error)
 
 
 def design_strength(X, fam=None, t_max=4, epsilon=None):
@@ -264,11 +266,6 @@ def design_strength(X, fam=None, t_max=4, epsilon=None):
     With g_r = sum_j c_rj x^j, T_r is (1/n^2) sum_j c_rj P_j over the power
     sums P_j that `gram_degree_set` stores (Delsarte-Goethals-Seidel 1977),
     so no n x n array is formed; they stop at j = 4, so t_max above 4 raises.
-
-    `unit` holds each T_r of the unit vectors with a bound on its error: their
-    angles are the measured ones over |a|^2 |b|^2, in the diagonal's range
-    [lo, hi], so T_r is sum_j c_rj P_j / (n^2 hi^j) within
-    sum_j |c_rj| P_j (lo^-j - hi^-j) / n^2.
     """
     if t_max > 4:
         raise ValueError(f"t_max must be at most 4, got {t_max}")
@@ -278,17 +275,14 @@ def design_strength(X, fam=None, t_max=4, epsilon=None):
         raise ValueError(f"family dimension {fam.d} != line set dimension {X.dim}")
     epsilon = certify_tol(X.tol) if epsilon is None else epsilon
     report = gram_degree_set(X)
-    (lo, hi), n = report.diagonal, X.n
-    T, unit, strength = [], [], 0
+    n = X.n
+    T, strength = [], 0
     for r in range(1, t_max + 1):
         coeffs = [float(c) for c in jacobi_poly(fam, r, "g")]
         T.append(sum(c * p for c, p in zip(coeffs, report.power_sums)) / (n * n))
-        terms = [(c * p / hi**j, abs(c) * p * (lo**-j - hi**-j))
-                 for j, (c, p) in enumerate(zip(coeffs, report.power_sums))]
-        unit.append(tuple(sum(t) / (n * n) for t in zip(*terms)))
         if strength == r - 1 and T[-1] <= epsilon * dim_harm(X.dim, r, r) / n:
             strength = r
-    return DesignReport(T=T, strength=strength, t_max=t_max, epsilon=epsilon, unit=unit)
+    return DesignReport(T=T, strength=strength, t_max=t_max, epsilon=epsilon)
 
 
 def _exact_angles(angles, tol):
@@ -303,21 +297,20 @@ def relative_status(X, des):
 
     F = prod_i (x - a_i) over the angles, each snapped at X.tol or else taken
     at its float, is sum_r c_r g_r exactly (`jacobi.annihilator_bound`).
-    Summed over all n^2 pairs of unit vectors, n F(1) + R = n^2 (c_0 + S)
-    with S = sum_{r>=1} c_r T_r and R the sum over distinct lines (Delsarte-
+    Summed over all n^2 pairs of lines, n F(1) + R = n^2 (c_0 + S) with
+    S = sum_{r>=1} c_r T_r and R the sum over distinct lines (Delsarte-
     Goethals-Seidel 1977): F(1)/c_0 - n has the sign of n^2 S - R.  S is
-    known within E = sum |c_r| e_r from the T_r (r <= 4) and errors e_r of
-    des.unit; for s > 4 the unknown T_r >= 0 with c_r >= 0 only add to S.
-    Unit vectors put cluster i (m_i pairs) in [min/hi, max/lo], [lo, hi] the
-    diagonal's range, where |F| is at most the product over j of the farthest
-    distance from a_j: |R| <= Rbar = sum_i 2 m_i times that.  With eps =
-    certify_tol(X.tol), T_r vanishes when |T_r| + e_r <= eps g_r(1)/n and R
-    when Rbar <= eps n F(1), so equality holds within 2 eps F(1)/c_0:
+    known from the T_r (r <= 4) of des; for s > 4 the unknown T_r >= 0 with
+    c_r >= 0 only add to S.  Cluster i (m_i pairs) lies in its span, where
+    |F| is at most the product over j of the farthest distance from a_j:
+    |R| <= Rbar = sum_i 2 m_i times that.  With eps = certify_tol(X.tol),
+    T_r vanishes when |T_r| <= eps g_r(1)/n and R when Rbar <= eps n F(1),
+    so equality holds within 2 eps F(1)/c_0:
 
     met with equality  s <= 4, R and each T_r with c_r != 0 vanish
-    satisfied          some T_r - e_r with c_r > 0 above eps g_r(1)/n,
-                       n^2 (S - E) > Rbar, and c_r >= 0 for r > 4
-    VIOLATED           s <= 4 and n^2 (S + E) + Rbar < 0: no set of lines
+    satisfied          some T_r with c_r > 0 above eps g_r(1)/n,
+                       n^2 S > Rbar, and c_r >= 0 for r > 4
+    VIOLATED           s <= 4 and n^2 S + Rbar < 0: no set of lines
                        gives it, the clusters are not those of the power sums
     unresolved         otherwise
     """
@@ -332,20 +325,19 @@ def relative_status(X, des):
     if out is None or not all(out["hypotheses_ok"].values()):
         return None
     n, s, c, bound = X.n, report.s, out["coeffs"], out["bound"]
-    rows = [(float(c[r]), t, e, des.epsilon * dim_harm(X.dim, r, r) / n)
-            for r, (t, e) in enumerate(des.unit[:s], start=1)]  # c_r, T_r, e_r, threshold
-    pairs = n * n * sum(cr * t for cr, t, _, _ in rows)  # n^2 S
-    slack = n * n * sum(abs(cr) * e for cr, _, e, _ in rows)  # n^2 E
-    near, (lo, hi) = [float(a) for a in angles], report.diagonal
-    rbar = sum(2 * m * prod(max(abs(u / hi - a), abs(v / lo - a)) for a in near)
+    rows = [(float(c[r]), t, des.epsilon * dim_harm(X.dim, r, r) / n)
+            for r, t in enumerate(des.T[:s], start=1)]  # c_r, T_r, threshold
+    pairs = n * n * sum(cr * t for cr, t, _ in rows)  # n^2 S
+    near = [float(a) for a in angles]
+    rbar = sum(2 * m * prod(max(abs(u - a), abs(v - a)) for a in near)
                for m, (u, v) in zip(report.multiplicities, report.spans))
     if (s <= des.t_max and rbar <= des.epsilon * n * float(bound * c[0])
-            and all(abs(t) + e <= limit for cr, t, e, limit in rows if cr != 0)):
+            and all(abs(t) <= limit for cr, t, limit in rows if cr != 0)):
         return bound, "met with equality"
-    if (any(t - e > limit for cr, t, e, limit in rows if cr > 0) and pairs - slack > rbar
+    if (any(t > limit for cr, t, limit in rows if cr > 0) and pairs > rbar
             and all(cr >= 0 for cr in c[des.t_max + 1:])):
         return bound, "satisfied"
-    if s <= des.t_max and pairs + slack + rbar < 0:
+    if s <= des.t_max and pairs + rbar < 0:
         return bound, "VIOLATED"
     return bound, "unresolved"
 
@@ -362,7 +354,7 @@ def verify_mub(X):
     Takes each cell's dim x dim Gram, a block of cells at a time gathered by
     a stable argsort of the labels.  With atol = `certify_tol(X.tol)`,
     |<a,b>| <= atol off the diagonal of each cell, or the cells are not
-    orthonormal bases (ValueError; LineSet checked the unit diagonal).  Every
+    orthonormal bases (ValueError; LineSet made the norms unit).  Every
     in-cell pair lies in a low cluster of the degree set, one that starts
     within tol above the largest in-cell angle.  The ends of the other
     clusters give the largest |angle - 1/dim| of their cross pairs exactly,

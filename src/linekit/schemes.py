@@ -176,15 +176,17 @@ def _cut(out, A, cuts):
     return out
 
 
-def _span_residual(s1, s2, sizes):
+def _span_residual(s1, s2, sizes, lcm):
     """||P - mean_k P on class k||_F / ||P||_F from the exact class sums.
 
     With S1_k = sum P and S2_k = sum P^2 over class k, the squared distance
     from P to the span of the 0/1 classes is sum_k S2_k - S1_k^2 / |k|,
-    a rational held exactly; one rounding gives the ratio, one the root.
+    held exactly as the integers S2_k |k| - S1_k^2 over lcm = lcm |k|, the |k|
+    given as Python ints (sizes); one rounding gives the ratio, one the root.
     """
-    dist = sum(Fraction(int(b) * int(c) - int(a) ** 2, int(c)) for a, b, c in zip(s1, s2, sizes))
-    return math.sqrt(dist / sum(map(int, s2)))
+    s1, s2 = s1.astype(object), s2.astype(object)
+    dist = int(((s2 * sizes - s1 * s1) * (lcm // sizes)).sum())
+    return math.sqrt(Fraction(dist, lcm * int(s2.sum())))
 
 
 def association_scheme(L):
@@ -245,9 +247,7 @@ def association_scheme(L):
         p[i, j, here] = p[j, i, here] = prod[rows[here] - r0, cols[here]]
         Lr = L[r0:r1]
         if (i, j) not in broken:
-            bad = np.zeros(prod.shape, dtype=bool)
-            for k in np.flatnonzero(counts[b]):
-                bad |= (Lr == k) & (prod != p[i, j, k])
+            bad = prod != p[i, j].astype(prod.dtype)[Lr]  # p_ij^k of each class in Lr is read
             if not bad.any():
                 return
             x, y = divmod(int(np.argmax(bad)), n)  # the first broken pair in row-major order
@@ -312,7 +312,10 @@ def association_scheme(L):
             check(big, big, b, last)
             del last
 
-    closure = max((_span_residual(s1, s2, sizes) for _, s1, s2 in broken.values()), default=0.0)
+    exact = sizes.astype(object)  # Python ints: the class sums below do not overflow
+    lcm = math.lcm(*exact)
+    closure = max((_span_residual(s1, s2, exact, lcm) for _, s1, s2 in broken.values()),
+                  default=0.0)
     witness = broken[min(broken)][0] if broken else None
     out = SchemeReport(
         n=n, classes=m - 1, angles=None, closed=witness is None,

@@ -8,18 +8,19 @@ rest bound float error on exact data.  No numpy, so the front reads it too.
 
 certify_tol(tol)  unit norm, real parts, orthonormal cells, unbiased angles, the
                   pair sums T_r and the relative bound (linesets); Gram-weighted
-                  closure, G^2 = (n/d) G (schemes, commands).  1e-8 at DEFAULT_TOL
-EIGENMATRIX_TOL   PQ = nI and Krein parameters >= 0 on exact p_ij^k (commands)
+                  closure, G^2 = (n/d) G (schemes, commands); Krein parameters
+                  >= 0 (commands).  1e-8 at DEFAULT_TOL
 EIGEN_GAP         eigenspace gap, times max(1, eigenvalue scale) (schemes)
 snap(x, tol)      a measured value as the one rational within tol of denominator
                   <= snap_denominator(tol), 22360 at DEFAULT_TOL: printed values
                   (front), relative-bound angles and alpha_snapped (linesets)
 SIGN_SLACK        sign hypotheses at snapped angles (jacobi)
-float_error(n)    n eps, the rounding of n-term float sums: a lone Gram-weighted
-                  class closes from the spectrum of G within it (schemes)
+float_error(n)    n eps, the rounding of n-term float sums: rows further from unit
+                  norm are normalised once (linesets); a lone Gram-weighted class
+                  closes from the spectrum of G within it (schemes)
 count_tol(n, tol) n certify_tol(tol), a relative certify_tol(tol) on a count of at
-                  most n: the p_ij^k that a design's angles give are integers, and
-                  PQ = nI holds, within it (schemes)
+                  most n: the p_ij^k that a design's angles give are integers
+                  (schemes), and PQ = nI holds (schemes, commands), within it
 """
 
 import sys
@@ -27,7 +28,6 @@ from fractions import Fraction
 from math import ceil, isqrt
 
 DEFAULT_TOL = 1e-9
-EIGENMATRIX_TOL = 1e-8
 EIGEN_GAP = 1e-7
 SIGN_SLACK = Fraction(1, 10**9)
 

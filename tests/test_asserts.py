@@ -23,7 +23,7 @@ ASSERT_LIMITS = {"jacobi": 0, "linesets": 0, "mubs": 0, "sics": 0}
 GRAM_CALLERS = {("linesets", "angle_matrix"), ("linesets", "phase_align_for_doubling"),
                 ("schemes", "seidel_analysis")}
 TOLERANCE_LIMITS = {"groupcodes": 3, "linesets": 3, "mubs": 4, "schemes": 0, "sics": 5,
-                    "tolerance": 4}
+                    "tolerance": 3}
 
 
 def _module_trees():

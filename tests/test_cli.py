@@ -323,9 +323,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("scale", [1 - 5e-9, 1 + 5e-9])
     def test_scaled_norms_meet_the_relative_bound(self, capsys, tmp_path, scale):
-        # LineSet accepts norms within certify_tol of 1; the rule reads the
-        # lines' unit vectors, so T_1 of the scaled vectors (-+6.6e-7) is no
-        # verdict on them
+        # LineSet accepts norms within certify_tol of 1 and divides them out,
+        # so the scaled vectors are read as the lines they span
         path = str(tmp_path / "singer31.json")
         X = groupcodes.diffset_lines(*groupcodes.singer_difference_set(31))
         lineset_to_json(LineSet(X.dim, X.vectors * scale), path)
@@ -460,6 +459,22 @@ class TestVerify:
         code, out, _ = run(capsys, ["--format", "json", "verify", mub_file, "--deep"])
         assert code == EXIT_CERTIFICATION
         assert [f["check"] for f in json.loads(out)["failures"]] == [check]
+
+    @pytest.mark.parametrize("field, value, check", [
+        ("pq_residual", 30e-7, "scheme-pq"),  # count_tol(30, tol): 3e-7, then 3e-4
+        ("krein_min", -1e-7, "scheme-krein"),  # -certify_tol(tol): -1e-8, then -1e-5
+    ])
+    def test_deep_scheme_checks_follow_tol(self, capsys, monkeypatch, mub_file, field, value,
+                                           check):
+        original = schemes.scheme_from_lineset
+        monkeypatch.setattr(schemes, "scheme_from_lineset",
+                            lambda X: dataclasses.replace(original(X), **{field: value}))
+        code, out, _ = run(capsys, ["--format", "json", "verify", mub_file, "--deep"])
+        assert code == EXIT_CERTIFICATION
+        assert [f["check"] for f in json.loads(out)["failures"]] == [check]
+        code, out, _ = run(capsys, ["--format", "json", "--tol", "1e-6", "verify", mub_file,
+                                    "--deep"])
+        assert code == EXIT_OK and json.loads(out)["failures"] == []
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["verify", "/nonexistent/x.json"])

@@ -43,7 +43,7 @@ from linekit.mubs import (
     wf_mubs,
 )
 from linekit.sics import DisplacementGroup, appleby_candidates, builtin_fiducial, wh_orbit
-from linekit.tolerance import DEFAULT_TOL, certify_tol, snap, snap_denominator
+from linekit.tolerance import DEFAULT_TOL, certify_tol, float_error, snap, snap_denominator
 
 ISQ2 = 1 / np.sqrt(2)
 
@@ -96,6 +96,53 @@ def test_lineset_validation():
         LineSet(2, np.array([[ISQ2, 1j * ISQ2]]), field="real")
     X = standard_basis(3)
     assert X.n == 3 and X.dim == 3
+
+
+def stored_bits(monkeypatch, make):
+    """For each LineSet that make() builds, whether it stores its input rows bit for bit."""
+    init, kept = LineSet.__init__, []
+
+    def spy(self, dim, vectors, *args, **kwargs):
+        init(self, dim, vectors, *args, **kwargs)
+        given = np.ascontiguousarray(vectors, dtype=complex).view(np.uint64)
+        kept.append(np.array_equal(given, np.ascontiguousarray(self.vectors).view(np.uint64)))
+
+    monkeypatch.setattr(LineSet, "__init__", spy)
+    make()
+    return kept
+
+
+def is_prime_power(q):
+    p = next(p for p in range(2, q + 1) if q % p == 0)  # the least prime factor
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+PRIME_POWERS = [q for q in range(2, 98) if is_prime_power(q)]
+
+#: every construction family whose rows lie within float_error(dim) of unit norm
+UNIT_FAMILIES = {
+    "wf": lambda: [wf_mubs(q).to_lineset() for q in PRIME_POWERS if q <= 32],
+    "alltop": lambda: [alltop_mubs(p).to_lineset() for p in (5, 7, 11, 13, 17, 19, 23, 29, 31)],
+    "semifield": lambda: [semifield_mubs(SemifieldTable.from_field(q)).to_lineset()
+                          for q in (9, 25, 27)],
+    "rds": lambda: [rds_to_mubs(*field_rds(q)).to_lineset() for q in (2, 3, 4, 5, 8, 9, 13, 16)],
+    "tensor": lambda: [tensor_mubs(wf_mubs(a), wf_mubs(b)).to_lineset()
+                       for a, b in ((2, 3), (2, 8), (4, 5), (3, 7))],
+    "singer": lambda: [diffset_lines(*singer_difference_set(q)) for q in PRIME_POWERS],
+    "sic": lambda: [sic(d) for d in (2, 3, 8)] + [
+        wh_orbit(c["candidate"]) for d in (7, 19) for c in appleby_candidates(d)
+        if c["verdict"]["is_sic"]],
+    "doubled": lambda: [real_doubling(wf_mubs(q).to_lineset()) for q in (3, 5, 9)]
+    + [doubled(mub_triple_c2()), real_doubling(diffset_lines(*singer_difference_set(7)))],
+}
+
+
+@pytest.mark.parametrize("family", UNIT_FAMILIES)
+def test_constructions_keep_their_bits(family, monkeypatch):
+    kept = stored_bits(monkeypatch, UNIT_FAMILIES[family])
+    assert kept and all(kept)
 
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, complex(0, math.nan)],
@@ -1050,26 +1097,27 @@ def test_relative_status_matches_the_exact_route(name):
     assert statuses[0] == statuses[1]
 
 
-def test_uneven_norms_leave_the_relative_bound_unresolved():
-    # norms that miss 1 by up to 5e-9, each its own way, put each pair's angle
-    # within 6e-10 of 31/1024 but T_1 only within 1.3e-6: never VIOLATED
+def test_uneven_norms_are_normalised_and_meet_the_relative_bound():
+    # norms that miss 1 by up to 5e-9, each its own way, are divided out once
     X = diffset_lines(*singer_difference_set(31))
     scale = 1 + 5e-9 * np.random.default_rng(1).uniform(-1, 1, size=(X.n, 1))
-    assert relative_status(LineSet(X.dim, X.vectors * scale)) == (993, "unresolved")
+    Y = LineSet(X.dim, X.vectors * scale)
+    assert np.abs(np.linalg.norm(Y.vectors, axis=1) - 1).max() <= float_error(32)
+    assert relative_status(Y) == relative_status(X) == (993, "met with equality")
+    back = lineset_from_json(lineset_to_json(Y))
+    assert np.array_equal(back.vectors.view(np.uint64), Y.vectors.view(np.uint64))
 
 
-def one_angle_stand_in(q, width, sums_at=None, spread=0.0):
+def one_angle_stand_in(q, width, sums_at=None):
     """The Singer lines of q as `relative_status` reads them: n = q^2 + q + 1
     lines in C^(q+1) whose pairs lie within width of q/(q+1)^2, with the power
-    sums of pairs all at sums_at (the angle itself by default) and |a|^4
-    within spread of 1."""
+    sums of pairs all at sums_at (the angle itself by default)."""
     n, alpha = q * q + q + 1, q / (q + 1) ** 2
     at = alpha if sums_at is None else sums_at
     report = linesets.DegreeSetReport(
         angles=[alpha], multiplicities=[n * (n - 1) // 2], s=1, zero_present=False,
         spans=[(alpha - width, alpha + width)],
-        power_sums=[float(n + n * (n - 1) * at**j) for j in range(5)],
-        diagonal=(1 - spread, 1 + spread))
+        power_sums=[float(n + n * (n - 1) * at**j) for j in range(5)])
     return SimpleNamespace(n=n, dim=q + 1, tol=DEFAULT_TOL, _degree_set=report)
 
 
@@ -1082,21 +1130,12 @@ def test_large_singer_sets_meet_the_relative_bound(q):
     assert status == "met with equality" and abs(bound - n) <= 1e-12 * n
 
 
-ALPHA31 = 31 / 1024
-
-
-@pytest.mark.parametrize("width, sums_at, spread, status", [
-    (5 * DEFAULT_TOL, None, 0.0, "unresolved"),  # one cluster chained over 10 tol
-    (3.2e-16, 0.02, 0.0, "VIOLATED"),  # pair sums of a smaller angle than the cluster's
-    # the spread of the diagonal puts T_1 of the unit vectors within e_1 =
-    # 66 spread (6.6e-9, 1.3e-8) of its estimate; the threshold is 1.03e-8
-    (3.2e-16, None, 1e-10, "met with equality"),
-    (3.2e-16, None, 2e-10, "unresolved"),  # the estimate -6.6e-9 passes, not +- e_1
-    (3.2e-16, ALPHA31 + 1.9e-11, 1e-10, "unresolved"),  # 1.67e-8 is above, not by e_1
-    (3.2e-16, ALPHA31 - 5e-12, 2e-10, "unresolved"),  # -1.2e-8 is below, not by e_1
-], ids=["chained", "other-sums", "uneven", "more-uneven", "uneven-above", "uneven-below"])
-def test_pair_sums_clusters_and_norms_settle_equality_or_not(width, sums_at, spread, status):
-    X = one_angle_stand_in(31, width, sums_at, spread)
+@pytest.mark.parametrize("width, sums_at, status", [
+    (5 * DEFAULT_TOL, None, "unresolved"),  # one cluster chained over 10 tol
+    (3.2e-16, 0.02, "VIOLATED"),  # pair sums of a smaller angle than the cluster's
+], ids=["chained", "other-sums"])
+def test_pair_sums_clusters_and_norms_settle_equality_or_not(width, sums_at, status):
+    X = one_angle_stand_in(31, width, sums_at)
     assert relative_status(X) == (993, status)
 
 
@@ -1109,7 +1148,7 @@ def test_more_than_four_angles_never_meet_the_relative_bound():
     sums[2] *= 1 + 1e-11
     report = linesets.DegreeSetReport(
         angles=angles, multiplicities=[245] * 5, s=5, zero_present=False,
-        spans=[(a, a) for a in angles], power_sums=sums, diagonal=(1.0, 1.0))
+        spans=[(a, a) for a in angles], power_sums=sums)
     X = SimpleNamespace(n=n, dim=d, tol=DEFAULT_TOL, _degree_set=report)
     assert relative_status(X)[1] == "unresolved"
     X = random_lines(6, 3, 1)

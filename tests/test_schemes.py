@@ -290,13 +290,32 @@ def test_a_tol_too_loose_to_tell_integers_apart_takes_the_labels():
     assert np.abs(rep.P - ref.P).max() <= 1e-12 and rep.multiplicities == ref.multiplicities
 
 
-def scrambled(X, seed=11):
-    """X with its lines permuted, rephased and rotated by a seeded unitary."""
+def scrambled_rows(X, seed=11):
+    """The rows of X permuted, rephased and rotated by a seeded unitary."""
     rng = np.random.default_rng(seed)
     d, V = X.dim, X.vectors
     U, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     phases = np.exp(2j * np.pi * rng.random(len(V)))[:, None]
-    return LineSet(d, (V * phases)[rng.permutation(len(V))] @ U.T)
+    return (V * phases)[rng.permutation(len(V))] @ U.T
+
+
+def scrambled(X, seed=11):
+    """X with its lines permuted, rephased and rotated by a seeded unitary."""
+    return LineSet(X.dim, scrambled_rows(X, seed))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: wf_mubs(3).to_lineset(),
+    lambda: wf_mubs(27).to_lineset(),
+    lambda: diffset_lines(*singer_difference_set(31)),
+    lambda: LineSet(7, wf_mubs(7).to_lineset().vectors[:21]),
+    lambda: tensor_mubs(wf_mubs(2), wf_mubs(8)).to_lineset(),
+], ids=["wf3", "wf27", "singer31", "partial-wf7", "tensor-2x8"])
+def test_scrambled_rows_are_kept_bit_for_bit(make):
+    # a unitary moves each norm by a few ulp, within float_error(dim) of 1
+    V = scrambled_rows(make())
+    kept = LineSet(V.shape[1], V).vectors
+    assert np.array_equal(np.ascontiguousarray(kept).view(np.uint64), V.view(np.uint64))
 
 
 LABEL_CASES = {
