@@ -352,10 +352,10 @@ def cmd_export(args):
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["i", "j", "angle"])
-            for r0, A in linesets._angle_blocks(X):
+            for r0, c0, A in linesets._triangle_blocks(X):
                 for i, row in enumerate(A, start=r0):
                     for j in range(i + 1, X.n):
-                        writer.writerow([i, j, f"{row[j]:.12g}"])
+                        writer.writerow([i, j, f"{row[j - c0]:.12g}"])
         return {"export": {"pairs": X.n * (X.n - 1) // 2, "wrote": args.out}}, EXIT_OK
 
     from linekit import groupcodes

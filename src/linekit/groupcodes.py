@@ -47,7 +47,7 @@ from .finite_algebra import (
     isprime,
     root_table,
 )
-from .linesets import LineSet, distinct_lines
+from .linesets import LineSet, _Fresh, distinct_lines
 
 _ENUM_CAP = 2**20
 _DESK_GROUP_CAP = 512
@@ -154,7 +154,7 @@ def diffset_lines(G, D):
     E = G.pairing(G.elements(), Dt)
     if (~E.any(axis=1)).sum() != 1:
         raise ValueError("D does not generate G")
-    return LineSet(len(Dt), G.roots[E] / np.sqrt(len(Dt)), field="complex")
+    return LineSet(len(Dt), (G.roots[E] / np.sqrt(len(Dt))).view(_Fresh), field="complex")
 
 
 def singer_difference_set(q):
@@ -265,21 +265,31 @@ class GraphWithSpectrum:
 
 
 def _distance_labels(A):
-    """Distance matrix of a connected graph, one frontier product per level.
+    """Distance matrix of a connected graph, breadth first from every vertex at once.
 
-    The frontier counts are float32 (exact below 2^24), and the distances
-    are held in the smallest unsigned type, like the labels of
-    `schemes._angle_labels`: uint8 until a level passes 255.
+    Column u of the next frontier is the OR of the frontier's columns at the
+    neighbours of u, gathered through a neighbour table: k gathers of an
+    n x n bool per level for a k-regular graph, and no float product.  A row
+    of the table shorter than the largest degree is padded with u, whose own
+    frontier column is already seen.  The distances are held in the smallest
+    unsigned type, like the labels of `schemes._angle_labels`: uint8 until a
+    level passes 255.
     """
     n = A.shape[0]
-    adj = A.astype(np.float32)
+    u, v = np.nonzero(A.T)  # the neighbours v of each u, A[v, u] != 0, in order
+    degree = np.bincount(u, minlength=n)
+    nbr = np.repeat(np.arange(n)[:, None], degree.max(initial=0), axis=1)
+    nbr[u, np.arange(u.size) - np.repeat(np.cumsum(degree) - degree, degree)] = v
     seen = np.eye(n, dtype=bool)
     frontier = seen
     dist = np.zeros((n, n), dtype=np.uint8)
     level = 0
     while frontier.any():
         level += 1
-        frontier = (frontier @ adj > 0) & ~seen
+        grown = np.zeros_like(seen)
+        for k in range(nbr.shape[1]):
+            grown |= frontier[:, nbr[:, k]]
+        frontier = grown & ~seen
         dist = dist.astype(np.min_scalar_type(level), copy=False)
         dist[frontier] = level
         seen |= frontier
@@ -329,10 +339,11 @@ def cover_graph(G=None, D=None, N=None, builtin=None):
 
     Either build the bipartite graph on two copies of G with (0,x) ~ (1,y)
     iff y - x in D, or pass builtin="tank-trap" for the 36-vertex triple
-    cover of K_{6,6}.  The distance matrix, from one boolean frontier product
-    per level, goes through `association_scheme`: a graph is distance-regular
-    exactly when its distance classes form a scheme, and a pair on which the
-    classes fail to close is raised as a witness.  The intersection array is
+    cover of K_{6,6}.  The distance matrix, from one breadth-first search
+    from every vertex at once (`_distance_labels`), goes through
+    `association_scheme`: a graph is distance-regular exactly when its
+    distance classes form a scheme, and a pair on which the classes fail to
+    close is raised as a witness.  The intersection array is
     read off the exact intersection numbers, b_i = p_{1,i+1}^i and
     c_i = p_{1,i-1}^i, and must be {k, k-1, k-lam, 1; 1, lam, k-1, k} with
     diameter 4.  The spectrum (P[j, 1], m_j) is then checked against

@@ -4,10 +4,12 @@ A LineSet is n unit vectors regarded projectively (each spans a line), every
 norm 1 within float_error(dim), the rounding of a d-term norm.  All
 statistics below depend only on the squared inner-product moduli |<a,b>|^2,
 so they are invariant under per-vector phases and global unitaries.  The
-degree set is one pass over the row blocks of the angle matrix: each
-block's pair values are sorted and cut into runs, and the runs of all
-blocks merge into exactly the clusters of the sorted n(n-1)/2 values, with
-no array of those values (`gram_degree_set`).  The same pass keeps the
+degree set is one pass over the row blocks of the angle matrix, each
+block's columns from its first row (rounded down to TRIANGLE_ALIGN) on, so
+the pass sweeps the upper triangle only; each block's pair values are
+sorted and cut into runs, and the runs of all blocks merge into exactly
+the clusters of the sorted n(n-1)/2 values, with no array of those values
+(`gram_degree_set`).  The same pass keeps the
 power sums of the angles, from which the Jacobi pair sums of the design
 test follow with no n x n array.  It reads no basis labels: `verify_mub`
 takes the in-cell pairs out of the degree set with each basis's d x d Gram.
@@ -36,17 +38,23 @@ def _checked_tol(tol):
     return value
 
 
+class _Fresh(np.ndarray):
+    """A C-ordered complex array made for the one LineSet that keeps it, with no copy."""
+
+
 class LineSet:
     """n unit vectors in dimension dim, optionally partitioned into bases.
 
     vectors: (n, dim) complex array (real sets keep zero imaginary parts);
     basis_labels: length-n list partitioning the set into cells of size dim.
     Every entry must be finite, tol finite and positive, and each norm within
-    certify_tol(tol) of 1.  The vectors are a read-only copy of the input,
-    each row whose norm misses 1 by more than float_error(dim) divided by its
-    norm once, the others bit for bit.  tol is fixed here, so the degree set
-    that `gram_degree_set` stores on the line set, and the class labels that
-    `schemes` cuts from the degree set stay valid.
+    certify_tol(tol) of 1.  The vectors are one read-only C-ordered copy of
+    the input, each row whose norm misses 1 by more than float_error(dim)
+    divided by its norm once, the others bit for bit.  The checks run over
+    row blocks, finiteness first, each block's norms from `np.linalg.norm`.
+    tol is fixed here, so the degree set that `gram_degree_set` stores on the
+    line set, and the class labels that `schemes` cuts from the degree set
+    stay valid.
     """
 
     def __init__(self, dim, vectors, field="complex", basis_labels=None, tol=DEFAULT_TOL):
@@ -55,21 +63,24 @@ class LineSet:
         self.tol = _checked_tol(tol)
         if field not in ("complex", "real"):
             raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
-        V = np.array(vectors, dtype=complex)
+        fresh = type(vectors) is _Fresh
+        V = vectors.view(np.ndarray) if fresh else np.array(vectors, dtype=complex, order="C")
         if V.ndim != 2 or V.shape[1] != self.dim:
             raise ValueError(f"vectors must be n x {self.dim}, got shape {V.shape}")
         if V.shape[0] < 1:
             raise ValueError("a line set needs at least one vector")
-        finite = np.isfinite(V).all(axis=1)
+        step = max(1, BLOCK_ENTRIES // (4 * self.dim))  # norm makes two complex copies of a block
+        blocks = np.split(V, range(step, len(V), step))
+        finite = np.concatenate([np.isfinite(B).all(axis=1) for B in blocks])
         if not finite.all():
             raise ValueError(f"vector {int(finite.argmin())} has an entry that is not finite")
-        norms = np.linalg.norm(V, axis=1)
+        norms = np.concatenate([np.linalg.norm(B, axis=1) for B in blocks])
         worst = int(np.abs(norms - 1).argmax())
         if abs(norms[worst] - 1) > certify_tol(self.tol):
             raise ValueError(f"vector {worst} is not unit norm (|v| = {norms[worst]:.6g})")
         off = np.abs(norms - 1) > float_error(self.dim)
         V[off] /= norms[off, None]
-        if field == "real" and np.abs(V.imag).max() > certify_tol(self.tol):
+        if field == "real" and max(np.abs(B.imag).max() for B in blocks) > certify_tol(self.tol):
             raise ValueError("field='real' but vectors have imaginary parts")
         V.flags.writeable = False
         self.vectors = V
@@ -143,9 +154,9 @@ def _row_blocks(n, entries):
     return list(zip(edges, edges[1:]))
 
 
-def _angle_rows(V, r0, r1):
-    """|G[r0:r1]|^2: one GEMM like `angle_matrix`, squared in place (bit-identical to `** 2`)."""
-    A = np.abs(V[r0:r1].conj() @ V.T)
+def _angle_rows(V, r0, r1, c0=0):
+    """|G[r0:r1, c0:]|^2: one GEMM like `angle_matrix`, squared in place (bit-identical to `** 2`)."""
+    A = np.abs(V[r0:r1].conj() @ V[c0:].T)
     return np.square(A, out=A)
 
 
@@ -153,6 +164,22 @@ def _angle_blocks(X):
     """Yield (first row, `_angle_rows`) over `_row_blocks`; up to 128 lines are one block."""
     for r0, r1 in _row_blocks(X.n, BLOCK_ENTRIES):
         yield r0, _angle_rows(X.vectors, r0, r1)
+
+
+#: a `_triangle_blocks` block's columns start at a multiple of this: the BLAS
+#: kernel computes a product's columns in fixed groups, so a block that starts on
+#: a group boundary gives each entry the kernel path, and so the bits, of its full
+#: row in `_angle_blocks` and `angle_matrix`; an unaligned start changes some bits
+TRIANGLE_ALIGN = 64
+
+
+def _triangle_blocks(X):
+    """Yield (first row r0, first column c0, `_angle_rows` from c0) over `_row_blocks`:
+    each block's part of the upper triangle and the diagonal, c0 = r0 rounded
+    down to a multiple of TRIANGLE_ALIGN."""
+    for r0, r1 in _row_blocks(X.n, BLOCK_ENTRIES):
+        c0 = r0 - r0 % TRIANGLE_ALIGN
+        yield r0, c0, _angle_rows(X.vectors, r0, r1, c0)
 
 
 def _gap_breaks(ordered, gap):
@@ -183,12 +210,13 @@ def _angle_pass(X):
     pair_sums = np.zeros(5)
     runs = [np.empty((4, 0))]  # rows: min, max, count, sum of each run
     same_line = None
-    for r0, A in _angle_blocks(X):
-        diag[r0:r0 + len(A)] = A[np.arange(len(A)), np.arange(r0, r0 + len(A))]
-        vals = np.concatenate([row[i + 1:] for i, row in enumerate(A, start=r0)])
+    for r0, c0, A in _triangle_blocks(X):
+        rows = np.arange(len(A))
+        diag[r0:r0 + len(A)] = A[rows, rows + r0 - c0]
+        vals = np.concatenate([row[i + 1:] for i, row in enumerate(A, start=r0 - c0)])
         if same_line is None and vals.size and vals.max() > 1 - tol:
-            i, j = np.argwhere(np.triu(A, r0 + 1) > 1 - tol)[0]
-            same_line = (r0 + int(i), int(j), float(A[i, j]))
+            i, j = np.argwhere(np.triu(A, r0 - c0 + 1) > 1 - tol)[0]
+            same_line = (r0 + int(i), c0 + int(j), float(A[i, j]))
         if vals.size:
             pair_sums += _power_sums(vals)
             vals.sort()
@@ -222,7 +250,7 @@ def gram_degree_set(X):
     The clusters are the runs of the sorted pair values split by the
     `gap_clusters` rule with width X.tol, which makes the clustering
     deterministic and phase-invariant.  No array of all pair values is
-    formed: the upper triangle of each `_angle_blocks` row block is sorted
+    formed: each `_triangle_blocks` block's part of the upper triangle is sorted
     and cut by the same rule into runs, kept as (min, max, count, sum), and
     the runs of all blocks are sorted by min and merged, a cluster starting
     wherever min - (largest max so far) > tol.  These are the global breaks:
@@ -390,8 +418,9 @@ def verify_mub(X):
     far = [max(target - lo, hi - target) for lo, hi in report.spans]  # exact if no in-cell pair
     worst = max(far[low:], default=0.0)
     if sum(report.multiplicities[:low]) > in_cell and max(far[:low]) > worst:  # cross pairs there
-        worst = max(float(np.abs(A - target)[cell[r0:r0 + len(A), None] != cell].max(initial=0.0))
-                    for r0, A in _angle_blocks(X))
+        worst = max(float(np.abs(A - target)[np.triu(cell[r0:r0 + len(A), None] != cell[c0:],
+                                                     r0 - c0 + 1)].max(initial=0.0))
+                    for r0, c0, A in _triangle_blocks(X))
     total = sum(a * m for a, m in zip(report.angles, report.multiplicities)) - inside
     return {"unbiased": worst <= atol, "alpha": total / cross if cross else target,
             "count": len(labels), "max_deviation": worst}
@@ -550,7 +579,7 @@ def _json_pieces(X):
     """
     head = json.dumps({"dim": X.dim, "field": X.field, "tol": X.tol})[:-1]
     yield f'{head}, "vectors": ['
-    bits = np.ascontiguousarray(X.vectors).view(np.int64).reshape(X.n, 2 * X.dim)
+    bits = X.vectors.view(np.int64)
     row = "[" + ", ".join(["[%s, %s]"] * X.dim) + "]"
     step = max(1, WRITE_BATCH // (2 * X.dim))
     for r0 in range(0, X.n, step):
@@ -691,27 +720,91 @@ def _read_document(text):
     return doc
 
 
+#: the bytes of the writer's numbers; the rest of its "vectors" text is fixed by n and dim
+_NUMBER = b"0123456789.e+-"
+_BRACKETS = bytes.maketrans(b"[]", b"  ")
+
+
+def _writer_document(data):
+    """The document of an ASCII text (bytes) whose "vectors" are in the writer's
+    own layout, or None for any other text.  The other keys are read by
+    `json.loads`, and the rows ROW_BATCH at a time (fewer past dim 8), each
+    batch by one np.fromstring into a preallocated complex array.  A batch
+    must have the writer's brackets and ", " exactly, and only numbers that
+    the walker reads to the same bits: np.fromstring also takes +1, .5, 1. and 01, and
+    reads the integer -0 as -0.0, so a number is a digit after an optional
+    "-", then no digit after a leading 0 (nor an end after -0), and each "."
+    has a digit after it.  The walker stacks an integer past 2^63 as an
+    object, so a batch holding a value that large is not taken either.
+    """
+    start, end = data.find(b', "vectors": [') + 14, data.rfind(b"]]]") + 2
+    tail = data[end + 1:]
+    comma = tail.startswith(b", ")
+    if not data.isascii() or start == 13 or end < start:
+        return None
+    try:
+        doc, more = json.loads(data[:start - 14] + b"}"), json.loads(b"{" + tail[2 * comma:])
+    except ValueError:
+        return None
+    stops = [start]  # then the end of each row
+    while stops[-1] < end:
+        stops.append(data.find(b"]]", stops[-1]) + 2)
+    if stops[-1] != end or not doc or comma and not more or "vectors" in doc | more:
+        return None
+    dim = data.count(b"], [", start, stops[1]) + 1
+    row = b"[" + b", ".join([b"[, ]"] * dim) + b"]"
+    V = np.empty((len(stops) - 1, dim), dtype=complex)
+    step = max(1, min(ROW_BATCH, BLOCK_ENTRIES // (32 * dim)))  # its text and copies: under a block
+    for r0 in range(0, len(V), step):
+        r1 = min(r0 + step, len(V))
+        chunk = data[stops[r0]:stops[r1]]
+        if chunk.translate(None, _NUMBER) != b", " * (r0 > 0) + b", ".join([row] * (r1 - r0)):
+            return None
+        c = np.frombuffer(chunk, np.uint8)
+        first = np.flatnonzero(((c[:-1] == ord("[")) | (c[:-1] == ord(" "))) & (c[1:] != ord("["))) + 1
+        minus = c[first] == ord("-")
+        first += minus
+        lead, after = c[first], c[first + 1]
+        if ((lead - ord("0") > 9) | (lead == ord("0")) & ((after - ord("0") < 10) | minus
+                & (after != ord(".")) & (after != ord("e")))).any() \
+                or (c[np.flatnonzero(c == ord(".")) + 1] - ord("0") > 9).any():
+            return None
+        try:
+            flat = np.fromstring(chunk.translate(_BRACKETS).lstrip(b", "), sep=",")
+        except ValueError:
+            return None
+        if flat.size != 2 * V[r0:r1].size or np.abs(flat).max() >= 2.0 ** 63:
+            return None
+        V[r0:r1] = flat.view(complex).reshape(r1 - r0, dim)
+    return doc | more | {"vectors": V}
+
+
 def lineset_from_json(source):
     """Accepts a JSON string, a parsed dict, or a file path.
 
-    A string or a file's text (read once) is walked by `_read_document`:
-    its "vectors" are decoded one row at a time and stacked into float64 in
-    batches, so no Python list of all the entries is made.  A dict's
-    "vectors" go through the same `_stack_pairs`.  The vectors must form an
-    n x dim array of [re, im] pairs of numbers, each row numeric on its own;
-    they are viewed as complex, so every bit (-0.0 too) survives a round
-    trip.
+    A string or a file's bytes in the writer's own layout are parsed by
+    `_writer_document`, one numpy call per batch of rows; any other text is
+    walked by `_read_document`, which decodes its "vectors" one row at a time
+    and stacks them into float64 in batches, so no Python list of all the
+    entries is made.  A dict's "vectors" go through the same
+    `_stack_pairs`.  The vectors must form an n x dim array of [re, im] pairs
+    of numbers, each row numeric on its own; they are viewed as complex, so
+    every bit (-0.0 too) survives a round trip.  Either route builds the one
+    array that the LineSet keeps.
     """
     if isinstance(source, dict):
         doc = {**source, "vectors": _stack_pairs(source["vectors"])}
     elif isinstance(source, str) and source.lstrip().startswith("{"):
-        doc = _read_document(source)
+        doc = _writer_document(source.encode("utf-8", "surrogatepass")) or _read_document(source)
     else:
-        with open(source) as fh:
-            doc = _read_document(fh.read())
+        with open(source, "rb") as fh:
+            doc = _writer_document(fh.read())
+        if doc is None:
+            with open(source) as fh:
+                doc = _read_document(fh.read())
     return LineSet(
         doc["dim"],
-        doc["vectors"],
+        doc["vectors"].view(_Fresh),
         field=doc.get("field", "complex"),
         basis_labels=doc.get("labels"),
         tol=doc.get("tol", DEFAULT_TOL),

@@ -16,26 +16,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from linekit.finite_algebra import _prime_power, gf_create, gr_create, root_table
-from linekit.linesets import LineSet, verify_mub
+from linekit.linesets import LineSet, _Fresh, verify_mub
 
 
 @dataclass
 class MubFamily:
     """d x d bases, bases[0] = I, certified unbiased at creation by
-    `verify_mub` on `to_lineset()`, at LineSet's tolerance (ValueError)."""
+    `verify_mub` on `to_lineset()`, at LineSet's tolerance (ValueError).
+
+    The basis columns are written once into the rows of the line set's
+    array, and each basis is a read-only view of its d rows, transposed.
+    """
 
     d: int
     bases: list
     provenance: tuple = ("unknown", None)
 
     def __post_init__(self):
-        self.bases = [np.asarray(B, dtype=complex) for B in self.bases]
+        d, count = self.d, len(self.bases)
+        vectors = np.empty((count * d, d), dtype=complex)
         for k, B in enumerate(self.bases):
-            if B.shape != (self.d, self.d):
-                raise ValueError(f"basis {k} has shape {B.shape}, expected {(self.d, self.d)}")
-        vectors = np.hstack(self.bases).T
-        labels = [k for k in range(len(self.bases)) for _ in range(self.d)]
-        self._lineset = LineSet(self.d, vectors, basis_labels=labels)
+            B = np.asarray(B, dtype=complex)
+            if B.shape != (d, d):
+                raise ValueError(f"basis {k} has shape {B.shape}, expected {(d, d)}")
+            vectors[k * d:(k + 1) * d] = B.T
+        labels = [k for k in range(count) for _ in range(d)]
+        self._lineset = LineSet(d, vectors.view(_Fresh), basis_labels=labels)
+        self.bases = [self._lineset.vectors[k * d:(k + 1) * d].T for k in range(count)]
         verdict = verify_mub(self._lineset)
         if not verdict["unbiased"]:
             raise ValueError(

@@ -39,12 +39,14 @@ def run(capsys, argv):
 
 
 def count_angle_passes(monkeypatch):
-    """The list that gets the line set of each `_angle_blocks` pass from now on,
-    in `linesets` and in `schemes`, which imports it by name."""
+    """The list that gets the line set of each pass over the angle matrix from
+    now on: each `_angle_blocks` pass, in `linesets` and in `schemes`, which
+    imports it by name, and each `_triangle_blocks` pass."""
     passes = []
-    blocks = linesets._angle_blocks
-    for module in (linesets, schemes):
-        monkeypatch.setattr(module, "_angle_blocks", lambda X: passes.append(X) or blocks(X))
+    for module, name in ((linesets, "_angle_blocks"), (schemes, "_angle_blocks"),
+                         (linesets, "_triangle_blocks")):
+        blocks = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda X, blocks=blocks: passes.append(X) or blocks(X))
     return passes
 
 
@@ -495,8 +497,7 @@ class TestVerify:
     @pytest.mark.parametrize("source", ["option", "file", "construct"])
     def test_tolerance_that_is_not_finite_and_positive_is_a_usage_error(
             self, capsys, monkeypatch, tmp_path, mub_file, tol, source):
-        passes = []
-        monkeypatch.setattr(linesets, "_angle_blocks", lambda X: passes.append(X) or iter(()))
+        passes = count_angle_passes(monkeypatch)
         if source == "option":
             argv = ["--tol", str(tol), "verify", mub_file, "--expect", "mub"]
         elif source == "construct":  # MubFamily certifies what it builds

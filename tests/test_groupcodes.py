@@ -787,3 +787,34 @@ def test_csv_rejects_garbage(tmp_path):
     path.write_text("alphabet=16\n1,2\n")
     with pytest.raises(ValueError, match="alphabet"):
         linear_code_from_csv(str(path))
+
+
+def float_product_distance_labels(A):
+    """The earlier route, kept as the oracle: one float32 frontier product per level."""
+    n = A.shape[0]
+    adj, seen = A.astype(np.float32), np.eye(n, dtype=bool)
+    frontier, dist, level = seen, np.zeros((n, n), dtype=np.int64), 0
+    while frontier.any():
+        level += 1
+        frontier = (frontier @ adj > 0) & ~seen
+        dist[frontier] = level
+        seen |= frontier
+    if not seen.all():
+        raise ValueError("graph is disconnected")
+    return dist
+
+
+@pytest.mark.parametrize("make", [lambda: cover_graph(builtin="tank-trap").adjacency]
+                         + [lambda q=q: cover_graph(*field_rds(q)).adjacency
+                            for q in (5, 7, 8, 9, 13, 16)],
+                         ids=["tank-trap", "rds5", "rds7", "rds8", "rds9", "rds13", "rds16"])
+def test_distance_labels_match_the_float_product_oracle(make):
+    A = make()
+    assert np.array_equal(groupcodes._distance_labels(A), float_product_distance_labels(A))
+
+
+def test_distance_labels_of_a_disconnected_graph_match_the_oracle():
+    A = np.kron(np.eye(2, dtype=np.uint8), np.ones((3, 3), dtype=np.uint8) - np.eye(3, dtype=np.uint8))
+    for route in (groupcodes._distance_labels, float_product_distance_labels):
+        with pytest.raises(ValueError, match="^graph is disconnected$"):
+            route(A)

@@ -730,12 +730,20 @@ def test_verify_mub_duplicate_bases_fail():
     assert not out["unbiased"]
 
 
+def count_angle_passes(monkeypatch):
+    """The list that gets the line set of each pass over the angle matrix from
+    now on: full rows (`_angle_blocks`) or the upper triangle (`_triangle_blocks`)."""
+    passes = []
+    for name in ("_angle_blocks", "_triangle_blocks"):
+        blocks = getattr(linesets, name)
+        monkeypatch.setattr(linesets, name, lambda X, blocks=blocks: passes.append(X) or blocks(X))
+    return passes
+
+
 def test_one_pass_serves_a_labelled_set_with_a_line_twice(monkeypatch):
     # the pass records the repeated line: gram_degree_set raises on it at
     # every call, and verify_mub reads its verdict from the same pass
-    passes = []
-    blocks = linesets._angle_blocks
-    monkeypatch.setattr(linesets, "_angle_blocks", lambda X: passes.append(X) or blocks(X))
+    passes = count_angle_passes(monkeypatch)
     X = LineSet(3, np.vstack([np.eye(3), np.eye(3)[[2, 0, 1]]]), basis_labels=[0] * 3 + [1] * 3)
     for _ in range(2):
         with pytest.raises(ValueError, match=r"^vectors 0 and 4 span the same line \(angle 1\)$"):
@@ -910,8 +918,7 @@ def test_verify_mub_matches_dense_route_at_any_label_order_and_tol(name, block, 
     monkeypatch.setattr(linesets, "BLOCK_ENTRIES", block)
     X = MUB_CLUSTER_SETS[name]()
     ref = dense_verify_mub(X)
-    passes, blocks = [], linesets._angle_blocks
-    monkeypatch.setattr(linesets, "_angle_blocks", lambda X: passes.append(X) or blocks(X))
+    passes = count_angle_passes(monkeypatch)
     out = verify_mub(X)
     assert (out["unbiased"], out["count"]) == (ref["unbiased"], ref["count"])
     assert out["unbiased"] == (name != "turned-basis")
@@ -1266,3 +1273,118 @@ def test_alignment_preserves_angles():
     X = mub_triple_c2()
     Y = phase_align_for_doubling(X)
     assert np.allclose(gram_degree_set(X).angles, gram_degree_set(Y).angles)
+
+
+# ---------------------------------------------------------------------------
+# one read, one triangle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, d", [(130, 3), (200, 7), (150, 8), (97, 27), (300, 32)])
+def test_triangle_blocks_are_bit_identical_to_the_angle_matrix(n, d):
+    rng = np.random.default_rng(n + d)
+    V = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    X = LineSet(d, V / np.linalg.norm(V, axis=1, keepdims=True))
+    ref = X.angle_matrix()
+    for r0, c0, A in linesets._triangle_blocks(X):
+        assert c0 % linesets.TRIANGLE_ALIGN == 0 and c0 <= r0
+        assert np.array_equal(A.view(np.int64), ref[r0:r0 + len(A), c0:].view(np.int64))
+
+
+def walked(text):
+    return linesets._read_document(text)["vectors"]
+
+
+@pytest.mark.parametrize("make", [lambda: wf_mubs(8).to_lineset(), lambda: alltop_mubs(7).to_lineset(),
+                                  lambda: diffset_lines(*singer_difference_set(5))])
+def test_one_call_route_matches_the_row_walker(make):
+    text = lineset_to_json(make())
+    doc = linesets._writer_document(text.encode())
+    assert doc is not None
+    assert np.array_equal(doc["vectors"].view(np.int64), walked(text).view(np.int64))
+
+
+def test_one_call_route_keeps_every_double():
+    from hypothesis import given, settings, strategies as st
+    edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                            1.7976931348623157e308, -1.7976931348623157e308])
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.one_of(edge, st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=4, max_size=4 * 130).filter(lambda x: len(x) % 4 == 0))
+    def check(values):
+        rows = np.array(values).reshape(-1, 2, 2).tolist()
+        text = json.dumps({"dim": 2, "field": "complex", "tol": 1e-9, "vectors": rows})
+        doc = linesets._writer_document(text.encode())
+        ref = walked(text)
+        assert doc is None and np.abs(ref.view(float)).max() >= 2.0 ** 63 \
+            or np.array_equal(doc["vectors"].view(np.int64), ref.view(np.int64))
+
+    check()
+
+
+@pytest.mark.parametrize("number", ["01", "-01", "+1", ".5", "-.5", "1.", "1.e5", "-0", "NaN",
+                                    "Infinity", "true", "1e", "1-2", "9223372036854775808"])
+def test_one_call_route_leaves_other_numbers_to_the_walker(number):
+    text = '{"dim": 1, "field": "complex", "tol": 1e-09, "vectors": [[[%s, 0.0]]]}' % number
+    assert linesets._writer_document(text.encode()) is None
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 1, "vectors": [[[1.0, 0.0]]], }',
+    '{, "vectors": [[[1.0, 0.0]]]}',
+    '{"dim": 1, "vectors": [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}',
+    '{"dim": 1, "vectors": [[[1.0, 0.0]]], "vectors": [[[1.0, 0.0]]]}',
+    '{"dim": 1,"vectors":[[[1.0, 0.0]]], "vectors": [[[1.0, 0.0]]]}',
+    '{"dim": 1, "vectors": [[[1.0,0.0]]]}',
+])
+def test_one_call_route_leaves_other_layouts_to_the_walker(text):
+    assert linesets._writer_document(text.encode()) is None
+
+
+def test_loading_a_file_holds_the_text_one_array_and_a_block(tmp_path):
+    rng = np.random.default_rng(5)
+    V = rng.normal(size=(1000, 32)) + 1j * rng.normal(size=(1000, 32))
+    path = tmp_path / "x.json"
+    size = len(lineset_to_json(LineSet(32, V / np.linalg.norm(V, axis=1, keepdims=True)), path))
+    tracemalloc.start()
+    X = lineset_from_json(str(path))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert X.vectors.flags.c_contiguous and peak < size + X.vectors.nbytes + 16 * linesets.BLOCK_ENTRIES
+
+
+def test_lineset_holds_one_copy_and_a_block():
+    rng = np.random.default_rng(6)
+    V = rng.normal(size=(2000, 16)) + 1j * rng.normal(size=(2000, 16))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    tracemalloc.start()
+    X = LineSet(16, V.T.T)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert np.array_equal(X.vectors, V) and peak < V.nbytes + 16 * linesets.BLOCK_ENTRIES
+    assert LineSet(16, np.asfortranarray(V)).vectors.flags.c_contiguous
+
+
+def test_mub_family_bases_are_read_only_views_of_its_rows(monkeypatch):
+    from linekit import mubs
+    raw = []
+
+    class Recording(mubs.MubFamily):
+        def __post_init__(self):
+            raw[:] = [np.array(B, dtype=complex) for B in self.bases]
+            super().__post_init__()
+
+    monkeypatch.setattr(mubs, "MubFamily", Recording)
+    for make in (lambda: wf_mubs(4), lambda: alltop_mubs(5), lambda: mubs.spin_model_mubs(19)):
+        fam = make()
+        V = fam.to_lineset().vectors
+        for k, B in enumerate(fam.bases):
+            assert np.shares_memory(B, V)
+            rows = np.ascontiguousarray(raw[k].T)  # LineSet's rule on today's rows
+            norms = np.linalg.norm(rows, axis=1)
+            off = np.abs(norms - 1) > float_error(fam.d)
+            rows[off] /= norms[off, None]
+            assert np.array_equal(np.ascontiguousarray(B.T).view(np.int64), rows.view(np.int64))
+            with pytest.raises(ValueError):
+                B[0, 0] = 0
