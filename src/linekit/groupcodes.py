@@ -267,19 +267,14 @@ class GraphWithSpectrum:
 def _distance_labels(A):
     """Distance matrix of a connected graph, breadth first from every vertex at once.
 
-    Column u of the next frontier is the OR of the frontier's columns at the
-    neighbours of u, gathered through a neighbour table: k gathers of an
-    n x n bool per level for a k-regular graph, and no float product.  A row
-    of the table shorter than the largest degree is padded with u, whose own
-    frontier column is already seen.  The distances are held in the smallest
-    unsigned type, like the labels of `schemes._angle_labels`: uint8 until a
-    level passes 255.
+    Column u of the next frontier ORs the frontier's columns at u's neighbours (a
+    table padded with u, already seen), so no float product is made.  Distances
+    take the smallest unsigned type, like the labels of `schemes._angle_labels`.
     """
     n = A.shape[0]
-    u, v = np.nonzero(A.T)  # the neighbours v of each u, A[v, u] != 0, in order
-    degree = np.bincount(u, minlength=n)
-    nbr = np.repeat(np.arange(n)[:, None], degree.max(initial=0), axis=1)
-    nbr[u, np.arange(u.size) - np.repeat(np.cumsum(degree) - degree, degree)] = v
+    u, v = np.nonzero(A.T)  # the neighbours v of each u, A[v, u] != 0, u ascending
+    nbr = np.repeat(np.arange(n)[:, None], np.bincount(u).max(initial=0), axis=1)
+    nbr[u, np.arange(u.size) - np.searchsorted(u, u)] = v
     seen = np.eye(n, dtype=bool)
     frontier = seen
     dist = np.zeros((n, n), dtype=np.uint8)
@@ -339,11 +334,10 @@ def cover_graph(G=None, D=None, N=None, builtin=None):
 
     Either build the bipartite graph on two copies of G with (0,x) ~ (1,y)
     iff y - x in D, or pass builtin="tank-trap" for the 36-vertex triple
-    cover of K_{6,6}.  The distance matrix, from one breadth-first search
-    from every vertex at once (`_distance_labels`), goes through
-    `association_scheme`: a graph is distance-regular exactly when its
-    distance classes form a scheme, and a pair on which the classes fail to
-    close is raised as a witness.  The intersection array is
+    cover of K_{6,6}.  The distance matrix, from one boolean frontier gather
+    per level, goes through `association_scheme`: a graph is distance-regular
+    exactly when its distance classes form a scheme, and a pair on which the
+    classes fail to close is raised as a witness.  The intersection array is
     read off the exact intersection numbers, b_i = p_{1,i+1}^i and
     c_i = p_{1,i-1}^i, and must be {k, k-1, k-lam, 1; 1, lam, k-1, k} with
     diameter 4.  The spectrum (P[j, 1], m_j) is then checked against

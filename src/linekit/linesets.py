@@ -4,12 +4,10 @@ A LineSet is n unit vectors regarded projectively (each spans a line), every
 norm 1 within float_error(dim), the rounding of a d-term norm.  All
 statistics below depend only on the squared inner-product moduli |<a,b>|^2,
 so they are invariant under per-vector phases and global unitaries.  The
-degree set is one pass over the row blocks of the angle matrix, each
-block's columns from its first row (rounded down to TRIANGLE_ALIGN) on, so
-the pass sweeps the upper triangle only; each block's pair values are
-sorted and cut into runs, and the runs of all blocks merge into exactly
-the clusters of the sorted n(n-1)/2 values, with no array of those values
-(`gram_degree_set`).  The same pass keeps the
+degree set is one pass over the angle matrix's upper triangle in row blocks:
+each block's pair values are sorted and cut into runs, and the runs of all
+blocks merge into exactly the clusters of the sorted n(n-1)/2 values, with
+no array of those values (`gram_degree_set`).  The same pass keeps the
 power sums of the angles, from which the Jacobi pair sums of the design
 test follow with no n x n array.  It reads no basis labels: `verify_mub`
 takes the in-cell pairs out of the degree set with each basis's d x d Gram.
@@ -39,7 +37,7 @@ def _checked_tol(tol):
 
 
 class _Fresh(np.ndarray):
-    """A C-ordered complex array made for the one LineSet that keeps it, with no copy."""
+    """An array made for the one LineSet that keeps it: copied only if not C-ordered complex."""
 
 
 class LineSet:
@@ -48,13 +46,11 @@ class LineSet:
     vectors: (n, dim) complex array (real sets keep zero imaginary parts);
     basis_labels: length-n list partitioning the set into cells of size dim.
     Every entry must be finite, tol finite and positive, and each norm within
-    certify_tol(tol) of 1.  The vectors are one read-only C-ordered copy of
-    the input, each row whose norm misses 1 by more than float_error(dim)
-    divided by its norm once, the others bit for bit.  The checks run over
-    row blocks, finiteness first, each block's norms from `np.linalg.norm`.
-    tol is fixed here, so the degree set that `gram_degree_set` stores on the
-    line set, and the class labels that `schemes` cuts from the degree set
-    stay valid.
+    certify_tol(tol) of 1.  The vectors are a read-only C-ordered copy of the
+    input, checked in row blocks, each row whose norm misses 1 by more than
+    float_error(dim) divided by its norm once, the others bit for bit.  tol is
+    fixed here, so the degree set that `gram_degree_set` stores on the line
+    set, and the class labels that `schemes` cuts from the degree set stay valid.
     """
 
     def __init__(self, dim, vectors, field="complex", basis_labels=None, tol=DEFAULT_TOL):
@@ -63,14 +59,12 @@ class LineSet:
         self.tol = _checked_tol(tol)
         if field not in ("complex", "real"):
             raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
-        fresh = type(vectors) is _Fresh
-        V = vectors.view(np.ndarray) if fresh else np.array(vectors, dtype=complex, order="C")
+        V = np.array(vectors, complex, copy=None if type(vectors) is _Fresh else True, order="C")
         if V.ndim != 2 or V.shape[1] != self.dim:
             raise ValueError(f"vectors must be n x {self.dim}, got shape {V.shape}")
         if V.shape[0] < 1:
             raise ValueError("a line set needs at least one vector")
-        step = max(1, BLOCK_ENTRIES // (4 * self.dim))  # norm makes two complex copies of a block
-        blocks = np.split(V, range(step, len(V), step))
+        blocks = np.array_split(V, 1 + 4 * V.size // BLOCK_ENTRIES)  # norm copies a block twice
         finite = np.concatenate([np.isfinite(B).all(axis=1) for B in blocks])
         if not finite.all():
             raise ValueError(f"vector {int(finite.argmin())} has an entry that is not finite")
@@ -155,7 +149,7 @@ def _row_blocks(n, entries):
 
 
 def _angle_rows(V, r0, r1, c0=0):
-    """|G[r0:r1, c0:]|^2: one GEMM like `angle_matrix`, squared in place (bit-identical to `** 2`)."""
+    """|G[r0:r1, c0:]|^2: one GEMM like `angle_matrix`, squared in place (the bits of `** 2`)."""
     A = np.abs(V[r0:r1].conj() @ V[c0:].T)
     return np.square(A, out=A)
 
@@ -166,17 +160,13 @@ def _angle_blocks(X):
         yield r0, _angle_rows(X.vectors, r0, r1)
 
 
-#: a `_triangle_blocks` block's columns start at a multiple of this: the BLAS
-#: kernel computes a product's columns in fixed groups, so a block that starts on
-#: a group boundary gives each entry the kernel path, and so the bits, of its full
-#: row in `_angle_blocks` and `angle_matrix`; an unaligned start changes some bits
 TRIANGLE_ALIGN = 64
 
 
 def _triangle_blocks(X):
-    """Yield (first row r0, first column c0, `_angle_rows` from c0) over `_row_blocks`:
-    each block's part of the upper triangle and the diagonal, c0 = r0 rounded
-    down to a multiple of TRIANGLE_ALIGN."""
+    """Yield (r0, c0, `_angle_rows` from c0) over `_row_blocks`, c0 = r0 rounded down to
+    TRIANGLE_ALIGN: the BLAS kernel computes a product's columns in fixed groups, so a
+    block whose columns start on a group boundary keeps every entry's bits."""
     for r0, r1 in _row_blocks(X.n, BLOCK_ENTRIES):
         c0 = r0 - r0 % TRIANGLE_ALIGN
         yield r0, c0, _angle_rows(X.vectors, r0, r1, c0)
@@ -211,8 +201,7 @@ def _angle_pass(X):
     runs = [np.empty((4, 0))]  # rows: min, max, count, sum of each run
     same_line = None
     for r0, c0, A in _triangle_blocks(X):
-        rows = np.arange(len(A))
-        diag[r0:r0 + len(A)] = A[rows, rows + r0 - c0]
+        diag[r0:r0 + len(A)] = A[np.arange(len(A)), np.arange(r0 - c0, r0 - c0 + len(A))]
         vals = np.concatenate([row[i + 1:] for i, row in enumerate(A, start=r0 - c0)])
         if same_line is None and vals.size and vals.max() > 1 - tol:
             i, j = np.argwhere(np.triu(A, r0 - c0 + 1) > 1 - tol)[0]
@@ -720,77 +709,46 @@ def _read_document(text):
     return doc
 
 
-#: the bytes of the writer's numbers; the rest of its "vectors" text is fixed by n and dim
-_NUMBER = b"0123456789.e+-"
-_BRACKETS = bytes.maketrans(b"[]", b"  ")
+#: a JSON number but the integer -0 (JSON reads it as 0) or one of 19 digits or more:
+#: np.fromstring reads it to json's bits, and the walker stacks it as a number
+_NUMBER = rb"(?!-0[,\]])-?+(?:[1-9]\d{0,17}+|0)(?:\.\d++)?+(?:e[+-]?\d++)?+"
 
 
 def _writer_document(data):
-    """The document of an ASCII text (bytes) whose "vectors" are in the writer's
-    own layout, or None for any other text.  The other keys are read by
-    `json.loads`, and the rows ROW_BATCH at a time (fewer past dim 8), each
-    batch by one np.fromstring into a preallocated complex array.  A batch
-    must have the writer's brackets and ", " exactly, and only numbers that
-    the walker reads to the same bits: np.fromstring also takes +1, .5, 1. and 01, and
-    reads the integer -0 as -0.0, so a number is a digit after an optional
-    "-", then no digit after a leading 0 (nor an end after -0), and each "."
-    has a digit after it.  The walker stacks an integer past 2^63 as an
-    object, so a batch holding a value that large is not taken either.
-    """
-    start, end = data.find(b', "vectors": [') + 14, data.rfind(b"]]]") + 2
-    tail = data[end + 1:]
-    comma = tail.startswith(b", ")
-    if not data.isascii() or start == 13 or end < start:
+    """The document of an ASCII text (bytes) whose one "vectors" key holds rows of
+    `_NUMBER` pairs in the writer's layout, else None (the walker reads it).  The other
+    keys go to `json.loads`, and each batch of ROW_BATCH rows (fewer past dim 8) to one
+    np.fromstring that fills a preallocated complex array."""
+    i, end = data.find(b'"vectors": [[[') + 12, data.find(b"]]]") + 2
+    dim = data.count(b"], [", i, data.find(b"]]", i)) + 1
+    row = rb"\[\[%s, %s\](?:, \[%s, %s\]){%d}\]" % (_NUMBER, _NUMBER, _NUMBER, _NUMBER, dim - 1)
+    if (i == 11 or end < i or not data.isascii() or b"\\" in data or data.count(b'"vectors"') > 1
+            or not re.compile(rb"%s(?:, %s)*+" % (row, row)).fullmatch(data, i, end)):
         return None
     try:
-        doc, more = json.loads(data[:start - 14] + b"}"), json.loads(b"{" + tail[2 * comma:])
+        doc = json.loads(data[:i - 1] + b"null" + data[end + 1:])
     except ValueError:
         return None
-    stops = [start]  # then the end of each row
-    while stops[-1] < end:
-        stops.append(data.find(b"]]", stops[-1]) + 2)
-    if stops[-1] != end or not doc or comma and not more or "vectors" in doc | more:
-        return None
-    dim = data.count(b"], [", start, stops[1]) + 1
-    row = b"[" + b", ".join([b"[, ]"] * dim) + b"]"
-    V = np.empty((len(stops) - 1, dim), dtype=complex)
-    step = max(1, min(ROW_BATCH, BLOCK_ENTRIES // (32 * dim)))  # its text and copies: under a block
+    starts = [i, *(m.end() - 2 for m in re.compile(rb"]], \[\[").finditer(data, i, end)), end + 2]
+    V = np.empty((len(starts) - 1, dim), dtype=complex)
+    step = max(1, min(ROW_BATCH, BLOCK_ENTRIES // (32 * dim)))  # text and copies under a block
     for r0 in range(0, len(V), step):
-        r1 = min(r0 + step, len(V))
-        chunk = data[stops[r0]:stops[r1]]
-        if chunk.translate(None, _NUMBER) != b", " * (r0 > 0) + b", ".join([row] * (r1 - r0)):
-            return None
-        c = np.frombuffer(chunk, np.uint8)
-        first = np.flatnonzero(((c[:-1] == ord("[")) | (c[:-1] == ord(" "))) & (c[1:] != ord("["))) + 1
-        minus = c[first] == ord("-")
-        first += minus
-        lead, after = c[first], c[first + 1]
-        if ((lead - ord("0") > 9) | (lead == ord("0")) & ((after - ord("0") < 10) | minus
-                & (after != ord(".")) & (after != ord("e")))).any() \
-                or (c[np.flatnonzero(c == ord(".")) + 1] - ord("0") > 9).any():
-            return None
-        try:
-            flat = np.fromstring(chunk.translate(_BRACKETS).lstrip(b", "), sep=",")
-        except ValueError:
-            return None
-        if flat.size != 2 * V[r0:r1].size or np.abs(flat).max() >= 2.0 ** 63:
-            return None
-        V[r0:r1] = flat.view(complex).reshape(r1 - r0, dim)
-    return doc | more | {"vectors": V}
+        batch = data[starts[r0]:starts[min(r0 + step, len(V))] - 2]
+        flat = np.fromstring(batch.translate(bytes.maketrans(b"[]", b"  ")), sep=",")
+        V[r0:r0 + step] = flat.view(complex).reshape(-1, dim)
+    return doc | {"vectors": V} if type(doc) is dict and doc.get("vectors", 0) is None else None
 
 
 def lineset_from_json(source):
     """Accepts a JSON string, a parsed dict, or a file path.
 
     A string or a file's bytes in the writer's own layout are parsed by
-    `_writer_document`, one numpy call per batch of rows; any other text is
-    walked by `_read_document`, which decodes its "vectors" one row at a time
-    and stacks them into float64 in batches, so no Python list of all the
-    entries is made.  A dict's "vectors" go through the same
-    `_stack_pairs`.  The vectors must form an n x dim array of [re, im] pairs
-    of numbers, each row numeric on its own; they are viewed as complex, so
-    every bit (-0.0 too) survives a round trip.  Either route builds the one
-    array that the LineSet keeps.
+    `_writer_document`, one numpy call per batch of rows; other text is walked
+    by `_read_document`: its "vectors" are decoded one row at a time and
+    stacked into float64 in batches, so no Python list of all the entries is
+    made.  A dict's "vectors" go through the same `_stack_pairs`.  They must
+    form an n x dim array of [re, im] pairs of numbers, each row numeric on
+    its own, viewed as complex, so every bit (-0.0 too) survives a round trip.
     """
     if isinstance(source, dict):
         doc = {**source, "vectors": _stack_pairs(source["vectors"])}
@@ -799,9 +757,8 @@ def lineset_from_json(source):
     else:
         with open(source, "rb") as fh:
             doc = _writer_document(fh.read())
-        if doc is None:
-            with open(source) as fh:
-                doc = _read_document(fh.read())
+        with open(source) as fh:  # read again only for text in no writer's layout
+            doc = doc or _read_document(fh.read())
     return LineSet(
         doc["dim"],
         doc["vectors"].view(_Fresh),

@@ -23,26 +23,24 @@ from linekit.linesets import LineSet, _Fresh, verify_mub
 class MubFamily:
     """d x d bases, bases[0] = I, certified unbiased at creation by
     `verify_mub` on `to_lineset()`, at LineSet's tolerance (ValueError).
-
-    The basis columns are written once into the rows of the line set's
-    array, and each basis is a read-only view of its d rows, transposed.
-    """
+    Each basis is a read-only view of its d rows of that line set, transposed, or
+    its input as given (complex) if LineSet rescaled one of those rows."""
 
     d: int
     bases: list
     provenance: tuple = ("unknown", None)
 
     def __post_init__(self):
-        d, count = self.d, len(self.bases)
-        vectors = np.empty((count * d, d), dtype=complex)
+        d = self.d
+        vectors = np.empty((len(self.bases), d, d), dtype=complex)
         for k, B in enumerate(self.bases):
-            B = np.asarray(B, dtype=complex)
-            if B.shape != (d, d):
-                raise ValueError(f"basis {k} has shape {B.shape}, expected {(d, d)}")
-            vectors[k * d:(k + 1) * d] = B.T
-        labels = [k for k in range(count) for _ in range(d)]
-        self._lineset = LineSet(d, vectors.view(_Fresh), basis_labels=labels)
-        self.bases = [self._lineset.vectors[k * d:(k + 1) * d].T for k in range(count)]
+            if np.shape(B) != (d, d):
+                raise ValueError(f"basis {k} has shape {np.shape(B)}, expected {(d, d)}")
+            vectors[k] = np.transpose(B)
+        labels = [k // d for k in range(len(self.bases) * d)]
+        self._lineset = LineSet(d, vectors.reshape(-1, d).view(_Fresh), basis_labels=labels)
+        self.bases = [V.T if np.array_equal(V.T, B) else np.asarray(B, dtype=complex)
+                      for V, B in zip(self._lineset.vectors.reshape(vectors.shape), self.bases)]
         verdict = verify_mub(self._lineset)
         if not verdict["unbiased"]:
             raise ValueError(
