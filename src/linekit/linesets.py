@@ -64,7 +64,7 @@ class LineSet:
             raise ValueError(f"vectors must be n x {self.dim}, got shape {V.shape}")
         if V.shape[0] < 1:
             raise ValueError("a line set needs at least one vector")
-        blocks = np.array_split(V, 1 + 4 * V.size // BLOCK_ENTRIES)  # norm copies a block twice
+        blocks = np.array_split(V, min(len(V), 1 + 4 * V.size // BLOCK_ENTRIES))  # norm: 2 copies
         finite = np.concatenate([np.isfinite(B).all(axis=1) for B in blocks])
         if not finite.all():
             raise ValueError(f"vector {int(finite.argmin())} has an entry that is not finite")

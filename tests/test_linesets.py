@@ -1390,6 +1390,13 @@ def test_lineset_holds_one_copy_and_a_block():
     assert LineSet(16, np.asfortranarray(V)).vectors.flags.c_contiguous
 
 
+def test_real_set_of_few_long_rows_is_checked_in_nonempty_blocks():
+    X = LineSet(5000, np.eye(1, 5000), field="real")  # more blocks of entries than rows
+    assert X.n == 1 and X.vectors.flags.c_contiguous
+    with pytest.raises(ValueError, match="imaginary parts"):
+        LineSet(5000, 1j * np.eye(1, 5000), field="real")
+
+
 def test_mub_family_bases_keep_their_bits_in_read_only_views_of_its_rows(monkeypatch):
     from linekit import mubs
     raw = []
