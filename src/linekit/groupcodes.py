@@ -47,7 +47,7 @@ from .finite_algebra import (
     isprime,
     root_table,
 )
-from .linesets import LineSet, _Fresh, distinct_lines
+from .linesets import LineSet, _Fresh, _json_text, distinct_lines
 
 _ENUM_CAP = 2**20
 _DESK_GROUP_CAP = 512
@@ -609,12 +609,9 @@ def diffset_to_json(G, D, N=None, path=None):
 
 
 def diffset_from_json(source):
-    """Inverse of diffset_to_json; accepts a JSON string or a file path."""
-    text = source
-    if "\n" not in source and not source.lstrip().startswith("{"):
-        with open(source) as fh:
-            text = fh.read()
-    doc = json.loads(text)
+    """Inverse of diffset_to_json; accepts a JSON string or a file path, told apart
+    as `lineset_from_json` tells them (`linesets._json_text`)."""
+    doc = json.loads(_json_text(source))
     G = AbelianGroup(doc["orders"])
     D = [tuple(g) for g in doc["D"]]
     N = [tuple(g) for g in doc["N"]] if "N" in doc else None

@@ -602,9 +602,6 @@ def lineset_to_json(X, path=None):
 #: rows of a "vectors" entry per float64 conversion in `lineset_from_json`
 ROW_BATCH = 64
 
-#: the whitespace JSON allows between tokens
-_SPACE = re.compile(r"[ \t\n\r]*")
-
 _PAIRS = "each vector must be a list of [re, im] pairs of numbers, all of one length"
 
 
@@ -618,8 +615,9 @@ def _first_leaf(row):
 def _stack_pairs(rows):
     """The complex (n, dim) array of an iterable of rows of [re, im] pairs.
 
-    The rows are stacked into float64 ROW_BATCH at a time, so no Python list
-    of all the entries is held.  Each batch must stack to a numeric array of
+    The rows are stacked into float64 ROW_BATCH at a time, so the arrays
+    np.array makes of the Python rows, and the range of vectors an error
+    names, are one batch long.  Each batch must stack to a numeric array of
     shape (rows, dim, 2), with the dim of the first batch.  Each row must also
     be numeric on its own, since np.array reads a row of booleans among rows
     of numbers as numbers: a row whose first entry is not an int or a float
@@ -648,75 +646,14 @@ def _stack_pairs(rows):
     return np.concatenate(parts)
 
 
-def _read_document(text):
-    """The top-level object of a JSON text, its "vectors" read row by row.
-
-    `json.JSONDecoder.raw_decode` reads each key and each other value whole,
-    and each row of the "vectors" array on its own, handing the rows to
-    `_stack_pairs` as they come.  Malformed JSON and trailing data raise the
-    `json.JSONDecodeError` of `json.loads`; a top level that is not an object
-    raises ValueError.
-    """
-    decode = json.JSONDecoder().raw_decode
-    i = _SPACE.match(text).end()
-
-    def step(token):
-        """Step past `token` and the space after it, if `token` is at i."""
-        nonlocal i
-        if not text.startswith(token, i):
-            return False
-        i = _SPACE.match(text, i + 1).end()
-        return True
-
-    def expect(token, message):
-        if not step(token):
-            raise json.JSONDecodeError(message, text, i)
-
-    def value():
-        nonlocal i
-        item, end = decode(text, i)
-        i = _SPACE.match(text, end).end()
-        return item
-
-    def rows():  # of the array whose "[" was just stepped past
-        if step("]"):
-            return
-        while True:
-            yield value()
-            if step("]"):
-                return
-            expect(",", "Expecting ',' delimiter")
-
-    if not step("{"):
-        raise ValueError("a line-set document must be a JSON object")
-    doc = {}
-    closed = step("}")
-    while not closed:
-        if not text.startswith('"', i):
-            raise json.JSONDecodeError("Expecting property name enclosed in double quotes",
-                                       text, i)
-        key = value()
-        expect(":", "Expecting ':' delimiter")
-        if key == "vectors":
-            doc[key] = _stack_pairs(rows() if step("[") else value())
-        else:
-            doc[key] = value()
-        closed = step("}")
-        if not closed:
-            expect(",", "Expecting ',' delimiter")
-    if i != len(text):
-        raise json.JSONDecodeError("Extra data", text, i)
-    return doc
-
-
 #: a JSON number but the integer -0 (JSON reads it as 0) or one of 19 digits or more:
-#: np.fromstring reads it to json's bits, and the walker stacks it as a number
+#: np.fromstring reads it to json's bits, and `_stack_pairs` stacks it as a number
 _NUMBER = rb"(?!-0[,\]])-?+(?:[1-9]\d{0,17}+|0)(?:\.\d++)?+(?:e[+-]?\d++)?+"
 
 
 def _writer_document(data):
     """The document of an ASCII text (bytes) whose one "vectors" key holds rows of
-    `_NUMBER` pairs in the writer's layout, else None (the walker reads it).  The other
+    `_NUMBER` pairs in the writer's layout, else None (`json.loads` reads it).  The other
     keys go to `json.loads`, and each batch of ROW_BATCH rows (fewer past dim 8) to one
     np.fromstring that fills a preallocated complex array."""
     i, end = data.find(b'"vectors": [[[') + 12, data.find(b"]]]") + 2
@@ -739,26 +676,37 @@ def _writer_document(data):
     return doc | {"vectors": V} if type(doc) is dict and doc.get("vectors", 0) is None else None
 
 
-def lineset_from_json(source):
-    """Accepts a JSON string, a parsed dict, or a file path.
+def _json_text(source):
+    """`source` if it is JSON text, a str whose first non-space character is "{",
+    else the bytes of the file at path `source`."""
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        return source
+    with open(source, "rb") as fh:
+        return fh.read()
 
-    A string or a file's bytes in the writer's own layout are parsed by
-    `_writer_document`, one numpy call per batch of rows; other text is walked
-    by `_read_document`: its "vectors" are decoded one row at a time and
-    stacked into float64 in batches, so no Python list of all the entries is
-    made.  A dict's "vectors" go through the same `_stack_pairs`.  They must
-    form an n x dim array of [re, im] pairs of numbers, each row numeric on
-    its own, viewed as complex, so every bit (-0.0 too) survives a round trip.
+
+def lineset_from_json(source):
+    """Accepts a JSON string, a parsed dict, or a file path (`_json_text`).
+
+    Text in the writer's own layout is parsed by `_writer_document`, one numpy
+    call per batch of rows.  Other text goes to `json.loads`, which reads a
+    file's bytes as UTF-8, UTF-16 or UTF-32, with or without a BOM; its
+    document must be an object.  The "vectors" of that document or of a dict
+    go through `_stack_pairs`: they must form an n x dim array of [re, im]
+    pairs of numbers, each row numeric on its own, viewed as complex, so every
+    bit (-0.0 too) survives a round trip.
     """
     if isinstance(source, dict):
         doc = {**source, "vectors": _stack_pairs(source["vectors"])}
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        doc = _writer_document(source.encode("utf-8", "surrogatepass")) or _read_document(source)
     else:
-        with open(source, "rb") as fh:
-            doc = _writer_document(fh.read())
-        with open(source) as fh:  # read again only for text in no writer's layout
-            doc = doc or _read_document(fh.read())
+        text = _json_text(source)
+        doc = _writer_document(
+            text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass"))
+        if doc is None:
+            doc = json.loads(text)
+            if not isinstance(doc, dict):
+                raise ValueError("a line-set document must be a JSON object")
+            doc["vectors"] = _stack_pairs(doc["vectors"])
     return LineSet(
         doc["dim"],
         doc["vectors"].view(_Fresh),

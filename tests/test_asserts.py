@@ -9,7 +9,10 @@ same way: the certificate thresholds live in the `tolerance` table, and the
 other modules keep only the local guards of their constructors.
 
 The n x n Gram and angle matrices are formed only where a dense analysis
-needs every entry at once: the row-block routes read `_angle_blocks` instead.
+needs every entry at once.  The row-block routes read the upper triangle from
+`_triangle_blocks` (the degree-set pass, `verify_mub` and `export angles`) or
+full rows from `_angle_rows` (the class labels and the idempotent fill of
+`schemes`) instead.
 """
 
 import ast

@@ -483,6 +483,13 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "cannot read" in err
 
+    def test_syntax_error_after_a_bad_row_cannot_be_read(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dim": 1, "vectors": [[["1", 0]]], "tol": }')
+        code, _, err = run(capsys, ["verify", str(bad)])
+        assert code == EXIT_USAGE
+        assert f"cannot read line-set file {bad}: Expecting value" in err
+
     @pytest.mark.parametrize("entry", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_entry_that_is_not_finite_is_malformed(self, capsys, tmp_path, mub_file, entry):
         data = json.loads(open(mub_file).read())

@@ -286,9 +286,10 @@ def test_json_text_rejects_what_the_dict_route_rejects(vectors, route, tmp_path)
     '{"dim": 1, "vectors": [[[1, 0]]]',
     '{"dim": 1, "vectors": [[[1, 0]]',
     '{dim: 1}',
+    '{"dim": 1, "vectors": [[["1", 0]]], "tol": }',
 ], ids=["trailing-array", "trailing-object", "comma-in-vectors", "comma-in-object",
         "no-comma-in-vectors", "no-comma-in-object", "open-object", "open-vectors",
-        "bare-key"])
+        "bare-key", "bad-row-then-no-value"])
 def test_json_text_rejects_what_json_loads_rejects(text, route, tmp_path):
     with pytest.raises(json.JSONDecodeError):
         json.loads(text)
@@ -1292,7 +1293,7 @@ def test_triangle_blocks_are_bit_identical_to_the_angle_matrix(n, d):
 
 
 def walked(text):
-    """The vectors as the row walker alone reads them: json.loads, then `_stack_pairs`."""
+    """The vectors as text in no writer's layout is read: json.loads, then `_stack_pairs`."""
     return linesets._stack_pairs(json.loads(text)["vectors"])
 
 
@@ -1304,7 +1305,7 @@ def fast_rows(text):
 
 @pytest.mark.parametrize("make", [lambda: wf_mubs(8).to_lineset(), lambda: alltop_mubs(7).to_lineset(),
                                   lambda: diffset_lines(*singer_difference_set(5))])
-def test_one_call_route_matches_the_row_walker(make):
+def test_one_call_route_matches_json_loads(make):
     text = lineset_to_json(make())
     V = fast_rows(text)
     assert V is not None
@@ -1331,7 +1332,7 @@ def test_one_call_route_keeps_every_double():
 
 @pytest.mark.parametrize("number", ["01", "-01", "+1", ".5", "-.5", "1.", "1.e5", "-0", "NaN",
                                     "Infinity", "true", "1e", "1-2", "1E5", "9223372036854775808"])
-def test_one_call_route_leaves_other_numbers_to_the_walker(number):
+def test_one_call_route_leaves_other_numbers_to_json_loads(number):
     assert fast_rows('{"dim": 1, "field": "complex", "tol": 1e-09, "vectors": [[[%s, 0.0]]]}'
                      % number) is None
 
@@ -1360,10 +1361,41 @@ def loaded(text):
     '{"dim": 1, "x": {"vectors": [[[1.0, 0.0]]]}}',
     '{"dim": 1, "vectors": [[[1.0, 0.0]]], "vectors": [[[1.0, 0.0]]]}',
 ])
-def test_any_text_loads_as_the_row_walker_alone_loads_it(text, monkeypatch):
+def test_any_text_loads_as_json_loads_alone_loads_it(text, monkeypatch):
     fast = loaded(text)
     monkeypatch.setattr(linesets, "_writer_document", lambda data: None)
     assert fast == loaded(text)
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
+def test_json_file_in_another_encoding_loads_the_plain_files_bits(encoding, tmp_path):
+    X = mub_triple_c2()
+    text = lineset_to_json(X)
+    path = tmp_path / "lines.json"
+    path.write_bytes(text.encode(encoding))
+    Y = lineset_from_json(str(path))
+    assert Y.vectors.tobytes() == lineset_from_json(text).vectors.tobytes()
+    assert Y.basis_labels == X.basis_labels
+
+
+def test_labels_that_need_escapes_leave_the_one_call_route_and_round_trip():
+    X = mub_triple_c2()
+    names = dict(zip(dict.fromkeys(X.basis_labels), ["\u00e9", 'a"b', "\\"]))
+    X = LineSet(2, X.vectors, basis_labels=[names[lab] for lab in X.basis_labels])
+    text = lineset_to_json(X)
+    assert fast_rows(text) is None
+    Y = lineset_from_json(text)
+    assert Y.vectors.tobytes() == X.vectors.tobytes() and Y.basis_labels == X.basis_labels
+
+
+def test_file_in_no_writer_layout_is_opened_once(tmp_path, monkeypatch):
+    X = wf_mubs(4).to_lineset()
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps(json.loads(lineset_to_json(X)), indent=2))
+    opened = []
+    monkeypatch.setattr(linesets, "open", lambda *a: opened.append(a) or open(*a), raising=False)
+    Y = lineset_from_json(str(path))
+    assert len(opened) == 1 and Y.vectors.tobytes() == X.vectors.tobytes()
 
 
 def test_loading_a_file_holds_the_text_one_array_and_a_block(tmp_path):
